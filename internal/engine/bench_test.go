@@ -17,6 +17,26 @@ func BenchmarkSimulate500(b *testing.B) {
 	p.PE = 0.2
 	p.PR = 0.1
 	p.TargetLoad = 0.9
+	benchSimulate(b, p, "FCFS", "EASY", "CONS", "CONS-D", "LOS", "Delayed-LOS", "EASY-D", "LOS-D", "Hybrid-LOS")
+}
+
+// BenchmarkSimulateOverload measures the conservative policies in the
+// overloaded regime: 1200 jobs offered at load 1.4, so the queue grows for
+// the whole run and every cycle walks a deep queue. This is elastibench's
+// deep-queue trace shape.
+func BenchmarkSimulateOverload(b *testing.B) {
+	p := workload.DefaultParams()
+	p.N = 1200
+	p.PE = 0.2
+	p.PR = 0.1
+	p.TargetLoad = 1.4
+	benchSimulate(b, p, "CONS", "CONS-D")
+}
+
+// benchSimulate runs one simulation per iteration for each named policy on
+// an M=320/32 machine: batch-only policies replay the trace p generates,
+// heterogeneous ones the same parameters with P_D = 0.3.
+func benchSimulate(b *testing.B, p workload.Params, names ...string) {
 	batch, err := workload.Generate(p)
 	if err != nil {
 		b.Fatal(err)
@@ -26,7 +46,7 @@ func BenchmarkSimulate500(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"FCFS", "EASY", "CONS", "CONS-D", "LOS", "Delayed-LOS", "EASY-D", "LOS-D", "Hybrid-LOS"} {
+	for _, name := range names {
 		b.Run(name, func(b *testing.B) {
 			w := batch
 			if freshScheduler(name).Heterogeneous() {

@@ -913,15 +913,15 @@ func (s *Session) FindWaiting(id int) *job.Job {
 // FindRunning implements ecc.Target.
 func (s *Session) FindRunning(id int) *job.Job { return s.active.Find(id) }
 
-// RetimeRunning implements ecc.Target: re-sort the active list and move the
-// completion event to the new effective termination time (the actual
-// runtime capped by the mutated kill-by time).
+// RetimeRunning implements ecc.Target: reposition j in the active list and
+// move the completion event to the new effective termination time (the
+// actual runtime capped by the mutated kill-by time).
 func (s *Session) RetimeRunning(j *job.Job, oldEnd int64) {
 	now := s.eng.Now()
 	if j.EndTime < now {
 		j.EndTime = now
 	}
-	s.active.Resort()
+	s.active.Reposition(j)
 	s.eng.Cancel(s.getCompletion(j.ID))
 	at := j.StartTime + j.EffectiveRuntime()
 	if at < now {

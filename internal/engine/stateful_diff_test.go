@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"elastisched/internal/cwf"
+	"elastisched/internal/job"
 	"elastisched/internal/sched"
+	"elastisched/internal/trace"
 	"elastisched/internal/workload"
 )
 
@@ -18,13 +21,14 @@ func (c coldPolicy) Heterogeneous() bool         { return c.s.Heterogeneous() }
 func (c coldPolicy) Schedule(ctx *sched.Context) { c.s.Schedule(ctx) }
 
 // TestStatefulFeedIsBehaviourNeutral pins the sched.Stateful contract: a
-// policy fed engine deltas (settled skips, arrival increments, retained
-// profiles) must produce the exact placement stream of the same policy
-// running a cold full pass every cycle. This is the differential check
-// that catches fixed-point bugs — e.g. EASY settling after a pass that
-// started jobs, which relaxes the recomputed freezes on the engine's
-// verification cycle (the EASY-D divergence fixed in PR 4) — without
-// relying on the committed figure TSVs to notice.
+// policy fed engine deltas (settled skips, the delta-maintained base
+// profile) must produce the exact placement stream of the same policy
+// running a cold pass every cycle. This is the differential check that
+// catches fixed-point bugs — e.g. EASY settling after a pass that started
+// jobs, which relaxes the recomputed freezes on the engine's verification
+// cycle and made EASY-D diverge — without relying on the committed figure
+// TSVs to notice. Warm and cold runs share one pass, so a stop that fires
+// too early is TestConservativeStopMatchesFullWalk's business.
 func TestStatefulFeedIsBehaviourNeutral(t *testing.T) {
 	policies := []func() sched.Scheduler{
 		func() sched.Scheduler { return &sched.EASY{} },
@@ -68,6 +72,97 @@ func TestStatefulFeedIsBehaviourNeutral(t *testing.T) {
 					if !reflect.DeepEqual(warm[i], cold[i]) {
 						t.Fatalf("%s/%s seed %d: span %d diverges: with feed %+v, cold %+v",
 							sc.name, name, seed, i, warm[i], cold[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fullWalkCons is the exhaustive conservative reference: every cycle it
+// rebuilds the capacity profile from the active list and fits every queued
+// job — no settled skip, no delta feed, no stop before the queue's end.
+type fullWalkCons struct{ ded bool }
+
+func (r fullWalkCons) Name() string        { return "full-walk" }
+func (r fullWalkCons) Heterogeneous() bool { return r.ded }
+
+func (r fullWalkCons) Schedule(ctx *sched.Context) {
+	if r.ded && sched.MoveDueDedicated(ctx, 0) {
+		return
+	}
+	M := ctx.M()
+	prof := sched.NewProfile(ctx.Now, M, ctx.Active)
+	if r.ded {
+		for _, d := range ctx.Dedicated.Jobs() {
+			if d.Size > M {
+				continue
+			}
+			at := d.ReqStart
+			if !prof.CanPlace(at, d.Dur, d.Size) {
+				at = prof.EarliestFit(at, d.Dur, d.Size)
+			}
+			prof.Reserve(at, at+d.Dur, d.Size)
+		}
+	}
+	for _, j := range append([]*job.Job(nil), ctx.Batch.Jobs()...) {
+		if j.Size > M {
+			return
+		}
+		at := prof.EarliestFit(ctx.Now, j.Dur, j.Size)
+		prof.Reserve(at, at+j.Dur, j.Size)
+		if at == ctx.Now {
+			ctx.Start(j)
+		}
+	}
+}
+
+// TestConservativeStopMatchesFullWalk checks CONS/CONS-D's demand-driven
+// stop against fullWalkCons in overloaded sessions (load 1.4, where the
+// queue grows and almost every pass stops early), with ECCs retiming and
+// resizing running jobs: the start streams must be identical, span by span.
+func TestConservativeStopMatchesFullWalk(t *testing.T) {
+	scenarios := []struct {
+		name string
+		mut  func(*workload.Params)
+	}{
+		{"batch", func(p *workload.Params) {}},
+		{"heterogeneous", func(p *workload.Params) { p.PD = 0.3 }},
+		{"elastic", func(p *workload.Params) { p.PE = 0.2; p.PR = 0.1 }},
+	}
+	run := func(w *cwf.Workload, s sched.Scheduler) []trace.Span {
+		rec := trace.NewRecorder(320, 32)
+		if _, err := Run(w, Config{M: 320, Unit: 32, Scheduler: s, ProcessECC: true, Observer: rec, Paranoid: true}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Spans()
+	}
+	for _, sc := range scenarios {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := workload.DefaultParams()
+			p.Seed = seed
+			p.TargetLoad = 1.4
+			sc.mut(&p)
+			w, err := workload.Generate(p)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.name, err)
+			}
+			for _, ded := range []bool{false, true} {
+				if w.NumDedicated() > 0 && !ded {
+					continue
+				}
+				var s sched.Scheduler = &sched.Conservative{}
+				if ded {
+					s = &sched.ConservativeD{}
+				}
+				got, want := run(w, s), run(w, fullWalkCons{ded: ded})
+				if len(got) != len(want) {
+					t.Fatalf("%s/%s seed %d: %d spans, full walk %d", sc.name, s.Name(), seed, len(got), len(want))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%s/%s seed %d: span %d diverges: %+v, full walk %+v",
+							sc.name, s.Name(), seed, i, got[i], want[i])
 					}
 				}
 			}

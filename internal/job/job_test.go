@@ -2,6 +2,8 @@ package job
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -304,18 +306,59 @@ func TestActiveListRemoveAndFind(t *testing.T) {
 	a.Remove(j)
 }
 
-func TestActiveListResortAfterRetime(t *testing.T) {
+// sortedIDs is the reference Reposition must agree with: the IDs of jobs
+// after a full stable sort by (EndTime, ID).
+func sortedIDs(jobs []*Job) []int {
+	ref := append([]*Job(nil), jobs...)
+	sort.SliceStable(ref, func(i, k int) bool {
+		if ref[i].EndTime != ref[k].EndTime {
+			return ref[i].EndTime < ref[k].EndTime
+		}
+		return ref[i].ID < ref[k].ID
+	})
+	return ids(ref)
+}
+
+func ids(jobs []*Job) []int {
+	out := make([]int, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.ID
+	}
+	return out
+}
+
+func TestActiveListRepositionAfterRetime(t *testing.T) {
 	a := NewActiveList()
 	j1 := runningJob(1, 32, 100)
 	j2 := runningJob(2, 32, 200)
-	a.Insert(j1)
-	a.Insert(j2)
-	// An ET command pushes j1's kill-by past j2's.
-	j1.EndTime = 300
-	a.Resort()
-	if a.At(0) != j2 || a.At(1) != j1 {
-		t.Fatal("Resort did not reorder after EndTime mutation")
+	j3 := runningJob(3, 32, 200)
+	for _, j := range []*Job{j1, j2, j3} {
+		a.Insert(j)
 	}
+	steps := []struct {
+		j    *Job
+		end  int64
+		want []int
+	}{
+		{j1, 300, []int{2, 3, 1}}, // an ET command pushes j1's kill-by past both
+		{j3, 50, []int{3, 2, 1}},  // an RT command pulls j3 to the front
+		{j1, 200, []int{3, 1, 2}}, // an equal kill-by ties break by ID
+		{j2, 200, []int{3, 1, 2}}, // an unchanged key stays put
+	}
+	for n, s := range steps {
+		s.j.EndTime = s.end
+		a.Reposition(s.j)
+		got := ids(a.Jobs())
+		if !reflect.DeepEqual(got, s.want) || !reflect.DeepEqual(got, sortedIDs(a.Jobs())) {
+			t.Fatalf("step %d: Reposition(job %d) gave %v, want %v", n, s.j.ID, got, s.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reposition of a job not running did not panic")
+		}
+	}()
+	a.Reposition(runningJob(4, 32, 10))
 }
 
 // Property: the dedicated queue is sorted after any sequence of pushes.
@@ -338,8 +381,8 @@ func TestPropertyDedicatedSorted(t *testing.T) {
 	}
 }
 
-// Property: the active list stays sorted under random inserts, removals and
-// retimes.
+// Property: under random inserts, removals and retimes the active list
+// always matches a full stable sort of its jobs.
 func TestPropertyActiveListSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	a := NewActiveList()
@@ -357,13 +400,10 @@ func TestPropertyActiveListSorted(t *testing.T) {
 		default:
 			i := r.Intn(len(live))
 			live[i].EndTime = int64(r.Intn(1000))
-			a.Resort()
+			a.Reposition(live[i])
 		}
-		jobs := a.Jobs()
-		for i := 1; i < len(jobs); i++ {
-			if jobs[i-1].EndTime > jobs[i].EndTime {
-				t.Fatalf("op %d: active list unsorted", op)
-			}
+		if got, want := ids(a.Jobs()), sortedIDs(live); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: active list %v, sorted reference %v", op, got, want)
 		}
 	}
 }

@@ -203,7 +203,7 @@ func (q *DedicatedQueue) TotalAtHeadStart() int {
 // ActiveList is A: running jobs sorted by increasing kill-by time, which at
 // any instant is the same as increasing residual execution time (the
 // paper's ordering). Elastic Control Commands can change a running job's
-// kill-by time, after which Resort must be called.
+// kill-by time, after which Reposition must be called.
 //
 // Live jobs occupy jobs[head:]. Jobs normally finish at their kill-by time
 // — the front of the order — so the common removal just advances head;
@@ -299,14 +299,32 @@ func (a *ActiveList) Find(id int) *Job {
 	return nil
 }
 
-// Resort restores kill-by order after an ECC mutated a running job's
-// EndTime.
-func (a *ActiveList) Resort() {
+// Reposition restores kill-by order after j's EndTime changed (an ECC
+// retime, a checkpoint or a resize): j moves to its (EndTime, ID) slot and
+// every other job keeps its place. The key is a total order, so the result
+// is the order a full sort would give. Panics if j is not running.
+func (a *ActiveList) Reposition(j *Job) {
 	live := a.jobs[a.head:]
-	sort.SliceStable(live, func(i, j int) bool {
-		if live[i].EndTime != live[j].EndTime {
-			return live[i].EndTime < live[j].EndTime
+	i := 0
+	for i < len(live) && live[i] != j {
+		i++
+	}
+	if i == len(live) {
+		panic(fmt.Sprintf("job: reposition of job %d not in active list", j.ID))
+	}
+	after := func(x *Job) bool {
+		if x.EndTime != j.EndTime {
+			return x.EndTime > j.EndTime
 		}
-		return live[i].ID < live[j].ID
-	})
+		return x.ID > j.ID
+	}
+	// k is j's slot in the list without j: the first later-keyed job
+	// before i, or past every earlier-keyed job after it.
+	if k := sort.Search(i, func(n int) bool { return after(live[n]) }); k < i {
+		copy(live[k+1:i+1], live[k:i])
+		live[k] = j
+	} else if k := i + sort.Search(len(live)-i-1, func(n int) bool { return after(live[i+1+n]) }); k > i {
+		copy(live[i:k], live[i+1:k+1])
+		live[k] = j
+	}
 }

@@ -1,92 +1,53 @@
 package sched
 
-import (
-	"math"
-
-	"elastisched/internal/job"
-)
+import "elastisched/internal/job"
 
 // consCore is the persistent scheduling state shared by CONS and CONS-D.
 //
-// base is the delta-maintained half: a capacity profile of the running
-// jobs only, kept current across cycles by the engine's Stateful feed
-// (start/finish/retime/resize) instead of being rebuilt from the active
-// list every cycle. cur is the reservation half: base plus every waiting
-// job's reservation, built by a full pass into retained arrays (so a
-// steady-state cycle allocates nothing) and — when the pass completes
-// cleanly — kept alive across cycles.
+// base is a capacity profile of the running jobs only, kept current across
+// cycles by the engine's Stateful feed (start/finish/retime/resize) instead
+// of being rebuilt from the active list every cycle. cur is per-pass
+// scratch: base plus the reservations of the pass in progress, built into
+// retained arrays so a steady-state cycle allocates nothing.
 //
-// Two properties make the retained reservations reusable:
+// Two reductions keep the pass cheap:
 //
-//   - Settled skip: a completed clean pass is a fixed point. Re-running it
-//     against unchanged state, every started job's capacity is already in
-//     the rebuilt base at exactly the reservation the pass granted, so
-//     every remaining job receives the identical reservation and nothing
-//     new starts. The engine's mandatory verification cycle — half of all
-//     cycles — reduces to a flag check.
+//   - Settled skip: a clean pass is a fixed point. Re-running it against
+//     unchanged state, every started job's capacity is already in base at
+//     exactly the reservation the pass granted, so every remaining job
+//     receives the identical reservation and nothing new starts. The
+//     engine's mandatory verification cycle — half of all cycles — reduces
+//     to a flag check.
 //
-//   - Arrival increments: a batch arrival lands at the queue tail, and
-//     conservative backfilling computes reservations in FIFO order, so the
-//     newcomer cannot move any earlier job's reservation. If nothing else
-//     changed, the earlier reservations are also time-stable: EarliestFit
-//     from a later now returns the same start while every feasible window
-//     it found still lies in the future. The arrival cycle therefore only
-//     fits the new tail jobs into the retained profile — O(new jobs), not
-//     O(queue). The guard is nextResAt, the earliest retained reservation:
-//     once now reaches it, a retained job could be due to start (or its
-//     reservation has gone stale), and the cycle falls back to a full
-//     pass.
+//   - Demand-driven stop: the pass fits jobs in queue order only up to the
+//     last job that can still start now. Within a pass, reservations only
+//     lower the profile, so a job that cannot start now given the
+//     reservations made so far never becomes able to; and fitReserve
+//     returns now exactly when CanPlace(now) holds. The reservations of the
+//     jobs behind the last candidate therefore constrain no start.
 //
-// Reservations are invalidated — never patched — by every other delta
-// (completion, ECC retime/resize/rewrite, dedicated arrival): the next
-// cycle rebuilds them from base, which IS patched in place.
+// Every delta other than a start unsettles the policy; base, which the
+// deltas patch in place, is the only state carried into the next pass.
 type consCore struct {
 	deltaTracker
-	base      Profile    // running jobs only, delta-maintained
-	baseValid bool       // base reflects the current running set
-	cur       Profile    // base + reservations (retained while curValid)
-	curValid  bool       // cur holds a complete settled reservation set
-	nextResAt int64      // earliest retained reservation start
-	pending   []*job.Job // batch arrivals since the settled pass
-	sizeMin   []int      // suffix-min of queued sizes (early-stop scratch)
-}
-
-// invalidate drops the retained reservation set and forces the next cycle
-// to run a full pass.
-func (c *consCore) invalidate() {
-	c.settled = false
-	c.curValid = false
-	c.pending = c.pending[:0]
+	base      Profile // running jobs only, delta-maintained
+	baseValid bool    // base reflects the current running set
+	cur       Profile // per-pass scratch: base + this pass's reservations
 }
 
 // ResetDeltas implements Stateful; the rebuild-on-restore rule lives here.
 func (c *consCore) ResetDeltas() {
 	c.deltaTracker.ResetDeltas()
 	c.baseValid = false
-	c.curValid = false
-	c.pending = c.pending[:0]
 }
 
 // JobStarted implements Stateful: the new running job claims capacity up
-// to its kill-by time. Starts are always the policy's own, already
-// reserved in cur by the pass that made them, so the reservation set
-// stays valid.
+// to its kill-by time. Starts are always the policy's own, made by the
+// pass that settles, so they do not unsettle.
 func (c *consCore) JobStarted(j *job.Job, now int64) {
 	if c.baseValid {
 		c.base.Reserve(now, j.EndTime, j.Size)
 	}
-}
-
-// JobArrived implements Stateful. A batch arrival under a valid retained
-// reservation set is queued for incremental placement; anything else
-// (dedicated arrivals move the pin set; arrivals into an already-invalid
-// state add nothing to patch) forces a full pass.
-func (c *consCore) JobArrived(j *job.Job, now int64) {
-	if j.Class == job.Batch && c.live && c.settled && c.curValid {
-		c.pending = append(c.pending, j)
-		return
-	}
-	c.invalidate()
 }
 
 // JobFinished implements Stateful: the remainder of the job's capacity
@@ -95,7 +56,7 @@ func (c *consCore) JobFinished(j *job.Job, now int64) {
 	if c.baseValid {
 		c.base.Release(now, j.EndTime, j.Size)
 	}
-	c.invalidate()
+	c.settled = false
 }
 
 // JobRetimed implements Stateful: only the window between the old and new
@@ -109,7 +70,7 @@ func (c *consCore) JobRetimed(j *job.Job, oldEnd, now int64) {
 			c.base.Release(newEnd, oldEnd, j.Size)
 		}
 	}
-	c.invalidate()
+	c.settled = false
 }
 
 // JobResized implements Stateful: the size delta applies from now to the
@@ -122,11 +83,8 @@ func (c *consCore) JobResized(j *job.Job, oldSize int, now int64) {
 			c.base.Release(now, j.EndTime, oldSize-j.Size)
 		}
 	}
-	c.invalidate()
+	c.settled = false
 }
-
-// QueueChanged implements Stateful.
-func (c *consCore) QueueChanged() { c.invalidate() }
 
 // JobKilled implements Stateful: like a completion, the remainder of the
 // victim's capacity claim is handed back — the failure that killed it
@@ -136,87 +94,38 @@ func (c *consCore) JobKilled(j *job.Job, now int64) {
 	if c.baseValid {
 		c.base.Release(now, j.EndTime, j.Size)
 	}
-	c.invalidate()
+	c.settled = false
 }
 
 // CapacityChanged implements Stateful. The paper-mandated fallback: base
 // was built against the old in-service machine size, and a shrink under
 // existing reservations cannot be patched soundly (the profile has no
-// notion of which future windows lose capacity), so both halves are
-// dropped and the next cycle rebuilds from the Context.
+// notion of which future windows lose capacity), so base is dropped and
+// the next cycle rebuilds it from the Context.
 func (c *consCore) CapacityChanged(now int64) {
 	c.baseValid = false
-	c.invalidate()
+	c.settled = false
 }
 
-// pass runs one conservative scheduling cycle. With pinDedicated, pending
-// dedicated jobs reserve first at their requested start times (degrading
-// to earliest-feasible when infeasible, mirroring the unavoidable delay of
-// Algorithm 2 lines 24-30).
+// pass runs one conservative scheduling cycle: every waiting job up to the
+// last one that can still start now gets a reservation at its earliest
+// feasible start given all earlier jobs' reservations, and starts if that
+// reservation is now. With pinDedicated, pending dedicated jobs reserve
+// first at their requested start times (degrading to earliest-feasible
+// when infeasible, mirroring the unavoidable delay of Algorithm 2 lines
+// 24-30).
 func (c *consCore) pass(ctx *Context, pinDedicated bool) {
 	if c.canSkip(ctx) {
-		if len(c.pending) == 0 {
-			return
-		}
-		if c.curValid && ctx.Now < c.nextResAt && !c.pendingOversized(ctx.M()) {
-			c.passPending(ctx)
-			return
-		}
+		return
 	}
-	c.fullPass(ctx, pinDedicated)
-}
-
-// pendingOversized reports whether any pending arrival outsizes the
-// in-service machine — possible only during a node-group outage, when a
-// job validated against the full machine exceeds what is left Up. Such a
-// job cannot take a reservation, so the incremental path is unusable.
-func (c *consCore) pendingOversized(m int) bool {
-	for _, j := range c.pending {
-		if j.Size > m {
-			return true
-		}
-	}
-	return false
-}
-
-// passPending fits only the batch jobs that arrived since the settled
-// pass into the retained reservation profile.
-func (c *consCore) passPending(ctx *Context) {
-	c.cur.Advance(ctx.Now)
-	clean := true
-	for _, j := range c.pending {
-		at := c.cur.fitReserve(ctx.Now, j.Dur, j.Size)
-		if at == ctx.Now {
-			if !ctx.Start(j) {
-				clean = false
-			}
-		} else if at < c.nextResAt {
-			c.nextResAt = at
-		}
-	}
-	c.pending = c.pending[:0]
-	if !clean {
-		// The machine refused a capacity-feasible start (fragmentation
-		// under contiguous allocation); the profile cannot see placement
-		// constraints, so neither fixed-point argument holds.
-		c.invalidate()
-	}
-}
-
-// fullPass rebuilds the reservation set: every waiting job gets a
-// reservation at its earliest feasible start given all earlier jobs'
-// reservations, and starts if that reservation is now.
-func (c *consCore) fullPass(ctx *Context, pinDedicated bool) {
 	prof := c.cycleProfile(ctx)
-	c.pending = c.pending[:0]
-	c.nextResAt = math.MaxInt64
 	M := ctx.M()
 	if pinDedicated {
 		for _, d := range ctx.Dedicated.Jobs() {
 			if d.Size > M {
 				// Larger than the in-service machine (a node-group outage):
 				// no reservation is possible until a repair restores
-				// capacity, which invalidates this pass via CapacityChanged.
+				// capacity, which unsettles this pass via CapacityChanged.
 				continue
 			}
 			at := d.ReqStart
@@ -228,39 +137,28 @@ func (c *consCore) fullPass(ctx *Context, pinDedicated bool) {
 	}
 
 	// Walk the queue in place. Start removes the started job with order
-	// preserved, so after a start the next candidate has shifted into the
-	// current index; compensating with i-- visits each job exactly once in
-	// queue order without the per-cycle queue snapshot the old
-	// implementation allocated.
+	// preserved, so after a start the next job has shifted into the current
+	// index; compensating with i-- visits each job exactly once in queue
+	// order without a per-cycle queue snapshot.
+	//
+	// next is the demand cursor: the first position at or after i whose job
+	// could still start now given the reservations made so far. Since they
+	// only lower the profile, a job the cursor passes over stays unable to
+	// start, so the cursor only moves forward, only the job under it can
+	// start, and once it runs off the queue nothing behind i can start.
 	jobs := ctx.Batch.Jobs()
-
-	// Suffix-min of queued sizes for the congestion early-stop: once the
-	// capacity free at this instant drops below every remaining job's
-	// size, no remaining job can start now, and their reservations —
-	// which exist only to constrain this cycle's starts — influence
-	// nothing observable. The pass may then stop early; the reservation
-	// set is incomplete, so it is not retained for arrival increments.
-	// k tracks the original queue position across in-place removals.
-	min := c.sizeMin[:0]
-	if cap(min) < len(jobs) {
-		min = make([]int, len(jobs))
-	}
-	min = min[:len(jobs)]
-	for k := len(jobs) - 1; k >= 0; k-- {
-		min[k] = jobs[k].Size
-		if k+1 < len(jobs) && min[k+1] < min[k] {
-			min[k] = min[k+1]
-		}
-	}
-	c.sizeMin = min
-
-	clean, complete := true, true
 	// Free capacity at this instant, maintained incrementally: only a
 	// reservation at now itself can lower it.
 	freeNow := prof.FreeAt(ctx.Now)
-	for i, k := 0, 0; i < len(jobs); i, k = i+1, k+1 {
-		if freeNow < min[k] {
-			complete = false
+	clean := true
+	for i, next := 0, 0; ; i++ {
+		if next < i {
+			next = i
+		}
+		for next < len(jobs) && !(jobs[next].Size <= freeNow && prof.CanPlace(ctx.Now, jobs[next].Dur, jobs[next].Size)) {
+			next++
+		}
+		if next == len(jobs) {
 			break
 		}
 		j := jobs[i]
@@ -269,34 +167,30 @@ func (c *consCore) fullPass(ctx *Context, pinDedicated bool) {
 			// Conservative backfilling forbids later jobs from delaying it,
 			// and no reservation can be computed without knowing the repair
 			// time, so the pass stalls here until CapacityChanged replans.
-			complete = false
 			break
 		}
-		at := prof.fitReserve(ctx.Now, j.Dur, j.Size)
-		if at == ctx.Now {
-			freeNow -= j.Size
-			if ctx.Start(j) {
-				jobs = ctx.Batch.Jobs()
-				i--
-			} else {
-				clean = false
-			}
-		} else if at < c.nextResAt {
-			c.nextResAt = at
+		if prof.fitReserve(ctx.Now, j.Dur, j.Size) != ctx.Now {
+			continue
+		}
+		freeNow -= j.Size
+		if ctx.Start(j) {
+			jobs = ctx.Batch.Jobs()
+			i--
+		} else {
+			// The machine refused a capacity-feasible start (fragmentation
+			// under contiguous allocation); the profile cannot see placement
+			// constraints, so the pass is no fixed point.
+			clean = false
 		}
 	}
 	if clean {
-		// Early-stopped passes still settle — the skipped jobs provably
-		// could not start — but only a complete reservation set supports
-		// arrival increments.
 		c.settle()
-		c.curValid = c.live && complete
 	} else {
-		c.invalidate()
+		c.settled = false
 	}
 }
 
-// cycleProfile produces the full pass's working profile: a copy of the
+// cycleProfile produces the pass's working profile: a copy of the
 // delta-maintained base when the engine feeds deltas, a from-scratch
 // rebuild otherwise (standalone use, or the first cycle after Load or
 // restore-from-snapshot).

@@ -26,7 +26,7 @@ func (s *ConservativeD) Schedule(ctx *Context) {
 	if MoveDueDedicated(ctx, 0) {
 		// The queue changed shape under the pass's feet; the fixed-point
 		// re-invocation must run in full.
-		s.invalidate()
+		s.settled = false
 		return
 	}
 	s.pass(ctx, true)

@@ -139,6 +139,36 @@ func TestConservativeNeverDelaysAnyReservation(t *testing.T) {
 	h.wantStarted(2)
 }
 
+func TestConservativeNonCandidateStillBlocks(t *testing.T) {
+	// J1 cannot start now, so the demand cursor passes it for J2, the only
+	// job that could; but J1 still reserves 100..200 first, and J2 running
+	// 0..200 would hold 160 of that window. Nothing may start.
+	for _, s := range []Scheduler{&Conservative{}, &ConservativeD{}} {
+		h := newHarness(t, 320, 32)
+		h.addRunning(9, 160, 100)
+		h.addBatch(1, 320, 100)
+		h.addBatch(2, 160, 200)
+		h.cycle(s)
+		h.wantStarted()
+	}
+}
+
+func TestConservativeOversizedHeadStallsDuringOutage(t *testing.T) {
+	// Two failed node groups leave 256 processors in service: the 288-wide
+	// head can take no reservation, and the 32-wide job behind it, which
+	// could start now, may not overtake it.
+	for _, s := range []Scheduler{&Conservative{}, &ConservativeD{}} {
+		h := newHarness(t, 320, 32)
+		if _, _, err := h.mach.FailGroups([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		h.addBatch(1, 288, 100)
+		h.addBatch(2, 32, 10)
+		h.cycle(s)
+		h.wantStarted()
+	}
+}
+
 func TestConservativeFlags(t *testing.T) {
 	c := &Conservative{}
 	if c.Name() != "CONS" || c.Heterogeneous() {
