@@ -50,14 +50,13 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzMachineIndexed -fuzztime=10s ./internal/machine
 	$(GO) test -run=Fuzz -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
 
-# Scale-out smoke: the sharded-dispatch determinism bar (every routing
-# policy x 1/2/4/8 workers), the routing/exact-merge suite, the epoch
-# protocol's stealing-determinism and property suite, one iteration each of
-# the skewed routing and stealing benchmarks, and the indexed machine at
-# M=32k, under the race detector (mirrors CI's scale-smoke).
+# Scale-out smoke: the whole sharded-dispatch suite (determinism bars,
+# routing and exact-merge properties, the epoch protocol, config errors)
+# and the indexed machine at M=32k under the race detector, plus one
+# iteration each of the skewed routing and stealing benchmarks (mirrors
+# CI's scale-smoke).
 scale-smoke:
-	$(GO) test -race -run 'TestSharded|TestRout|TestRoute|TestLeastWork|TestBestFit|TestMerged|TestSingleCluster' -count=1 ./internal/dispatch
-	$(GO) test -race -run 'TestEpoch|TestSteal|TestAffinity|TestCommandsFollow' -count=1 ./internal/dispatch
+	$(GO) test -race -count=1 ./internal/dispatch
 	$(GO) test -run=NONE -bench='BenchmarkShardedSkewE2E/route=.*/clusters=8' -benchtime=1x ./internal/dispatch
 	$(GO) test -run=NONE -bench='BenchmarkShardedStealE2E' -benchtime=1x ./internal/dispatch
 	$(GO) test -race -run=NONE -bench='BenchmarkMachineScale/indexed/M=32k' -benchtime=1x ./internal/machine

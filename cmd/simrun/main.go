@@ -114,7 +114,7 @@ func main() {
 		procs     = flag.Int("procs", 0, "per-cluster machine size in processors (alias of -m)")
 		clusters  = flag.Int("clusters", 1, "parallel cluster simulations behind a global dispatcher (global machine = clusters x procs)")
 		routeF    = flag.String("route", "roundrobin", "sharded dispatch policy: roundrobin, least-work, best-fit, or feedback (feedback needs -epoch)")
-		epochF    = flag.Int64("epoch", 0, "epoch length in sim seconds for the dispatcher's barrier-synchronized protocol (0 = static one-shot routing; with -clusters > 1)")
+		epochF    = flag.Int64("epoch", 0, "epoch length in sim seconds for the dispatcher's barrier-synchronized protocol, needed by -steal, -affinity and -route feedback (with -clusters > 1)")
 		stealF    = flag.Bool("steal", false, "let idle clusters steal queued jobs at each epoch barrier (needs -epoch)")
 		affinityF = flag.Int("affinity", 0, "pin every Nth submission to a home cluster that routing and stealing respect (needs -epoch)")
 		unit      = flag.Int("unit", 0, "allocation quantum (0 = gcd of machine size and job sizes)")

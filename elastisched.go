@@ -308,11 +308,13 @@ type ShardedOptions struct {
 	// plus "feedback" when Epoch > 0. See RoutePolicies and
 	// DynamicRoutePolicies.
 	Route string
-	// Epoch, when positive on a multi-cluster run, switches to the
-	// dispatcher's deterministic epoch protocol: clusters step to shared
-	// virtual-time barriers every Epoch sim-seconds and exchange compact
-	// queue digests there. Required by Steal, Affinity, and the "feedback"
-	// route; a single cluster ignores it.
+	// Epoch is the barrier interval, in sim-seconds, of the dispatcher's
+	// deterministic epoch protocol: with stealing or the "feedback" route,
+	// clusters step to shared virtual-time barriers every Epoch sim-seconds
+	// and exchange compact queue digests there. Required by Steal,
+	// Affinity, and the "feedback" route. A static route with stealing off
+	// needs no barrier and runs the same at any Epoch; a single cluster
+	// ignores it.
 	Epoch int64
 	// Steal lets idle clusters pull queued jobs from backlogged ones at
 	// each barrier, commands following their job.

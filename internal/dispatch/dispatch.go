@@ -20,7 +20,6 @@ package dispatch
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -70,12 +69,14 @@ type Config struct {
 	// feedback — the deterministic barrier digests), so every policy keeps
 	// the cross-worker determinism contract.
 	Route string
-	// Epoch, when positive on a multi-cluster run, switches to the
-	// epoch-synchronization protocol: sessions step to shared virtual-time
-	// barriers every Epoch seconds, publish queue digests, and exchange
-	// work deterministically (see epoch.go). Zero keeps the one-shot static
-	// path. A single cluster always bypasses the epoch machinery: there is
-	// no peer to exchange with, and the plain path is byte-identical.
+	// Epoch is the barrier interval, in virtual seconds, of the
+	// epoch-synchronization protocol that stealing, affinity pinning, and
+	// feedback routing need: sessions step to shared barriers every Epoch
+	// seconds, publish queue digests, and exchange work deterministically
+	// (see epoch.go). A static policy with stealing off never moves a job
+	// after routing, so it runs without barriers whatever the value. A
+	// single cluster always bypasses the epoch machinery: there is no peer
+	// to exchange with.
 	Epoch int64
 	// Steal enables the barrier exchange step: idle clusters pull queued
 	// jobs from backlogged ones, commands following the job. Needs Epoch.
@@ -112,8 +113,8 @@ func (cfg *Config) validate() error {
 
 // ClusterResult is one cluster's outcome.
 type ClusterResult struct {
-	// Cluster is the cluster index; Jobs the number of submissions routed
-	// to it.
+	// Cluster is the cluster index; Jobs the number of submissions it owns
+	// at the end of the run — routed to it, adjusted by steals.
 	Cluster int
 	Jobs    int
 	Result  *engine.Result
@@ -149,57 +150,23 @@ type Result struct {
 	Clusters []ClusterResult
 	// Steals and Epochs report the epoch protocol's activity: jobs moved
 	// between clusters by the barrier exchange, and barrier rounds run.
-	// Both stay zero on the static path, so its serialized results are
-	// unchanged.
+	// Both stay zero when no job can change cluster — a static policy with
+	// stealing off, at any Epoch — so such a run serializes the same
+	// whatever its Epoch.
 	Steals int `json:",omitempty"`
 	Epochs int `json:",omitempty"`
 	// Owners maps job ID to the cluster that completed it — the routed home
-	// updated by steals. Nil on the static path (the split is a pure
-	// function of the workload there; see JobsPerCluster and route).
+	// updated by steals. Nil when no job can change cluster: the split is
+	// then a pure function of the workload, counted by Clusters[i].Jobs.
 	Owners map[int]int `json:",omitempty"`
-}
-
-// route splits the workload into per-cluster workloads: the router
-// assigns each submission in workload order, and each command follows its
-// job. The split depends only on the workload, the cluster count, and the
-// policy — never on timing or worker count.
-func route(w *cwf.Workload, clusters, m int, r Router) []*cwf.Workload {
-	if clusters == 1 {
-		// Fast path: one cluster receives the whole workload unchanged.
-		// Skip the router, the per-job home map, and the per-part rebuild
-		// entirely — the engine clones jobs at Load and never mutates the
-		// workload, so handing the validated workload over as-is is safe.
-		return []*cwf.Workload{w}
-	}
-	r.Reset(clusters, m)
-	parts := make([]*cwf.Workload, clusters)
-	for c := range parts {
-		parts[c] = &cwf.Workload{Header: w.Header}
-	}
-	home := make(map[int]int, len(w.Jobs))
-	for i, j := range w.Jobs {
-		c := r.Route(j)
-		if c < 0 || c >= clusters {
-			panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
-				r.Name(), j.ID, i, c, clusters))
-		}
-		home[j.ID] = c
-		parts[c].Jobs = append(parts[c].Jobs, j)
-	}
-	for _, cmd := range w.Commands {
-		if c, ok := home[cmd.JobID]; ok {
-			parts[c].Commands = append(parts[c].Commands, cmd)
-		}
-		// A command referencing a job no cluster owns cannot exist in a
-		// validated workload; Run validates before routing.
-	}
-	return parts
 }
 
 // Run executes the workload across cfg.Clusters parallel cluster sessions
 // and merges the outcomes. The workload is validated once against the
 // per-cluster machine and not mutated (each session clones its jobs), so
-// the same workload can be replayed under other configurations.
+// the same workload can be replayed under other configurations. A single
+// cluster is one plain engine run over the whole workload; every
+// multi-cluster run goes through runEpochs.
 func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -211,76 +178,57 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	if cfg.Clusters > 1 && cfg.Epoch > 0 {
-		return runEpochs(w, cfg)
-	}
-	// NewDynamicRouter rather than NewRouter only for the Clusters == 1
-	// case, where validate admits any policy name (the route fast path
-	// never consults the router); a multi-cluster static run cannot reach
-	// here with RouteFeedback.
+	// The dynamic set: validate lets a single cluster, which never consults
+	// the router, name any policy, and a multi-cluster run reaches here with
+	// RouteFeedback only under a positive Epoch.
 	router, err := NewDynamicRouter(cfg.Route)
 	if err != nil {
 		return nil, err
 	}
-
-	parts := route(w, cfg.Clusters, cfg.Engine.M, router)
-	outs := make([]*engine.Result, cfg.Clusters)
-	errs := make([]error, cfg.Clusters)
-
-	workers := resolveWorkers(cfg.Workers, cfg.Clusters)
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for c := range tasks {
-				ecfg := cfg.Engine
-				ecfg.Scheduler = cfg.NewScheduler()
-				ecfg.Prevalidated = true
-				if cfg.Clusters > 1 {
-					// Multi-cluster merges need the per-job sample vectors
-					// for exact global order statistics; a single cluster's
-					// summary is already the exact global view, so it skips
-					// the export cost.
-					ecfg.ExportSamples = true
-				}
-				if cfg.Engine.Faults != nil {
-					// Each cluster draws an independent fault stream from a
-					// seed offset by its index, so the same global seed fails
-					// the same groups of the same clusters on every run.
-					fc := *cfg.Engine.Faults
-					fc.Seed += int64(c)
-					ecfg.Faults = &fc
-				}
-				outs[c], errs[c] = engine.Run(parts[c], ecfg)
-			}
-		}()
-	}
-	for c := 0; c < cfg.Clusters; c++ {
-		tasks <- c
-	}
-	close(tasks)
-	wg.Wait()
-
-	// Surface the first error in cluster order, regardless of which worker
-	// hit it first on the wall clock.
-	for c, err := range errs {
+	if cfg.Clusters == 1 {
+		out, err := engine.Run(w, cfg.clusterEngine(0))
 		if err != nil {
-			return nil, fmt.Errorf("dispatch: cluster %d: %w", c, err)
+			return nil, fmt.Errorf("dispatch: cluster 0: %w", err)
 		}
+		return assemble([]*engine.Result{out}, []int{len(w.Jobs)}, cfg.Engine.M), nil
 	}
+	return runEpochs(w, cfg, router)
+}
 
-	res := &Result{Clusters: make([]ClusterResult, cfg.Clusters)}
+// clusterEngine builds cluster c's engine configuration from the template:
+// its own scheduler instance, and its own fault stream seeded at an offset
+// of its index, so the same global seed fails the same groups of the same
+// clusters on every run. Multi-cluster runs export the per-job sample
+// vectors the exact merge needs; a single cluster's summary already is the
+// exact global view, so it skips the export cost.
+func (cfg *Config) clusterEngine(c int) engine.Config {
+	ecfg := cfg.Engine
+	ecfg.Scheduler = cfg.NewScheduler()
+	ecfg.Prevalidated = true
+	if cfg.Clusters > 1 {
+		ecfg.ExportSamples = true
+	}
+	if cfg.Engine.Faults != nil {
+		fc := *cfg.Engine.Faults
+		fc.Seed += int64(c)
+		ecfg.Faults = &fc
+	}
+	return ecfg
+}
+
+// assemble builds the Result from the per-cluster outcomes, summing in
+// cluster order; jobs[c] is the number of submissions cluster c owns.
+func assemble(outs []*engine.Result, jobs []int, clusterM int) *Result {
+	res := &Result{Clusters: make([]ClusterResult, len(outs))}
 	for c, r := range outs {
-		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: len(parts[c].Jobs), Result: r}
-		res.ECC = addECC(res.ECC, r.ECC)
+		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: jobs[c], Result: r}
+		res.ECC = res.ECC.Add(r.ECC)
 		res.DroppedECC += r.DroppedECC
 		res.Events += r.Events
 		res.Cycles += r.Cycles
 	}
-	res.Merged = mergeSummaries(outs, cfg.Engine.M)
-	return res, nil
+	res.Merged = mergeSummaries(outs, clusterM)
+	return res
 }
 
 // mergeSummaries combines per-cluster summaries into the global view,
@@ -454,29 +402,4 @@ func mergeFinishes(outs []*engine.Result, total int) []int64 {
 		merged = append(merged, bt)
 		heads[best]++
 	}
-}
-
-func addECC(a, b ecc.Stats) ecc.Stats {
-	a.Total += b.Total
-	a.Applied += b.Applied
-	a.Clamped += b.Clamped
-	a.IgnoredFinished += b.IgnoredFinished
-	a.IgnoredUnknown += b.IgnoredUnknown
-	a.IgnoredLimit += b.IgnoredLimit
-	a.IgnoredCapacity += b.IgnoredCapacity
-	a.ExtendedSeconds += b.ExtendedSeconds
-	a.ReducedSeconds += b.ReducedSeconds
-	a.GrownProcs += b.GrownProcs
-	a.ShrunkProcs += b.ShrunkProcs
-	return a
-}
-
-// JobsPerCluster reports how a workload of n submissions spreads over
-// clusters — the per-cluster load factor tooling prints before a run.
-func JobsPerCluster(n, clusters int) []int {
-	counts := make([]int, clusters)
-	for i := 0; i < n; i++ {
-		counts[i%clusters]++
-	}
-	return counts
 }

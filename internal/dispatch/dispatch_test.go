@@ -146,7 +146,8 @@ func TestSingleClusterMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRouting checks the static round-robin split and that every command
+// TestRouting checks the static round-robin split — submission i on
+// cluster i mod 4, and the home map agreeing — and that every command
 // lands on its job's cluster.
 func TestRouting(t *testing.T) {
 	w := testWorkload(t, 103, 5)
@@ -154,16 +155,18 @@ func TestRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := route(w, 4, 320, rr)
-	want := JobsPerCluster(len(w.Jobs), 4)
+	parts, home := split(w, 4, 320, 0, rr)
 	total := 0
 	for c, p := range parts {
-		if len(p.Jobs) != want[c] {
-			t.Errorf("cluster %d holds %d jobs, want %d", c, len(p.Jobs), want[c])
-		}
 		total += len(p.Jobs)
 		owned := map[int]bool{}
-		for _, j := range p.Jobs {
+		for k, j := range p.Jobs {
+			if want := w.Jobs[4*k+c]; j != want {
+				t.Errorf("cluster %d position %d holds job %d, want job %d", c, k, j.ID, want.ID)
+			}
+			if home[j.ID] != c {
+				t.Errorf("home map puts job %d on cluster %d, the split on %d", j.ID, home[j.ID], c)
+			}
 			owned[j.ID] = true
 		}
 		for _, cmd := range p.Commands {

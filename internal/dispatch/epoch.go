@@ -11,17 +11,24 @@ import (
 	"elastisched/internal/job"
 )
 
-// This file is the dynamic half of the dispatcher: the deterministic
-// epoch-synchronization protocol behind Config.Epoch/Steal/Affinity and the
-// feedback routing policy.
+// This file is the multi-cluster run path. Every job reaches its cluster in
+// one of two ways:
+//
+//   - Loaded: under a static policy with stealing off, every job's cluster
+//     is fixed for the whole run (split). No barrier is needed: each
+//     cluster's session is opened inside the drain task that runs it, loads
+//     its part, runs to completion, and is dropped once its result is taken.
+//   - Released at barriers: stealing and feedback routing need the
+//     deterministic epoch-synchronization protocol behind
+//     Config.Epoch/Steal/Affinity.
 //
 // Protocol. Virtual time is cut into epochs of Config.Epoch seconds. Per
 // round k with barrier T = (k+1)·Epoch:
 //
-//  1. Release: jobs with arrivals in (T−Epoch, T] are routed (affinity pin,
-//     else the precomputed static split, else the feedback router reading
-//     the last barrier's digests) and injected into their cluster; commands
-//     in the window follow their job's current owner.
+//  1. Release: jobs with arrivals in (T−Epoch, T] go to their cluster (the
+//     precomputed static split, else the affinity pin, else the feedback
+//     router reading the last barrier's digests) and are injected there;
+//     commands in the window follow their job's current owner.
 //  2. Step: every cluster session advances to the barrier (RunUntil) on the
 //     worker pool. Sessions never interact while running.
 //  3. Exchange: at the barrier each cluster publishes a Digest, and the
@@ -30,31 +37,39 @@ import (
 //     idle ones (Withdraw/AbsorbAt, ownership updated so later commands
 //     follow).
 //
+// Once everything is released and no exchange step remains, the drain runs
+// the sessions to completion in parallel.
+//
 // Determinism argument: releases are a pure function of the workload prefix
 // and the previous barrier's digests; digests are a pure function of each
 // cluster's (single-goroutine deterministic) session state at the barrier;
 // the exchange runs after every session reached the barrier, on one
 // goroutine, scanning clusters in a fixed order. Worker count only changes
 // which sessions run concurrently between barriers, never what any of them
-// observes — so the result is byte-identical for any worker count, the same
-// bar the static policies meet.
+// observes — so the result is byte-identical for any worker count. A loaded
+// run never crosses a barrier, so the same holds there trivially.
 
-// epochRun is the state of one dynamic sharded run.
+// epochRun is the state of one multi-cluster run.
 type epochRun struct {
 	cfg      Config
 	workers  int
 	sessions []*engine.Session
 	errs     []error
+	outs     []*engine.Result
+	// jobs counts the submissions each cluster owns: the routed split,
+	// adjusted by every steal.
+	jobs []int
+	// parts is the fixed split of a loaded run, one workload per cluster;
+	// nil when jobs are released at barriers.
+	parts []*cwf.Workload
 
-	router  Router
 	dynamic DigestRouter // non-nil when the policy reads digests (feedback)
-	// homes is the up-front static split (nil under feedback routing): the
-	// same job-order routing pass the one-shot path uses, so an epoch run
-	// with a static policy and stealing off reproduces it exactly.
-	homes map[int]int
-	// owner maps job ID -> current cluster. Seeded at release, updated only
-	// in the exchange step, so ownership is constant within an epoch and
-	// commands always land where their job is.
+	// owner maps job ID -> current cluster when jobs are released at
+	// barriers: the whole static split up front, or filled at release under
+	// feedback routing. Updated only in the exchange step, so ownership is
+	// constant within an epoch and commands always land where their job is.
+	// An unreleased job can only be at its static home, so the split alone
+	// routes the commands that arrive before their job.
 	owner map[int]int
 
 	digests []Digest
@@ -77,95 +92,102 @@ type epochRun struct {
 	barrier           int64
 }
 
-// runEpochs executes the workload under the epoch protocol. The caller has
-// validated the config and the workload.
-func runEpochs(w *cwf.Workload, cfg Config) (*Result, error) {
-	router, err := NewDynamicRouter(cfg.Route)
-	if err != nil {
-		return nil, err
-	}
+// runEpochs executes a multi-cluster run. The caller has validated the
+// config and the workload and resolved the router.
+func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 	e := &epochRun{
 		cfg:      cfg,
 		workers:  resolveWorkers(cfg.Workers, cfg.Clusters),
 		sessions: make([]*engine.Session, cfg.Clusters),
 		errs:     make([]error, cfg.Clusters),
-		router:   router,
-		owner:    make(map[int]int, len(w.Jobs)),
+		outs:     make([]*engine.Result, cfg.Clusters),
+		jobs:     make([]int, cfg.Clusters),
 		digests:  make([]Digest, cfg.Clusters),
 	}
-	router.Reset(cfg.Clusters, cfg.Engine.M)
-	if dyn, ok := router.(DigestRouter); ok {
-		e.dynamic = dyn
-	} else {
-		e.routeStatic(w)
-	}
-	if err := e.buildSessions(w); err != nil {
-		return nil, err
-	}
 	defer e.stopPool()
-	if err := e.loop(w); err != nil {
+	var parts []*cwf.Workload
+	if dyn, ok := router.(DigestRouter); ok {
+		router.Reset(cfg.Clusters, cfg.Engine.M)
+		e.dynamic = dyn
+		e.owner = make(map[int]int, len(w.Jobs))
+	} else {
+		parts, e.owner = split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router)
+		for c, p := range parts {
+			e.jobs[c] = len(p.Jobs)
+		}
+	}
+	if e.dynamic == nil && !cfg.Steal {
+		// Loaded: no job ever leaves its home. Owners stays nil — the split
+		// is a pure function of the workload.
+		e.parts, e.owner = parts, nil
+	} else {
+		if err := e.openSessions(w, parts); err != nil {
+			return nil, err
+		}
+		if err := e.loop(w); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.parallel(e.drain); err != nil {
 		return nil, err
 	}
-	return e.result()
+	res := assemble(e.outs, e.jobs, cfg.Engine.M)
+	res.Steals, res.Epochs, res.Owners = e.steals, e.epochs, e.owner
+	return res, nil
 }
 
-// routeStatic precomputes the whole split with the static router, exactly
-// as the one-shot path routes — job by job in workload order — with
-// affinity pins overriding the router's choice. With affinity off this is
-// byte-identical to route()'s assignment, which is what makes epoch mode
-// transparent for static policies.
-func (e *epochRun) routeStatic(w *cwf.Workload) {
-	e.homes = make(map[int]int, len(w.Jobs))
+// split fixes every job's cluster up front: the router assigns submissions
+// in workload order, affinity pins overriding its choice, and each command
+// follows its job. It returns the per-cluster workloads and the job ID ->
+// cluster map. The split depends only on the workload, the cluster count,
+// the policy, and the affinity — never on timing or worker count.
+func split(w *cwf.Workload, clusters, m, affinity int, r Router) ([]*cwf.Workload, map[int]int) {
+	r.Reset(clusters, m)
+	parts := make([]*cwf.Workload, clusters)
+	for c := range parts {
+		parts[c] = &cwf.Workload{Header: w.Header}
+	}
+	home := make(map[int]int, len(w.Jobs))
 	for i, j := range w.Jobs {
-		if pin := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters); pin >= 0 {
-			e.homes[j.ID] = pin
-			continue
+		c := PinnedCluster(j.ID, affinity, clusters)
+		if c < 0 {
+			c = r.Route(j)
+			if c < 0 || c >= clusters {
+				panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
+					r.Name(), j.ID, i, c, clusters))
+			}
 		}
-		c := e.router.Route(j)
-		if c < 0 || c >= e.cfg.Clusters {
-			panic(fmt.Sprintf("dispatch: router %s sent job %d (index %d) to cluster %d of %d",
-				e.router.Name(), j.ID, i, c, e.cfg.Clusters))
-		}
-		e.homes[j.ID] = c
+		home[j.ID] = c
+		parts[c].Jobs = append(parts[c].Jobs, j)
 	}
+	for _, cmd := range w.Commands {
+		// A validated workload has no command for a job no cluster owns.
+		if c, ok := home[cmd.JobID]; ok {
+			parts[c].Commands = append(parts[c].Commands, cmd)
+		}
+	}
+	return parts, home
 }
 
-// buildSessions creates one empty session per cluster (epoch mode feeds
-// them by Inject, never Load) and arms per-cluster fault streams with the
-// same seed offsets the one-shot path uses. The fault-sampling horizon
-// matches Load's: the cluster's own routed span under a static split, the
-// global span under feedback routing (homes unknown up front).
-func (e *epochRun) buildSessions(w *cwf.Workload) error {
-	horizon := make([]int64, e.cfg.Clusters)
-	for _, j := range w.Jobs {
-		end := j.Arrival + j.Dur
-		if e.homes != nil {
-			if c := e.homes[j.ID]; end > horizon[c] {
-				horizon[c] = end
-			}
-			continue
-		}
-		for c := range horizon {
-			if end > horizon[c] {
-				horizon[c] = end
-			}
-		}
-	}
+// openSessions creates one empty session per cluster, fed by Inject at the
+// barriers, and arms its fault stream over the horizon Load would sample:
+// the cluster's own part of a static split, the global span under feedback
+// routing (parts nil, homes unknown up front).
+func (e *epochRun) openSessions(w *cwf.Workload, parts []*cwf.Workload) error {
 	for c := range e.sessions {
-		ecfg := e.cfg.Engine
-		ecfg.Scheduler = e.cfg.NewScheduler()
-		ecfg.Prevalidated = true
-		ecfg.ExportSamples = true
-		if e.cfg.Engine.Faults != nil {
-			fc := *e.cfg.Engine.Faults
-			fc.Seed += int64(c)
-			ecfg.Faults = &fc
+		jobs := w.Jobs
+		if parts != nil {
+			jobs = parts[c].Jobs
 		}
-		s, err := engine.New(ecfg)
+		var horizon int64
+		for _, j := range jobs {
+			horizon = max(horizon, j.Arrival+j.Dur)
+		}
+		s, err := engine.New(e.cfg.clusterEngine(c))
 		if err != nil {
 			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 		}
-		if err := s.ArmFaults(horizon[c]); err != nil {
+		if err := s.ArmFaults(horizon); err != nil {
 			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 		}
 		e.sessions[c] = s
@@ -173,7 +195,30 @@ func (e *epochRun) buildSessions(w *cwf.Workload) error {
 	return nil
 }
 
-// loop drives the release/step/exchange rounds to completion.
+// drain runs cluster c to completion and takes its result. A loaded
+// cluster opens its session here, inside its own task, so only the sessions
+// the workers are running are live at once; every session is dropped once
+// its result is taken.
+func (e *epochRun) drain(c int) (err error) {
+	s := e.sessions[c]
+	if s == nil {
+		if s, err = engine.New(e.cfg.clusterEngine(c)); err != nil {
+			return err
+		}
+		if err = s.Load(e.parts[c]); err != nil {
+			return err
+		}
+	}
+	e.sessions[c] = nil
+	if err = s.Run(); err != nil {
+		return err
+	}
+	e.outs[c], err = s.Result()
+	return err
+}
+
+// loop drives the release/step/exchange rounds until every job and command
+// is released and no exchange step remains; the drain finishes the rest.
 func (e *epochRun) loop(w *cwf.Workload) error {
 	// Stable arrival/issue orders: ties keep workload (submission) order,
 	// matching the event-insertion order of a Load.
@@ -200,13 +245,10 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 	for {
 		released := ji == len(jobOrder) && ci == len(cmdOrder)
 		if released {
-			if e.allDone() {
-				return nil
-			}
-			if !e.cfg.Steal {
+			if !e.cfg.Steal || e.allDone() {
 				// Nothing left to route and no exchange step to run: the
-				// sessions are independent now, drain them in parallel.
-				return e.parallel(func(c int) error { return e.sessions[c].Run() })
+				// sessions are independent now.
+				return nil
 			}
 		} else if e.allDone() && e.allIdle() {
 			// Every cluster is drained and empty: fast-forward over the
@@ -228,27 +270,22 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 
 		for ji < len(jobOrder) && w.Jobs[jobOrder[ji]].Arrival <= barrier {
 			j := w.Jobs[jobOrder[ji]]
-			c := e.routeRelease(j)
+			c := e.home(j)
 			if err := e.sessions[c].Inject(j); err != nil {
 				return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 			}
-			e.owner[j.ID] = c
 			ji++
 		}
 		for ci < len(cmdOrder) && w.Commands[cmdOrder[ci]].Issue <= barrier {
 			cmd := w.Commands[cmdOrder[ci]]
 			ci++
 			c, ok := e.owner[cmd.JobID]
-			if !ok && e.homes != nil {
-				// The job is not released yet (or unknown): deliver to its
-				// static home, exactly as route() does — a command issued
-				// before its job's arrival counts ignored-unknown there. A
-				// command for a job no cluster owns cannot exist in a
-				// validated workload; mirror route() and drop it.
-				if c, ok = e.homes[cmd.JobID]; !ok {
-					continue
-				}
-			} else if !ok {
+			if !ok && e.dynamic == nil {
+				// A static split owns every job of a validated workload; drop
+				// a command for any other, as the split itself does.
+				continue
+			}
+			if !ok {
 				// Feedback routing: the job is released in a later window, so
 				// the command fires before its arrival and is ignored-unknown
 				// wherever it lands. Cluster 0 keeps the accounting
@@ -276,43 +313,39 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 		if err := e.parallelOver(active, step); err != nil {
 			return err
 		}
-		// Exchange: only when something consumes the digests — a static
-		// split with stealing off barriers for transparency alone, and
-		// digesting a deep backlog every epoch is the protocol's single
-		// biggest per-barrier cost.
-		if e.cfg.Steal || e.dynamic != nil {
-			for c, s := range e.sessions {
-				e.digests[c] = digestSession(c, s, barrier)
+		// Exchange: the steal pass and the feedback router read the digests.
+		for c, s := range e.sessions {
+			e.digests[c] = digestSession(c, s, barrier)
+		}
+		if e.cfg.Steal {
+			if err := e.stealPass(barrier); err != nil {
+				return err
 			}
-			if e.cfg.Steal {
-				if err := e.stealPass(barrier); err != nil {
-					return err
-				}
-			}
-			if e.dynamic != nil {
-				e.dynamic.ObserveDigests(e.digests)
-			}
+		}
+		if e.dynamic != nil {
+			e.dynamic.ObserveDigests(e.digests)
 		}
 		t = barrier
 		e.epochs++
 	}
 }
 
-// routeRelease decides the cluster of one released job: affinity pin, the
-// precomputed static split, or the feedback router.
-func (e *epochRun) routeRelease(j *job.Job) int {
-	if e.homes != nil {
-		return e.homes[j.ID]
+// home returns the cluster a released job goes to: its precomputed static
+// home or, under feedback routing, its affinity pin or the router's choice,
+// recorded as its owner.
+func (e *epochRun) home(j *job.Job) int {
+	if e.dynamic == nil {
+		return e.owner[j.ID]
 	}
-	if pin := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters); pin >= 0 {
-		e.dynamic.Assigned(j, pin)
-		return pin
-	}
-	c := e.router.Route(j)
-	if c < 0 || c >= e.cfg.Clusters {
+	c := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters)
+	if c >= 0 {
+		e.dynamic.Assigned(j, c)
+	} else if c = e.dynamic.Route(j); c < 0 || c >= e.cfg.Clusters {
 		panic(fmt.Sprintf("dispatch: router %s sent job %d to cluster %d of %d",
-			e.router.Name(), j.ID, c, e.cfg.Clusters))
+			e.dynamic.Name(), j.ID, c, e.cfg.Clusters))
 	}
+	e.owner[j.ID] = c
+	e.jobs[c]++
 	return c
 }
 
@@ -420,9 +453,9 @@ func (e *epochRun) stealPass(barrier int64) error {
 }
 
 // stealJob moves one queued job from cluster dn to cluster r at the barrier
-// and keeps the ownership map and both digest entries in step, so later
-// decisions in the same pass see the move. The caller maintains its own
-// remaining-free-capacity budget.
+// and keeps the ownership map, the per-cluster job counts, and both digest
+// entries in step, so later decisions in the same pass see the move. The
+// caller maintains its own remaining-free-capacity budget.
 func (e *epochRun) stealJob(j *job.Job, dn, r int, barrier int64) error {
 	if err := e.sessions[dn].Withdraw(j); err != nil {
 		return fmt.Errorf("dispatch: cluster %d: %w", dn, err)
@@ -431,6 +464,8 @@ func (e *epochRun) stealJob(j *job.Job, dn, r int, barrier int64) error {
 		return fmt.Errorf("dispatch: cluster %d: %w", r, err)
 	}
 	e.owner[j.ID] = r
+	e.jobs[dn]--
+	e.jobs[r]++
 	e.steals++
 	wk := int64(j.Size) * j.Dur
 	e.digests[dn].QueueDepth--
@@ -507,10 +542,14 @@ func (e *epochRun) parallelOver(list []int, fn func(c int) error) error {
 		}
 	} else {
 		if e.tasks == nil {
-			e.tasks = make(chan int)
+			// Workers range over the local: a worker first scheduled after
+			// stopPool cleared e.tasks still sees the closed channel and
+			// exits, instead of racing on the field.
+			tasks := make(chan int)
+			e.tasks = tasks
 			for i := 0; i < e.workers; i++ {
 				go func() {
-					for c := range e.tasks {
+					for c := range tasks {
 						e.errs[c] = e.fn(c)
 						e.wg.Done()
 					}
@@ -540,39 +579,8 @@ func (e *epochRun) stopPool() {
 	}
 }
 
-// result assembles the merged Result from the drained sessions.
-func (e *epochRun) result() (*Result, error) {
-	outs := make([]*engine.Result, len(e.sessions))
-	for c, s := range e.sessions {
-		r, err := s.Result()
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: cluster %d: %w", c, err)
-		}
-		outs[c] = r
-	}
-	res := &Result{
-		Clusters: make([]ClusterResult, len(outs)),
-		Steals:   e.steals,
-		Epochs:   e.epochs,
-		Owners:   e.owner,
-	}
-	perCluster := make([]int, len(outs))
-	for _, c := range e.owner {
-		perCluster[c]++
-	}
-	for c, r := range outs {
-		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: perCluster[c], Result: r}
-		res.ECC = addECC(res.ECC, r.ECC)
-		res.DroppedECC += r.DroppedECC
-		res.Events += r.Events
-		res.Cycles += r.Cycles
-	}
-	res.Merged = mergeSummaries(outs, e.cfg.Engine.M)
-	return res, nil
-}
-
-// resolveWorkers applies the Config.Workers defaulting shared by the static
-// and epoch paths.
+// resolveWorkers applies the Config.Workers defaulting: GOMAXPROCS for a
+// non-positive value, and never more workers than clusters.
 func resolveWorkers(workers, clusters int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

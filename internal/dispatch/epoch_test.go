@@ -10,6 +10,7 @@ import (
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/engine"
+	"elastisched/internal/workload"
 )
 
 // epochEngine is the per-cluster template every epoch test shares.
@@ -44,51 +45,82 @@ func skewDurations(w *cwf.Workload, seed int64) {
 	}
 }
 
-// TestEpochTransparencyStaticRoutes: with a static policy, stealing off,
-// and no faults, the epoch protocol is an implementation detail — releases
-// reproduce the one-shot split and the same-timestamp event order, so the
-// entire result (merged summary, ECC accounting, per-cluster results,
-// event and cycle counts) must equal the one-shot path's exactly.
+// TestEpochTransparencyStaticRoutes: how a static split reaches its
+// clusters is an implementation detail. A static policy with stealing off
+// is loaded — each cluster's part Loaded up front, no barrier — at any
+// Epoch, so it reports no epochs and no ownership map. With stealing on
+// over traffic where no steal fires, the same split is released window by
+// window at barriers instead, and must reproduce the loaded run exactly:
+// merged summary, ECC accounting, event and cycle counts, and every
+// cluster result, with and without faults.
 func TestEpochTransparencyStaticRoutes(t *testing.T) {
-	w := testWorkload(t, 240, 7)
+	p := workload.DefaultParams()
+	// Narrow jobs only, at a light load: no batch queue forms for the steal
+	// pass to act on.
+	p.N, p.Seed, p.PS = 240, 7, 1
+	p.PD, p.PE, p.PR = 0.2, 0.2, 0.1
+	p.TargetLoad = 0.15
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, route := range Policies() {
 		t.Run(route, func(t *testing.T) {
-			base := Config{
-				Clusters:     4,
-				Engine:       epochEngine(),
-				NewScheduler: losFactory,
-				Route:        route,
-			}
-			ref, err := Run(w, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := base
-			cfg.Epoch = 1009
-			got, err := Run(w, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Epochs == 0 {
-				t.Fatal("epoch path not taken")
-			}
-			if got.Steals != 0 {
-				t.Fatalf("stealing off moved %d jobs", got.Steals)
-			}
-			if !reflect.DeepEqual(got.Merged, ref.Merged) {
-				t.Errorf("merged summary differs:\nepoch   %+v\none-shot %+v", got.Merged, ref.Merged)
-			}
-			if !reflect.DeepEqual(got.ECC, ref.ECC) || got.DroppedECC != ref.DroppedECC {
-				t.Errorf("ECC accounting differs: epoch %+v/%d, one-shot %+v/%d",
-					got.ECC, got.DroppedECC, ref.ECC, ref.DroppedECC)
-			}
-			if got.Events != ref.Events || got.Cycles != ref.Cycles {
-				t.Errorf("events/cycles differ: epoch %d/%d, one-shot %d/%d",
-					got.Events, got.Cycles, ref.Events, ref.Cycles)
-			}
-			for c := range ref.Clusters {
-				if !reflect.DeepEqual(got.Clusters[c], ref.Clusters[c]) {
-					t.Errorf("cluster %d result differs", c)
+			for _, faults := range []*engine.FaultConfig{nil, {MTBF: 2e5, MTTR: 5e3, Seed: 3}} {
+				base := Config{
+					Clusters:     4,
+					Engine:       epochEngine(),
+					NewScheduler: losFactory,
+					Route:        route,
+				}
+				base.Engine.Faults = faults
+				ref, err := Run(w, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref.Epochs != 0 || ref.Owners != nil {
+					t.Fatalf("faults=%t: loaded run reports epochs=%d owners=%v", faults != nil, ref.Epochs, ref.Owners)
+				}
+				if faults != nil && ref.Merged.DownProcSeconds == 0 {
+					t.Fatal("fault model produced no downtime; the faults cell exercises nothing")
+				}
+				cfg := base
+				cfg.Epoch = 1009
+				if got, err := Run(w, cfg); err != nil {
+					t.Fatal(err)
+				} else if !reflect.DeepEqual(got, ref) {
+					t.Errorf("faults=%t: a static split with stealing off differs between Epoch 0 and %d",
+						faults != nil, cfg.Epoch)
+				}
+
+				cfg.Steal = true
+				got, err := Run(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Epochs == 0 {
+					t.Fatal("barrier path not taken")
+				}
+				if got.Steals != 0 {
+					t.Fatalf("faults=%t: %d steals; the traffic no longer keeps the static split", faults != nil, got.Steals)
+				}
+				if !reflect.DeepEqual(got.Merged, ref.Merged) {
+					t.Errorf("faults=%t: merged summary differs:\nreleased %+v\nloaded   %+v", faults != nil, got.Merged, ref.Merged)
+				}
+				if !reflect.DeepEqual(got.ECC, ref.ECC) || got.DroppedECC != ref.DroppedECC {
+					t.Errorf("faults=%t: ECC accounting differs: released %+v/%d, loaded %+v/%d",
+						faults != nil, got.ECC, got.DroppedECC, ref.ECC, ref.DroppedECC)
+				}
+				if got.Events != ref.Events || got.Cycles != ref.Cycles {
+					t.Errorf("faults=%t: events/cycles differ: released %d/%d, loaded %d/%d",
+						faults != nil, got.Events, got.Cycles, ref.Events, ref.Cycles)
+				}
+				// Serialized: a cluster routed no job holds nil sample vectors
+				// when fed by Inject and empty ones when Loaded.
+				gotC, _ := json.Marshal(got.Clusters)
+				refC, _ := json.Marshal(ref.Clusters)
+				if !bytes.Equal(gotC, refC) {
+					t.Errorf("faults=%t: per-cluster results differ", faults != nil)
 				}
 			}
 		})

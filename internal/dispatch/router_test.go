@@ -47,7 +47,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := route(w, clusters, m, r)
+			parts, _ := split(w, clusters, m, 0, r)
 			if len(parts) != clusters {
 				t.Fatalf("%s/%d: %d parts", policy, clusters, len(parts))
 			}
@@ -79,21 +79,10 @@ func TestRoutingPolicyProperties(t *testing.T) {
 					policy, clusters, jobs, cmds, len(w.Jobs), len(w.Commands))
 			}
 			r2, _ := NewRouter(policy)
-			if again := route(w, clusters, m, r2); !reflect.DeepEqual(parts, again) {
+			if again, _ := split(w, clusters, m, 0, r2); !reflect.DeepEqual(parts, again) {
 				t.Fatalf("%s/%d: routing is not a pure function of the workload", policy, clusters)
 			}
 		}
-	}
-}
-
-// TestRouteSingleClusterFastPath pins the clusters==1 fast path: the
-// validated workload is returned as-is — same pointer, no per-part
-// rebuild, no router involvement.
-func TestRouteSingleClusterFastPath(t *testing.T) {
-	w := testWorkload(t, 40, 3)
-	parts := route(w, 1, 320, nil)
-	if len(parts) != 1 || parts[0] != w {
-		t.Fatalf("route(w, 1) = %v, want the input workload itself", parts)
 	}
 }
 
@@ -120,9 +109,9 @@ func TestLeastWorkBalancesSkew(t *testing.T) {
 		return
 	}
 	rr, _ := NewRouter(RouteRoundRobin)
-	rrParts := route(w, clusters, m, rr)
+	rrParts, _ := split(w, clusters, m, 0, rr)
 	lw, _ := NewRouter(RouteLeastWork)
-	lwParts := route(w, clusters, m, lw)
+	lwParts, _ := split(w, clusters, m, 0, lw)
 
 	rrSkew := float64(work(rrParts[0])) / float64(work(rrParts[1]))
 	if rrSkew < 10 {
@@ -146,7 +135,7 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 		{ID: 3, Size: 320, Dur: 1000, Arrival: 2, ReqStart: -1},
 	}}
 	bf, _ := NewRouter(RouteBestFit)
-	parts := route(w, clusters, m, bf)
+	parts, _ := split(w, clusters, m, 0, bf)
 	if len(parts[0].Jobs) != 2 || parts[0].Jobs[0].ID != 1 || parts[0].Jobs[1].ID != 2 {
 		t.Fatalf("best-fit should stack both half-machine jobs on cluster 0, got %v", parts[0].Jobs)
 	}
@@ -155,7 +144,8 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 	}
 
 	lw, _ := NewRouter(RouteLeastWork)
-	for _, p := range route(w, clusters, m, lw) {
+	lwParts, _ := split(w, clusters, m, 0, lw)
+	for _, p := range lwParts {
 		for _, j := range p.Jobs {
 			if j.ID == 3 && len(p.Jobs) == 1 {
 				t.Fatal("least-work gave the wide job an empty shard too; the contrast case is vacuous")

@@ -98,6 +98,23 @@ type Stats struct {
 	ShrunkProcs int
 }
 
+// Add returns the field-wise sum of s and o — the one place aggregations
+// across clusters or seeds combine accounting.
+func (s Stats) Add(o Stats) Stats {
+	s.Total += o.Total
+	s.Applied += o.Applied
+	s.Clamped += o.Clamped
+	s.IgnoredFinished += o.IgnoredFinished
+	s.IgnoredUnknown += o.IgnoredUnknown
+	s.IgnoredLimit += o.IgnoredLimit
+	s.IgnoredCapacity += o.IgnoredCapacity
+	s.ExtendedSeconds += o.ExtendedSeconds
+	s.ReducedSeconds += o.ReducedSeconds
+	s.GrownProcs += o.GrownProcs
+	s.ShrunkProcs += o.ShrunkProcs
+	return s
+}
+
 // Processor applies ECCs in FCFS order.
 type Processor struct {
 	// MaxPerJob caps how many commands a single job may consume; 0 means

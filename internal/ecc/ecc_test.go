@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"elastisched/internal/cwf"
@@ -314,5 +315,22 @@ func TestStatsTotals(t *testing.T) {
 	p.Apply(cmd(2, cwf.ExtendTime, 10), f) // finished
 	if p.Stats.Total != 3 || p.Stats.Applied != 1 || p.Stats.IgnoredLimit != 1 || p.Stats.IgnoredFinished != 1 {
 		t.Errorf("stats wrong: %+v", p.Stats)
+	}
+}
+
+// TestStatsAddSumsEveryField: Add is the one place accounting is summed
+// across clusters and seeds, so every counter — including one added later —
+// must be summed there.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := reflect.ValueOf(s.Add(s))
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), 2*int64(i+1); got != want {
+			t.Errorf("Add: %s = %d, want %d", v.Type().Field(i).Name, got, want)
+		}
 	}
 }

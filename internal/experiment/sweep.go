@@ -412,7 +412,7 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 			for si := 0; si < nS; si++ {
 				out := slot(ai, pi, si)
 				sums = append(sums, out.sum)
-				eccStats = addECC(eccStats, out.ecc)
+				eccStats = eccStats.Add(out.ecc)
 				loadSum += cache.at(pi, si).load
 				events += out.events
 				cycles += out.cycles
@@ -429,19 +429,4 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func addECC(a, b ecc.Stats) ecc.Stats {
-	a.Total += b.Total
-	a.Applied += b.Applied
-	a.Clamped += b.Clamped
-	a.IgnoredFinished += b.IgnoredFinished
-	a.IgnoredUnknown += b.IgnoredUnknown
-	a.IgnoredLimit += b.IgnoredLimit
-	a.IgnoredCapacity += b.IgnoredCapacity
-	a.ExtendedSeconds += b.ExtendedSeconds
-	a.ReducedSeconds += b.ReducedSeconds
-	a.GrownProcs += b.GrownProcs
-	a.ShrunkProcs += b.ShrunkProcs
-	return a
 }
