@@ -40,7 +40,8 @@ bench-gate:
 	$(GO) run ./cmd/benchgate
 
 # Short fuzz pass over the trace parsers, the DP packing kernels, the
-# persistent capacity profile, and the indexed machine differential.
+# persistent capacity profile, the indexed machine differential, and the
+# job-ID table against a map model.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseLine -fuzztime=10s ./internal/cwf
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=10s ./internal/cwf
@@ -48,18 +49,20 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzProfileOps -fuzztime=10s ./internal/sched
 	$(GO) test -run=Fuzz -fuzz=FuzzFaultTrace -fuzztime=10s ./internal/fault
 	$(GO) test -run=Fuzz -fuzz=FuzzMachineIndexed -fuzztime=10s ./internal/machine
+	$(GO) test -run=Fuzz -fuzz=FuzzIDTable -fuzztime=10s ./internal/idtab
 	$(GO) test -run=Fuzz -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
 
 # Scale-out smoke: the whole sharded-dispatch suite (determinism bars,
-# routing and exact-merge properties, the epoch protocol, config errors)
-# and the indexed machine at M=32k under the race detector, plus one
-# iteration each of the skewed routing and stealing benchmarks (mirrors
-# CI's scale-smoke).
+# routing and exact-merge properties, the epoch protocol, config errors),
+# the indexed machine at M=32k, and the machine and job-ID table suites
+# under the race detector, plus one iteration each of the skewed routing
+# and stealing benchmarks (mirrors CI's scale-smoke).
 scale-smoke:
 	$(GO) test -race -count=1 ./internal/dispatch
 	$(GO) test -run=NONE -bench='BenchmarkShardedSkewE2E/route=.*/clusters=8' -benchtime=1x ./internal/dispatch
 	$(GO) test -run=NONE -bench='BenchmarkShardedStealE2E' -benchtime=1x ./internal/dispatch
 	$(GO) test -race -run=NONE -bench='BenchmarkMachineScale/indexed/M=32k' -benchtime=1x ./internal/machine
+	$(GO) test -race -count=1 ./internal/machine ./internal/idtab
 
 # Chaos harness: every registry algorithm under seeded node-group fault
 # traces and retry policies, each schedule certified by the audit oracle,

@@ -310,13 +310,13 @@ func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
 }
 
 // mergeOrderStats fills the exact global order statistics from the
-// per-cluster sample exports: MedianWait/P95Wait by quickselect over the
-// waits concatenated in cluster-index order (exactly the value a sort of
-// the concatenation would index, per the quickselect contract), and the
-// steady-state window/utilization/mean-wait from the k-way-merged
-// completion instants and busy-step window integrals — the same formulas
-// a single global collector applies, evaluated in O(total) time with
-// cluster-index-order accumulation. Clusters that ran without
+// per-cluster sample exports: MedianWait/P95Wait and the steady window's
+// ends by quickselect over the waits and completion instants concatenated
+// in cluster-index order (exactly the value a sort of the concatenation
+// would index, per the quickselect contract), and the steady-state
+// utilization/mean-wait from busy-step window integrals — the same
+// formulas a single global collector applies, evaluated in O(total) time
+// with cluster-index-order accumulation. Clusters that ran without
 // ExportSamples leave the order-stat fields zero (the pre-export
 // behaviour).
 func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
@@ -350,9 +350,16 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 		g.SteadyWindow = [2]int64{g.WindowStart, g.WindowEnd}
 		return
 	}
-	finishes := mergeFinishes(outs, total)
-	t0 := finishes[n/10]
-	t1 := finishes[n-1-n/10]
+	finishes := make([]int64, 0, n)
+	for _, r := range outs {
+		if r.Samples != nil {
+			for _, p := range r.Samples.PerJob {
+				finishes = append(finishes, p.Finish)
+			}
+		}
+	}
+	t0 := metrics.KthSmallest(finishes, n/10)
+	t1 := metrics.KthSmallest(finishes, n-1-n/10)
 	g.SteadyWindow = [2]int64{t0, t1}
 	if t1 <= t0 {
 		return
@@ -374,32 +381,5 @@ func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
 	g.SteadyUtilization = steadyArea / (float64(t1-t0) * float64(g.MachineSize))
 	if steadyJobs > 0 {
 		g.SteadyMeanWait = steadyWait / float64(steadyJobs)
-	}
-}
-
-// mergeFinishes streams the per-cluster completion instants into one
-// globally sorted vector. Each cluster's PerJob series is already in
-// completion order (finish times non-decreasing), so a k-way merge over
-// the cluster heads — lowest cluster index winning ties — produces the
-// sorted global sequence in O(total × clusters) with no sort.
-func mergeFinishes(outs []*engine.Result, total int) []int64 {
-	heads := make([]int, len(outs))
-	merged := make([]int64, 0, total)
-	for {
-		best := -1
-		var bt int64
-		for c, r := range outs {
-			if r.Samples == nil || heads[c] >= len(r.Samples.PerJob) {
-				continue
-			}
-			if t := r.Samples.PerJob[heads[c]].Finish; best < 0 || t < bt {
-				best, bt = c, t
-			}
-		}
-		if best < 0 {
-			return merged
-		}
-		merged = append(merged, bt)
-		heads[best]++
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
 	"elastisched/internal/fault"
+	"elastisched/internal/idtab"
 	"elastisched/internal/job"
 	"elastisched/internal/machine"
 	"elastisched/internal/metrics"
@@ -200,17 +201,15 @@ type Session struct {
 	// of arrival order by design, so the paranoid FIFO check skips them.
 	absorbed map[int]bool
 
-	// completion maps job ID -> pending completion event. Generated and
-	// trace job IDs are dense small integers, so the common representation
-	// is a flat slice; completionMap is the fallback for sparse ID spaces.
-	completion    []simkit.Handle
-	completionMap map[int]simkit.Handle
-	collector     *metrics.Collector
-	proc          *ecc.Processor
-	dropped       int
-	cycles        uint64
-	fragRejects   int
-	peakWaste     int
+	// completion maps job ID -> pending completion event of each running
+	// job.
+	completion  idtab.Table[simkit.Handle]
+	collector   *metrics.Collector
+	proc        *ecc.Processor
+	dropped     int
+	cycles      uint64
+	fragRejects int
+	peakWaste   int
 
 	// ctx is the scheduler context, built once and reset per cycle; its
 	// scratch buffers (the DP candidate window) survive across cycles.
@@ -253,71 +252,13 @@ func (s *Session) arriveEv(now int64, arg any)   { s.arrive(arg.(*job.Job), now)
 func (s *Session) completeEv(now int64, arg any) { s.complete(arg.(*job.Job), now) }
 func (s *Session) commandEv(now int64, arg any)  { s.command(*arg.(*cwf.Command), now) }
 
-// setCompletion records the pending completion event for a job ID.
-func (s *Session) setCompletion(id int, h simkit.Handle) {
-	if s.completion != nil {
-		s.completion[id] = h
-		return
-	}
-	s.completionMap[id] = h
-}
-
 // getCompletion returns the recorded completion handle. The zero Handle
 // comes back for IDs with no pending completion; callers may pass it
 // straight to simkit's Cancel, which documents cancelling a zero or stale
 // handle as a no-op.
 func (s *Session) getCompletion(id int) simkit.Handle {
-	if s.completion != nil {
-		return s.completion[id]
-	}
-	return s.completionMap[id]
-}
-
-// clearCompletion drops the record once the job has completed.
-func (s *Session) clearCompletion(id int) {
-	if s.completion != nil {
-		s.completion[id] = simkit.Handle{}
-		return
-	}
-	delete(s.completionMap, id)
-}
-
-// sizeCompletionTable picks the completion-table representation for the
-// given maximum job ID over n jobs: a flat slice for dense ID spaces, the
-// map fallback for sparse ones.
-func (s *Session) sizeCompletionTable(maxID, n int) {
-	if maxID < 4*n+1024 {
-		s.completion = make([]simkit.Handle, maxID+1)
-		s.completionMap = nil
-	} else {
-		s.completion = nil
-		s.completionMap = make(map[int]simkit.Handle, n)
-	}
-}
-
-// ensureCompletionCapacity grows the completion table to admit an injected
-// job ID, migrating from the flat slice to the map when the ID space turns
-// sparse.
-func (s *Session) ensureCompletionCapacity(id int) {
-	if s.completion == nil {
-		return // map handles any ID
-	}
-	if id < len(s.completion) {
-		return
-	}
-	if id < 4*(len(s.jobs)+1)+1024 {
-		// append gives amortized growth for sequential online IDs.
-		s.completion = append(s.completion, make([]simkit.Handle, id+1-len(s.completion))...)
-		return
-	}
-	m := make(map[int]simkit.Handle, len(s.jobs)+1)
-	for i, h := range s.completion {
-		if h.Scheduled() {
-			m[i] = h
-		}
-	}
-	s.completion = nil
-	s.completionMap = m
+	h, _ := s.completion.Get(id)
+	return h
 }
 
 // New builds an empty session for the configuration: machine and queues
@@ -350,9 +291,6 @@ func New(cfg Config) (*Session, error) {
 		ded:       job.NewDedicatedQueue(),
 		active:    job.NewActiveList(),
 		collector: metrics.NewCollector(cfg.M),
-		// Empty but non-nil: the dense representation, grown on demand by
-		// injections; Load and Restore size it for their job population.
-		completion: make([]simkit.Handle, 0),
 	}
 	if cfg.ProcessECC {
 		s.proc = ecc.NewProcessor(cfg.MaxECCPerJob)
@@ -443,13 +381,6 @@ func (s *Session) Load(w *cwf.Workload) error {
 	if s.cfg.ExportSamples {
 		s.collector.RetainSamples()
 	}
-	maxID := 0
-	for _, j := range w.Jobs {
-		if j.ID > maxID {
-			maxID = j.ID
-		}
-	}
-	s.sizeCompletionTable(maxID, len(w.Jobs))
 
 	// Clone jobs (quantizing sizes to the machine unit) and schedule the
 	// arrival stream. One backing slice holds every clone; events carry
@@ -527,7 +458,6 @@ func (s *Session) Inject(j *job.Job) error {
 	}
 	clone.Size = q
 	s.quantizeBounds(clone)
-	s.ensureCompletionCapacity(clone.ID)
 	s.jobs = append(s.jobs, clone)
 	s.ids[clone.ID] = true
 	s.eng.AtArg(clone.Arrival, s.arriveH, clone)
@@ -847,7 +777,7 @@ func (s *Session) start(j *job.Job) bool {
 	// Each attempt restarts its checkpoint clock: until one is taken, a
 	// kill restarts this attempt from scratch.
 	j.CkptAt = now
-	s.setCompletion(j.ID, s.eng.AtArg(now+j.EffectiveRuntime(), s.completeH, j))
+	s.completion.Put(j.ID, s.eng.AtArg(now+j.EffectiveRuntime(), s.completeH, j))
 	s.scheduleFirstCheckpoint(j, now)
 	s.active.Insert(j)
 	if s.debugging() {
@@ -869,7 +799,7 @@ func (s *Session) complete(j *job.Job, now int64) {
 		panic(fmt.Sprintf("engine: completing job %d: %v", j.ID, err))
 	}
 	s.active.Remove(j)
-	s.clearCompletion(j.ID)
+	s.completion.Delete(j.ID)
 	s.cancelCheckpoint(j.ID)
 	j.State = job.Finished
 	j.FinishTime = now
@@ -927,7 +857,7 @@ func (s *Session) RetimeRunning(j *job.Job, oldEnd int64) {
 	if at < now {
 		at = now
 	}
-	s.setCompletion(j.ID, s.eng.AtArg(at, s.completeH, j))
+	s.completion.Put(j.ID, s.eng.AtArg(at, s.completeH, j))
 	if s.st != nil {
 		s.st.JobRetimed(j, oldEnd, now)
 	}

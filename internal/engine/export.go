@@ -101,7 +101,6 @@ func (s *Session) AbsorbAt(j *job.Job, at int64) error {
 	}
 	clone.Size = q
 	s.quantizeBounds(clone)
-	s.ensureCompletionCapacity(clone.ID)
 	s.jobs = append(s.jobs, clone)
 	s.ids[clone.ID] = true
 	if s.absorbed == nil {

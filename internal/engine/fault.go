@@ -234,7 +234,7 @@ func (s *Session) kill(j *job.Job, now int64) {
 	}
 	s.active.Remove(j)
 	s.eng.Cancel(s.getCompletion(j.ID))
-	s.clearCompletion(j.ID)
+	s.completion.Delete(j.ID)
 	s.cancelCheckpoint(j.ID)
 
 	p := s.cfg.Faults.Retry

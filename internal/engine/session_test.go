@@ -341,9 +341,10 @@ func TestInjectCommandMidRun(t *testing.T) {
 	}
 }
 
-// Injecting an ID far outside the dense range must migrate the completion
-// table to its sparse representation without losing pending completions.
-func TestInjectSparseIDMigratesCompletionTable(t *testing.T) {
+// Injecting an ID far outside the loaded ID range keeps the pending
+// completion of a running job: job 1 still finishes at t=100, and the
+// injected job waits for it and runs after.
+func TestInjectSparseIDKeepsPendingCompletion(t *testing.T) {
 	s, err := New(Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, Paranoid: true})
 	if err != nil {
 		t.Fatal(err)
@@ -357,11 +358,20 @@ func TestInjectSparseIDMigratesCompletionTable(t *testing.T) {
 	if err := s.Inject(batch(1_000_000, 32, 10, s.Now())); err != nil {
 		t.Fatal(err)
 	}
-	if s.completion != nil || s.completionMap == nil {
-		t.Fatal("completion table did not migrate to the sparse representation")
-	}
-	if !s.completionMap[1].Scheduled() {
-		t.Fatal("pending completion lost in migration")
+	for _, step := range []struct {
+		until int64
+		jobs  int
+	}{{99, 0}, {100, 1}} {
+		if err := s.RunUntil(step.until); err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Summary.Jobs != step.jobs {
+			t.Errorf("t=%d: finished %d jobs, want %d", step.until, r.Summary.Jobs, step.jobs)
+		}
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -370,8 +380,8 @@ func TestInjectSparseIDMigratesCompletionTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Summary.Jobs != 2 {
-		t.Errorf("finished %d jobs, want 2", r.Summary.Jobs)
+	if r.Summary.Jobs != 2 || r.Summary.WindowEnd != 110 || r.Summary.MeanWait != 50 {
+		t.Errorf("jobs=%d end=%d meanWait=%g, want 2/110/50", r.Summary.Jobs, r.Summary.WindowEnd, r.Summary.MeanWait)
 	}
 }
 

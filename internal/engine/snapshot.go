@@ -355,13 +355,9 @@ func (s *Session) Restore(sn *Snapshot) error {
 	clones := make([]job.Job, len(sn.Jobs))
 	copy(clones, sn.Jobs)
 	jobs := make([]*job.Job, len(clones))
-	maxID := 0
 	hetero := false
 	for i := range clones {
 		jobs[i] = &clones[i]
-		if clones[i].ID > maxID {
-			maxID = clones[i].ID
-		}
 		if clones[i].Class == job.Dedicated && clones[i].State != job.Finished {
 			hetero = true
 		}
@@ -387,7 +383,6 @@ func (s *Session) Restore(sn *Snapshot) error {
 
 	// All validation that can fail is done; commit to the session.
 	s.jobs = jobs
-	s.sizeCompletionTable(maxID, len(jobs))
 	s.mach = mach
 	s.ctx.Machine = mach
 	s.collector = metrics.NewCollectorFromSnapshot(sn.Metrics)
@@ -450,7 +445,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 			if j.State != job.Running {
 				return fmt.Errorf("engine: snapshot completion for job %d in state %v", j.ID, j.State)
 			}
-			s.setCompletion(j.ID, s.eng.AtArg(ev.Time, s.completeH, j))
+			s.completion.Put(j.ID, s.eng.AtArg(ev.Time, s.completeH, j))
 		case evCkpt:
 			j, err := jobAt(ev.Job, "checkpoint event")
 			if err != nil {

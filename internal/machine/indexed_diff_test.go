@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -16,10 +17,15 @@ type diffPair struct {
 	t       testing.TB
 	indexed *Machine
 	dense   *Machine
-	live    []int // job IDs currently allocated
-	sizes   map[int]int
+	live    []int       // job IDs currently allocated
+	sizes   map[int]int // reference: job ID -> allocated processors
 	nextID  int
 }
+
+// jobID maps the n-th allocation to a sparse job ID: strided by 64, as a
+// cluster under round-robin routing sees them, with every other one
+// pushed past 2^40.
+func jobID(n int) int { return 5 + 64*n + (n%2)<<40 }
 
 func newDiffPair(t testing.TB, total, unit int) *diffPair {
 	ix := NewContiguous(total, unit)
@@ -55,6 +61,8 @@ func (p *diffPair) check(op string) {
 	if !reflect.DeepEqual(sa, sb) {
 		p.t.Fatalf("after %s: snapshots diverge:\nindexed %+v\ndense   %+v", op, sa, sb)
 	}
+	p.checkOwners(op, p.indexed)
+	p.checkOwners(op, p.dense)
 	for n := 1; n <= len(sa.Groups)+1; n++ {
 		if ia, id := p.indexed.findRun(n), p.dense.findRun(n); ia != id {
 			p.t.Fatalf("after %s: findRun(%d) indexed %d != dense %d", op, n, ia, id)
@@ -62,10 +70,37 @@ func (p *diffPair) check(op string) {
 	}
 }
 
+// checkOwners compares m's per-job view against the reference sizes: every
+// allocated job holds exactly the groups the group map assigns it, and the
+// group map names no job the reference does not.
+func (p *diffPair) checkOwners(op string, m *Machine) {
+	p.t.Helper()
+	want := map[int][]int{}
+	for g, id := range m.Groups() {
+		if id == -1 {
+			continue
+		}
+		if _, ok := p.sizes[id]; !ok {
+			p.t.Fatalf("after %s: group %d held by job %d, which holds nothing", op, g, id)
+		}
+		want[id] = append(want[id], g)
+	}
+	for id, size := range p.sizes {
+		if got := m.Held(id); got != size {
+			p.t.Fatalf("after %s: Held(%d) = %d, want %d", op, id, got, size)
+		}
+		got := m.OwnedGroups(id)
+		slices.Sort(got)
+		if !slices.Equal(got, want[id]) {
+			p.t.Fatalf("after %s: OwnedGroups(%d) = %v, group map says %v", op, id, got, want[id])
+		}
+	}
+}
+
 // both applies one mutation to the pair and asserts the outcomes agree.
 func (p *diffPair) alloc(groups int) {
 	p.t.Helper()
-	id := p.nextID
+	id := jobID(p.nextID)
 	p.nextID++
 	size := groups * p.indexed.Unit()
 	ea := p.indexed.Alloc(id, size)

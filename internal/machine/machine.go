@@ -9,8 +9,11 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+
+	"elastisched/internal/idtab"
 )
 
 // GroupState is the health of one node group. Node groups are the failure
@@ -64,17 +67,11 @@ type Machine struct {
 	// share of it (owned by victims not yet released).
 	downProcs     int
 	drainingProcs int
-	// owner maps jobID -> owned group indices (nil = no allocation). Job
-	// IDs are small dense integers, so a growable slice replaces the map
-	// the allocation hot path used to hash into.
-	owner [][]int
-	// ownedIDs lists the job IDs currently holding an allocation, in no
-	// particular order (swap-removed on release); ownerPos[id] is the
-	// job's position in it, +1 (0 = not allocated). Compact iterates this
-	// list instead of the whole owner table, so its cost tracks the number
-	// of running jobs, not the largest job ID ever allocated.
-	ownedIDs []int
-	ownerPos []int
+	// owner maps the ID of each job holding an allocation to its group
+	// indices. Its memory and Compact's scan track the running jobs, not
+	// the job-ID space: a cluster of the sharded dispatcher sees IDs spread
+	// over the whole workload.
+	owner idtab.Table[[]int]
 	// freeStack holds the free group indices of a scatter machine (top is
 	// allocated next), making Alloc O(groups requested) instead of a scan
 	// of the whole machine. Entries are removed lazily: FailGroups of a
@@ -123,13 +120,6 @@ func New(total, unit int) *Machine {
 		panic(fmt.Sprintf("machine: unit %d does not divide total %d", unit, total))
 	}
 	m := &Machine{total: total, unit: unit, free: total}
-	// At most one job per group can run at once, so total/unit bounds the
-	// owned-ID list; cap the presize so huge machines don't pay up front.
-	c := total / unit
-	if c > 1024 {
-		c = 1024
-	}
-	m.ownedIDs = make([]int, 0, c)
 	m.groups = make([]int, total/unit)
 	for i := range m.groups {
 		m.groups[i] = -1
@@ -235,47 +225,8 @@ func (m *Machine) liveFree() int { return len(m.freeStack) - m.staleFree }
 
 // ownerOf returns jobID's group indices, or nil.
 func (m *Machine) ownerOf(jobID int) []int {
-	if jobID < 0 || jobID >= len(m.owner) {
-		return nil
-	}
-	return m.owner[jobID]
-}
-
-// setOwner records jobID's group indices, growing the table on demand, and
-// registers the job in the owned-ID list. Growth is chunked (doubling, 64
-// minimum) so the owner and position tables cost O(log maxJobID)
-// allocations over a run instead of one pair per new job ID.
-func (m *Machine) setOwner(jobID int, idx []int) {
-	if jobID >= len(m.owner) {
-		n := 2 * len(m.owner)
-		if n < jobID+1 {
-			n = jobID + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		owner := make([][]int, n)
-		copy(owner, m.owner)
-		m.owner = owner
-		pos := make([]int, n)
-		copy(pos, m.ownerPos)
-		m.ownerPos = pos
-	}
-	m.owner[jobID] = idx
-	m.ownedIDs = append(m.ownedIDs, jobID)
-	m.ownerPos[jobID] = len(m.ownedIDs)
-}
-
-// dropOwner clears jobID's allocation record, swap-removing it from the
-// owned-ID list in O(1).
-func (m *Machine) dropOwner(jobID int) {
-	m.owner[jobID] = nil
-	pos := m.ownerPos[jobID] - 1
-	last := m.ownedIDs[len(m.ownedIDs)-1]
-	m.ownedIDs[pos] = last
-	m.ownerPos[last] = pos + 1
-	m.ownedIDs = m.ownedIDs[:len(m.ownedIDs)-1]
-	m.ownerPos[jobID] = 0
+	idx, _ := m.owner.Get(jobID)
+	return idx
 }
 
 // Contiguous reports whether allocations must be contiguous.
@@ -444,7 +395,7 @@ func (m *Machine) Alloc(jobID, size int) error {
 	} else {
 		idx = m.takeFree(jobID, need, idx)
 	}
-	m.setOwner(jobID, idx)
+	m.owner.Put(jobID, idx)
 	m.free -= size
 	return nil
 }
@@ -505,12 +456,10 @@ func (m *Machine) Compact() int {
 		return 0
 	}
 	// Stable order: jobs sorted by their current first group (unique per
-	// job, so an unstable sort cannot reorder equals). The owned-ID list
-	// bounds the scan by the number of running jobs — the owner table is
-	// indexed by job ID and may be arbitrarily long and sparse.
+	// job, so an unstable sort cannot reorder equals).
 	jobs := m.compact[:0]
-	for _, id := range m.ownedIDs {
-		idx := m.owner[id]
+	for i := 0; i < m.owner.Len(); i++ {
+		id, idx := m.owner.At(i)
 		first := idx[0]
 		for _, g := range idx {
 			if g < first {
@@ -529,7 +478,7 @@ func (m *Machine) Compact() int {
 	for _, p := range jobs {
 		// The job's group count is unchanged, so its existing index slice is
 		// rewritten in place.
-		idx := m.owner[p.id]
+		idx := m.ownerOf(p.id)
 		for k := 0; k < p.n; k++ {
 			m.groups[next+k] = p.id
 			idx[k] = next + k
@@ -562,7 +511,7 @@ func (m *Machine) Release(jobID int) error {
 	for _, i := range idx {
 		m.freeGroup(i)
 	}
-	m.dropOwner(jobID)
+	m.owner.Delete(jobID)
 	m.idxPool = append(m.idxPool, idx)
 	return nil
 }
@@ -604,7 +553,7 @@ func (m *Machine) Resize(jobID, newSize int) error {
 		for _, g := range idx[len(idx)-drop:] {
 			m.freeGroup(g)
 		}
-		m.owner[jobID] = idx[:len(idx)-drop]
+		m.owner.Put(jobID, idx[:len(idx)-drop])
 		return nil
 	default:
 		grow := newSize - cur
@@ -629,7 +578,7 @@ func (m *Machine) Resize(jobID, newSize int) error {
 		} else {
 			idx = m.takeFree(jobID, need, idx)
 		}
-		m.owner[jobID] = idx
+		m.owner.Put(jobID, idx)
 		m.free -= grow
 		return nil
 	}
@@ -689,7 +638,7 @@ func (m *Machine) ShrinkDraining(jobID, minProcs int) (int, error) {
 			m.freeGroup(g) // Draining -> Down; healthy -> free pool
 		}
 		copy(idx, idx[bestAt:bestAt+bestLen])
-		m.owner[jobID] = idx[:bestLen]
+		m.owner.Put(jobID, idx[:bestLen])
 		return bestLen * m.unit, nil
 	}
 	kept := 0
@@ -713,7 +662,7 @@ func (m *Machine) ShrinkDraining(jobID, minProcs int) (int, error) {
 			m.freeGroup(g) // Draining -> Down, capacity already counted down
 		}
 	}
-	m.owner[jobID] = idx[:w]
+	m.owner.Put(jobID, idx[:w])
 	return w * m.unit, nil
 }
 
@@ -858,11 +807,13 @@ func (m *Machine) Snapshot() Snapshot {
 			}
 		}
 	}
-	for id, idx := range m.owner {
-		if idx != nil {
-			s.Owners = append(s.Owners, OwnerSnap{JobID: id, Groups: append([]int(nil), idx...)})
-		}
+	for i := 0; i < m.owner.Len(); i++ {
+		id, idx := m.owner.At(i)
+		s.Owners = append(s.Owners, OwnerSnap{JobID: id, Groups: append([]int(nil), idx...)})
 	}
+	// The owner table is unordered; ascending job IDs keep the snapshot
+	// canonical.
+	slices.SortFunc(s.Owners, func(a, b OwnerSnap) int { return cmp.Compare(a.JobID, b.JobID) })
 	if m.downProcs > 0 {
 		if m.drainingProcs > 0 {
 			panic("machine: snapshot with draining groups (mid-failure state)")
@@ -915,12 +866,15 @@ func FromSnapshot(s Snapshot) (*Machine, error) {
 		if o.JobID < 0 {
 			return nil, fmt.Errorf("machine: snapshot owner with negative job ID %d", o.JobID)
 		}
+		if _, dup := m.owner.Get(o.JobID); dup {
+			return nil, fmt.Errorf("machine: snapshot lists job %d twice", o.JobID)
+		}
 		for _, g := range o.Groups {
 			if g < 0 || g >= len(m.groups) {
 				return nil, fmt.Errorf("machine: snapshot job %d owns out-of-range group %d", o.JobID, g)
 			}
 		}
-		m.setOwner(o.JobID, append([]int(nil), o.Groups...))
+		m.owner.Put(o.JobID, append([]int(nil), o.Groups...))
 	}
 	if s.Contiguous {
 		if len(s.FreeStack) != 0 {
@@ -1014,24 +968,14 @@ func (m *Machine) CheckInvariants() error {
 			}
 		}
 	}
-	if len(perJob) != len(m.ownedIDs) {
-		return fmt.Errorf("machine: owner table has %d jobs, group map has %d", len(m.ownedIDs), len(perJob))
+	if err := m.owner.Check(); err != nil {
+		return fmt.Errorf("machine: owner table: %v", err)
 	}
-	for pos, id := range m.ownedIDs {
-		if id < 0 || id >= len(m.owner) || m.owner[id] == nil {
-			return fmt.Errorf("machine: owned-ID entry %d has no allocation", id)
-		}
-		if m.ownerPos[id] != pos+1 {
-			return fmt.Errorf("machine: job %d at owned-ID position %d but ownerPos says %d", id, pos, m.ownerPos[id]-1)
-		}
+	if len(perJob) != m.owner.Len() {
+		return fmt.Errorf("machine: owner table has %d jobs, group map has %d", m.owner.Len(), len(perJob))
 	}
-	for id, idx := range m.owner {
-		if idx == nil {
-			continue
-		}
-		if m.ownerPos[id] == 0 {
-			return fmt.Errorf("machine: job %d holds groups but is missing from the owned-ID list", id)
-		}
+	for i := 0; i < m.owner.Len(); i++ {
+		id, idx := m.owner.At(i)
 		if perJob[id] != len(idx) {
 			return fmt.Errorf("machine: job %d owner index %d groups, map says %d", id, len(idx), perJob[id])
 		}

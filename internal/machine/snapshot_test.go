@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -94,6 +97,7 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 		{"free stack duplicate", func(s *Snapshot) { s.FreeStack = append(s.FreeStack, s.FreeStack[0]) }},
 		{"free stack not free", func(s *Snapshot) { s.FreeStack[0] = s.Owners[0].Groups[0] }},
 		{"owner not in groups", func(s *Snapshot) { s.Owners[0].JobID = 77 }},
+		{"owner listed twice", func(s *Snapshot) { s.Owners = append(s.Owners, s.Owners[0]) }},
 	}
 	for _, tc := range cases {
 		s := base()
@@ -101,5 +105,48 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 		if _, err := FromSnapshot(s); err == nil {
 			t.Errorf("%s: corrupted snapshot accepted", tc.name)
 		}
+	}
+}
+
+// Owners come out in ascending job-ID order whatever order the jobs were
+// allocated and released in, so a snapshot's JSON is canonical and a
+// round trip reproduces it byte for byte.
+func TestSnapshotOwnersSortedAndStable(t *testing.T) {
+	m := New(320, 32)
+	for _, id := range []int{900, 7, 1 << 40, 64, 3, 1 << 20} {
+		if err := m.Alloc(id, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{7, 900} {
+		if err := m.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Alloc(500, 64); err != nil {
+		t.Fatal(err)
+	}
+	sn := m.Snapshot()
+	var ids []int
+	for _, o := range sn.Owners {
+		ids = append(ids, o.JobID)
+	}
+	if want := []int{3, 64, 500, 1 << 20, 1 << 40}; !slices.Equal(ids, want) {
+		t.Fatalf("snapshot owners %v, want %v", ids, want)
+	}
+	a, err := json.Marshal(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromSnapshot(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("round trip changed the snapshot:\n%s\n%s", a, b)
 	}
 }

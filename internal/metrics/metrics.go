@@ -360,7 +360,7 @@ func WindowArea(steps []BusyStep, t0, t1 int64) float64 {
 // KthSmallest returns the k-th smallest element (0-based) of xs,
 // reordering xs in place — the exported quickselect the sharded merge
 // applies to concatenated per-cluster samples. See kth for the contract.
-func KthSmallest(xs []float64, k int) float64 { return kth(xs, k) }
+func KthSmallest[T cmp.Ordered](xs []T, k int) T { return kth(xs, k) }
 
 // Snapshot is the collector's complete accumulator state, sufficient to
 // resume metering mid-run. The per-job series keep their accumulation
