@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro examples clean
+.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro repro-check examples clean
 
 all: build vet test
 
@@ -82,6 +82,12 @@ malleable-smoke:
 # Full evaluation suite with TSV outputs under results/.
 repro:
 	$(GO) run ./cmd/expsuite -out results
+
+# Regenerate results/ and fail if any committed figure changed or a new
+# file appeared: every TSV, SVG and table must stay byte-identical.
+repro-check: repro
+	git diff --exit-code -- results
+	test -z "$$(git status --porcelain -- results)"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -269,18 +269,24 @@ func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return SimulateWith(w, algo.New(experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}), algo.ECC, opt)
+}
+
+// engineConfig translates Options into one run's engine configuration:
+// the paper's 320-processor machine in groups of 32 unless set, and Trace
+// as the observer.
+func engineConfig(opt Options, s Scheduler, processECC bool) engine.Config {
 	if opt.M == 0 {
 		opt.M = 320
 	}
 	if opt.Unit == 0 {
 		opt.Unit = 32
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 	cfg := engine.Config{
 		M:              opt.M,
 		Unit:           opt.Unit,
-		Scheduler:      algo.New(pt),
-		ProcessECC:     algo.ECC,
+		Scheduler:      s,
+		ProcessECC:     processECC,
 		MaxECCPerJob:   opt.MaxECCPerJob,
 		Paranoid:       opt.Paranoid,
 		Contiguous:     opt.Contiguous,
@@ -292,7 +298,7 @@ func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
 	if opt.Trace != nil {
 		cfg.Observer = opt.Trace
 	}
-	return engine.Run(w, cfg)
+	return cfg
 }
 
 // ShardedOptions configures SimulateSharded beyond the per-cluster Options.
@@ -304,17 +310,17 @@ type ShardedOptions struct {
 	// The result is byte-identical for any worker count.
 	Workers int
 	// Route names the routing policy splitting submissions over clusters:
-	// "roundrobin" (the default for ""), "least-work", or "best-fit" —
-	// plus "feedback" when Epoch > 0. See RoutePolicies and
-	// DynamicRoutePolicies.
+	// "roundrobin" (the default for ""), "least-work", "best-fit", or
+	// "feedback", which needs Epoch > 0. See RoutePolicies. Any policy but
+	// round-robin needs Clusters > 1.
 	Route string
 	// Epoch is the barrier interval, in sim-seconds, of the dispatcher's
 	// deterministic epoch protocol: with stealing or the "feedback" route,
 	// clusters step to shared virtual-time barriers every Epoch sim-seconds
 	// and exchange compact queue digests there. Required by Steal,
 	// Affinity, and the "feedback" route. A static route with stealing off
-	// needs no barrier and runs the same at any Epoch; a single cluster
-	// ignores it.
+	// needs no barrier and runs the same at any Epoch. Epoch, Steal, and
+	// Affinity all need Clusters > 1.
 	Epoch int64
 	// Steal lets idle clusters pull queued jobs from backlogged ones at
 	// each barrier, commands following their job.
@@ -325,13 +331,9 @@ type ShardedOptions struct {
 	Affinity int
 }
 
-// RoutePolicies lists the routing-policy names SimulateSharded accepts for
-// ShardedOptions.Route on a static (Epoch == 0) run, sorted.
+// RoutePolicies lists the routing-policy names ShardedOptions.Route
+// accepts, sorted; "feedback" needs ShardedOptions.Epoch > 0.
 func RoutePolicies() []string { return dispatch.Policies() }
-
-// DynamicRoutePolicies lists the routing-policy names accepted when
-// ShardedOptions.Epoch > 0: the static set plus "feedback", sorted.
-func DynamicRoutePolicies() []string { return dispatch.DynamicPolicies() }
 
 // ShardedResult is the merged outcome of a SimulateSharded run; see
 // dispatch.Result for the merge semantics.
@@ -350,35 +352,15 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 	if err != nil {
 		return nil, err
 	}
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
-	if opt.Trace != nil {
-		return nil, dispatch.ErrTemplateObserver
-	}
 	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 	return dispatch.Run(w, dispatch.Config{
-		Clusters: sh.Clusters,
-		Workers:  sh.Workers,
-		Route:    sh.Route,
-		Epoch:    sh.Epoch,
-		Steal:    sh.Steal,
-		Affinity: sh.Affinity,
-		Engine: engine.Config{
-			M:              opt.M,
-			Unit:           opt.Unit,
-			ProcessECC:     algo.ECC,
-			MaxECCPerJob:   opt.MaxECCPerJob,
-			Paranoid:       opt.Paranoid,
-			Contiguous:     opt.Contiguous,
-			Migrate:        opt.Migrate,
-			Faults:         opt.Faults,
-			Malleable:      opt.Malleable,
-			ResizeOverhead: opt.ResizeOverhead,
-		},
+		Clusters:     sh.Clusters,
+		Workers:      sh.Workers,
+		Route:        sh.Route,
+		Epoch:        sh.Epoch,
+		Steal:        sh.Steal,
+		Affinity:     sh.Affinity,
+		Engine:       engineConfig(opt, nil, algo.ECC),
 		NewScheduler: func() Scheduler { return algo.New(pt) },
 	})
 }
@@ -393,30 +375,8 @@ func NewSession(algorithm string, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
 	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
-	cfg := engine.Config{
-		M:              opt.M,
-		Unit:           opt.Unit,
-		Scheduler:      algo.New(pt),
-		ProcessECC:     algo.ECC,
-		MaxECCPerJob:   opt.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     opt.Contiguous,
-		Migrate:        opt.Migrate,
-		Faults:         opt.Faults,
-		Malleable:      opt.Malleable,
-		ResizeOverhead: opt.ResizeOverhead,
-	}
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
-	return engine.New(cfg)
+	return engine.New(engineConfig(opt, algo.New(pt), algo.ECC))
 }
 
 // ResumeSession reads a snapshot written by (*SessionSnapshot).Encode and
@@ -506,29 +466,7 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 // workloads and metrics as the built-in algorithms. processECC attaches
 // the Elastic Control Command processor (the policy's -E behaviour).
 func SimulateWith(w *Workload, s Scheduler, processECC bool, opt Options) (*Result, error) {
-	if opt.M == 0 {
-		opt.M = 320
-	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
-	}
-	cfg := engine.Config{
-		M:              opt.M,
-		Unit:           opt.Unit,
-		Scheduler:      s,
-		ProcessECC:     processECC,
-		MaxECCPerJob:   opt.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     opt.Contiguous,
-		Migrate:        opt.Migrate,
-		Faults:         opt.Faults,
-		Malleable:      opt.Malleable,
-		ResizeOverhead: opt.ResizeOverhead,
-	}
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
-	return engine.Run(w, cfg)
+	return engine.Run(w, engineConfig(opt, s, processECC))
 }
 
 // NewScheduler constructs a named policy directly (for use with custom

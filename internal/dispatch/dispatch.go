@@ -45,9 +45,17 @@ var (
 	// feedback routing — on a multi-cluster run without a positive Epoch:
 	// they all live in the epoch protocol's barrier exchange.
 	ErrEpochRequired = errors.New("dispatch: steal/affinity/feedback require a positive Epoch")
+	// ErrNeedsClusters rejects sharding knobs — a routing policy other than
+	// round-robin, Epoch, Steal, Affinity — on a single-cluster run, which
+	// has no peer to route to, exchange with, or pin on.
+	ErrNeedsClusters = errors.New("dispatch: route/epoch/steal/affinity need Clusters > 1")
+	// ErrNegativeAffinity rejects a negative affinity class size (0 turns
+	// pinning off).
+	ErrNegativeAffinity = errors.New("dispatch: affinity must not be negative")
 )
 
-// Config describes one sharded run.
+// Config describes one sharded run. A non-default Route, Epoch, Steal, and
+// Affinity all need Clusters > 1 (ErrNeedsClusters).
 type Config struct {
 	// Clusters is the number of per-cluster sessions (the global machine is
 	// Clusters × Engine.M processors).
@@ -63,20 +71,18 @@ type Config struct {
 	// NewScheduler builds one policy instance per cluster.
 	NewScheduler func() sched.Scheduler
 	// Route names the routing policy splitting submissions over clusters:
-	// RouteRoundRobin (the default for ""), RouteLeastWork, or
-	// RouteBestFit — plus RouteFeedback when Epoch > 0. Routing is a pure
-	// function of (workload order, cluster count, policy, and — for
-	// feedback — the deterministic barrier digests), so every policy keeps
-	// the cross-worker determinism contract.
+	// RouteRoundRobin (the default for ""), RouteLeastWork, RouteBestFit, or
+	// RouteFeedback, which needs Epoch > 0. Routing is a pure function of
+	// (workload order, cluster count, policy, and — for feedback — the
+	// deterministic barrier digests), so every policy keeps the
+	// cross-worker determinism contract.
 	Route string
 	// Epoch is the barrier interval, in virtual seconds, of the
 	// epoch-synchronization protocol that stealing, affinity pinning, and
 	// feedback routing need: sessions step to shared barriers every Epoch
 	// seconds, publish queue digests, and exchange work deterministically
 	// (see epoch.go). A static policy with stealing off never moves a job
-	// after routing, so it runs without barriers whatever the value. A
-	// single cluster always bypasses the epoch machinery: there is no peer
-	// to exchange with.
+	// after routing, so it runs without barriers whatever the value.
 	Epoch int64
 	// Steal enables the barrier exchange step: idle clusters pull queued
 	// jobs from backlogged ones, commands following the job. Needs Epoch.
@@ -84,11 +90,16 @@ type Config struct {
 	// Affinity, when positive, pins every Affinity-th submission (job IDs
 	// divisible by Affinity) to a home cluster derived from its ID — a
 	// data-locality class that routing honors and stealing never violates.
-	// Needs Epoch.
+	// Needs Epoch; 0 turns pinning off.
 	Affinity int
 }
 
-func (cfg *Config) validate() error {
+// Validate checks the run's configuration without running it: the
+// dispatcher's own rules, the route name against the one registry
+// (NewRouter), and the engine template through engine.Config.Validate.
+// Every error wraps a typed sentinel where one exists, testable with
+// errors.Is.
+func (cfg Config) Validate() error {
 	if cfg.Clusters < 1 {
 		return fmt.Errorf("%w (got %d)", ErrClusterCount, cfg.Clusters)
 	}
@@ -101,14 +112,23 @@ func (cfg *Config) validate() error {
 	if cfg.Engine.Observer != nil {
 		return ErrTemplateObserver
 	}
+	if _, err := NewRouter(cfg.Route); err != nil {
+		return err
+	}
 	if cfg.Epoch < 0 {
 		return fmt.Errorf("%w (got epoch %d)", ErrEpochRequired, cfg.Epoch)
 	}
-	if cfg.Clusters > 1 && cfg.Epoch == 0 &&
-		(cfg.Steal || cfg.Affinity > 0 || cfg.Route == RouteFeedback) {
+	if cfg.Affinity < 0 {
+		return fmt.Errorf("%w (got %d)", ErrNegativeAffinity, cfg.Affinity)
+	}
+	if cfg.Clusters == 1 && ((cfg.Route != "" && cfg.Route != RouteRoundRobin) ||
+		cfg.Epoch != 0 || cfg.Steal || cfg.Affinity != 0) {
+		return ErrNeedsClusters
+	}
+	if cfg.Epoch == 0 && (cfg.Steal || cfg.Affinity > 0 || cfg.Route == RouteFeedback) {
 		return ErrEpochRequired
 	}
-	return nil
+	return cfg.Engine.Validate()
 }
 
 // ClusterResult is one cluster's outcome.
@@ -168,7 +188,7 @@ type Result struct {
 // cluster is one plain engine run over the whole workload; every
 // multi-cluster run goes through runEpochs.
 func Run(w *cwf.Workload, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	// Every job must fit one cluster's machine; validating the whole
@@ -178,19 +198,16 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	// The dynamic set: validate lets a single cluster, which never consults
-	// the router, name any policy, and a multi-cluster run reaches here with
-	// RouteFeedback only under a positive Epoch.
-	router, err := NewDynamicRouter(cfg.Route)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Clusters == 1 {
 		out, err := engine.Run(w, cfg.clusterEngine(0))
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: cluster 0: %w", err)
 		}
 		return assemble([]*engine.Result{out}, []int{len(w.Jobs)}, cfg.Engine.M), nil
+	}
+	router, err := NewRouter(cfg.Route)
+	if err != nil {
+		return nil, err
 	}
 	return runEpochs(w, cfg, router)
 }

@@ -40,7 +40,7 @@ func losFactory() sched.Scheduler { return core.NewLOS(true) }
 // byte-identically reproducible for 1, 2, 4, and 8 workers.
 func TestShardedDeterminismAcrossWorkers(t *testing.T) {
 	w := testWorkload(t, 240, 7)
-	for _, route := range Policies() {
+	for _, route := range staticPolicies {
 		t.Run(route, func(t *testing.T) {
 			var golden []byte
 			for _, workers := range []int{1, 2, 4, 8} {

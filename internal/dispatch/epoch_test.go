@@ -64,7 +64,7 @@ func TestEpochTransparencyStaticRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, route := range Policies() {
+	for _, route := range staticPolicies {
 		t.Run(route, func(t *testing.T) {
 			for _, faults := range []*engine.FaultConfig{nil, {MTBF: 2e5, MTTR: 5e3, Seed: 3}} {
 				base := Config{
@@ -340,40 +340,47 @@ func TestStealFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleClusterBypassesEpoch: with one cluster every dynamic knob is a
-// no-op — the run takes the plain path and matches engine.Run exactly,
-// with no epoch bookkeeping in the result.
-func TestSingleClusterBypassesEpoch(t *testing.T) {
-	w := testWorkload(t, 200, 3)
-	res, err := Run(w, Config{
+// TestSingleClusterRejectsShardingKnobs: one cluster has no peer to route
+// to, exchange with, or pin on, so every sharding knob is rejected with
+// ErrNeedsClusters rather than silently ignored. Naming the round-robin
+// default is not a knob and runs the plain path.
+func TestSingleClusterRejectsShardingKnobs(t *testing.T) {
+	w := testWorkload(t, 20, 3)
+	base := Config{
 		Clusters:     1,
-		Engine:       engine.Config{M: 320, Unit: 32, ProcessECC: true},
+		Engine:       epochEngine(),
 		NewScheduler: losFactory,
-		Route:        RouteFeedback,
-		Epoch:        500,
-		Steal:        true,
-		Affinity:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	ref, err := engine.Run(w, engine.Config{
-		M: 320, Unit: 32, ProcessECC: true, Scheduler: losFactory(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"least-work route", func(c *Config) { c.Route = RouteLeastWork }},
+		{"feedback route", func(c *Config) { c.Route, c.Epoch = RouteFeedback, 500 }},
+		{"epoch", func(c *Config) { c.Epoch = 500 }},
+		{"steal", func(c *Config) { c.Epoch, c.Steal = 500, true }},
+		{"affinity", func(c *Config) { c.Epoch, c.Affinity = 500, 3 }},
 	}
-	if !reflect.DeepEqual(res.Clusters[0].Result, ref) {
-		t.Fatal("single-cluster run with dynamic knobs differs from plain engine.Run")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mutate(&cfg)
+			if _, err := Run(w, cfg); !errors.Is(err, ErrNeedsClusters) {
+				t.Fatalf("got %v, want errors.Is(err, ErrNeedsClusters)", err)
+			}
+		})
 	}
-	if res.Epochs != 0 || res.Steals != 0 || res.Owners != nil {
-		t.Fatalf("single cluster ran epoch machinery: epochs=%d steals=%d owners=%v",
-			res.Epochs, res.Steals, res.Owners)
+	cfg := base
+	cfg.Route = RouteRoundRobin
+	if _, err := Run(w, cfg); err != nil {
+		t.Fatalf("single cluster naming the default route: %v", err)
 	}
 }
 
 // TestEpochConfigErrors pins ErrEpochRequired for every dynamic feature
-// requested without an epoch on a multi-cluster run.
+// requested without an epoch on a multi-cluster run, and the typed
+// rejection of a negative affinity, which would otherwise turn pinning off
+// silently.
 func TestEpochConfigErrors(t *testing.T) {
 	w := testWorkload(t, 20, 1)
 	base := Config{
@@ -384,18 +391,20 @@ func TestEpochConfigErrors(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   error
 	}{
-		{"steal without epoch", func(c *Config) { c.Steal = true }},
-		{"affinity without epoch", func(c *Config) { c.Affinity = 4 }},
-		{"feedback without epoch", func(c *Config) { c.Route = RouteFeedback }},
-		{"negative epoch", func(c *Config) { c.Epoch = -7 }},
+		{"steal without epoch", func(c *Config) { c.Steal = true }, ErrEpochRequired},
+		{"affinity without epoch", func(c *Config) { c.Affinity = 4 }, ErrEpochRequired},
+		{"feedback without epoch", func(c *Config) { c.Route = RouteFeedback }, ErrEpochRequired},
+		{"negative epoch", func(c *Config) { c.Epoch = -7 }, ErrEpochRequired},
+		{"negative affinity", func(c *Config) { c.Epoch, c.Affinity = 500, -3 }, ErrNegativeAffinity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			if _, err := Run(w, cfg); !errors.Is(err, ErrEpochRequired) {
-				t.Fatalf("got %v, want errors.Is(err, ErrEpochRequired)", err)
+			if _, err := Run(w, cfg); !errors.Is(err, tc.want) {
+				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func TestMergedSlowdownJobWeighted(t *testing.T) {
 // samples using the collector's formulas.
 func TestMergedOrderStatsExact(t *testing.T) {
 	w := testWorkload(t, 180, 17)
-	for _, policy := range Policies() {
+	for _, policy := range staticPolicies {
 		t.Run(policy, func(t *testing.T) {
 			res, err := Run(w, Config{
 				Clusters:     3,

@@ -29,8 +29,8 @@ const (
 	// RouteFeedback is the dynamic policy: arrivals are routed by the
 	// clusters' last-epoch barrier digests (observed outstanding work)
 	// instead of a model of the routed prefix. It needs the epoch protocol
-	// (Config.Epoch > 0) to have digests to read, so NewRouter rejects it;
-	// use NewDynamicRouter.
+	// (Config.Epoch > 0) to have digests to read; Config.Validate enforces
+	// that with ErrEpochRequired.
 	RouteFeedback = "feedback"
 )
 
@@ -64,6 +64,8 @@ func NewRouter(name string) (Router, error) {
 		return &leastWork{}, nil
 	case RouteBestFit:
 		return &bestFit{}, nil
+	case RouteFeedback:
+		return &feedback{}, nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRoute, name)
 	}
@@ -71,7 +73,7 @@ func NewRouter(name string) (Router, error) {
 
 // Policies lists the routing-policy names NewRouter accepts, sorted.
 func Policies() []string {
-	names := []string{RouteRoundRobin, RouteLeastWork, RouteBestFit}
+	names := []string{RouteRoundRobin, RouteLeastWork, RouteBestFit, RouteFeedback}
 	sort.Strings(names)
 	return names
 }
@@ -90,23 +92,6 @@ type DigestRouter interface {
 	// Assigned informs the router of a placement it did not decide — an
 	// affinity-pinned job — so its load accounting stays coherent.
 	Assigned(j *job.Job, c int)
-}
-
-// NewDynamicRouter resolves a policy name for an epoch-mode run: every
-// static policy plus RouteFeedback.
-func NewDynamicRouter(name string) (Router, error) {
-	if name == RouteFeedback {
-		return &feedback{}, nil
-	}
-	return NewRouter(name)
-}
-
-// DynamicPolicies lists the routing-policy names an epoch-mode run
-// (Config.Epoch > 0) accepts, sorted: the static policies plus feedback.
-func DynamicPolicies() []string {
-	names := append(Policies(), RouteFeedback)
-	sort.Strings(names)
-	return names
 }
 
 // feedback routes each released arrival to the cluster with the least

@@ -3,16 +3,32 @@ package dispatch
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/job"
 )
 
-// TestRouterRegistry pins the policy-name registry: the empty name is the
-// round-robin default, every listed policy resolves, and unknown names
-// fail with the typed error.
+// staticPolicies lists the policies that route from the workload alone,
+// without barrier digests, so they run with Epoch 0.
+var staticPolicies = []string{RouteBestFit, RouteLeastWork, RouteRoundRobin}
+
+// TestRouterRegistry pins the one policy-name registry: the empty name is
+// the round-robin default, every listed policy resolves (the static ones
+// and feedback, which reads digests), and unknown names fail with the
+// typed error.
 func TestRouterRegistry(t *testing.T) {
+	want := append(append([]string{}, staticPolicies...), RouteFeedback)
+	sort.Strings(want)
+	if got := Policies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Policies() = %v, want %v", got, want)
+	}
+	if r, err := NewRouter(RouteFeedback); err != nil {
+		t.Fatal(err)
+	} else if _, ok := r.(DigestRouter); !ok {
+		t.Fatal("the feedback router does not read digests")
+	}
 	r, err := NewRouter("")
 	if err != nil || r.Name() != RouteRoundRobin {
 		t.Fatalf(`NewRouter("") = %v, %v; want the round-robin default`, r, err)

@@ -98,12 +98,18 @@ type Config struct {
 	ExportSamples bool
 }
 
-// validate rejects unusable machine geometry up front, with the Unit
-// default already applied: clear errors here beat panics from deep inside
-// the machine layer on the first allocation.
-func (cfg *Config) validate() error {
-	if cfg.Scheduler == nil {
-		return errors.New("engine: no scheduler configured")
+// ErrNegativeResizeOverhead rejects a negative per-resize penalty.
+var ErrNegativeResizeOverhead = errors.New("engine: resize overhead must not be negative")
+
+// Validate checks everything New checks except the scheduler, with New's
+// Unit default applied first: machine geometry, the resize overhead, and
+// the fault model. Clear errors here beat panics from deep inside the
+// machine layer on the first allocation. Errors wrap the typed sentinels
+// (ErrNegativeResizeOverhead, ErrOnResizeNeedsMalleable, the fault
+// package's) so callers can test with errors.Is.
+func (cfg Config) Validate() error {
+	if cfg.Unit <= 0 {
+		cfg.Unit = 1
 	}
 	if cfg.M <= 0 {
 		return fmt.Errorf("engine: machine size %d must be positive", cfg.M)
@@ -115,7 +121,7 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("engine: allocation unit %d does not divide machine size %d", cfg.Unit, cfg.M)
 	}
 	if cfg.ResizeOverhead < 0 {
-		return fmt.Errorf("engine: negative resize overhead %d", cfg.ResizeOverhead)
+		return fmt.Errorf("%w (got %d)", ErrNegativeResizeOverhead, cfg.ResizeOverhead)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
@@ -265,14 +271,17 @@ func (s *Session) getCompletion(id int) simkit.Handle {
 // ready, clock at zero, no work admitted. It validates the configuration
 // (scheduler present, coherent machine geometry) up front.
 func New(cfg Config) (*Session, error) {
+	if cfg.Scheduler == nil {
+		return nil, errors.New("engine: no scheduler configured")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Unit <= 0 {
 		cfg.Unit = 1
 	}
 	if cfg.MaxCyclesPerInstant <= 0 {
 		cfg.MaxCyclesPerInstant = 1 << 20
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
 	}
 
 	newMachine := machine.New

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -185,38 +186,66 @@ func TestFaultConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		fc   *FaultConfig
-		want error // nil means "any error"
+		mut  func(*Config) // optional: non-fault knobs of the same run
+		want error         // nil means "any error"
 	}{
-		{"zero MTBF", &FaultConfig{}, fault.ErrNonPositiveMTBF},
-		{"negative MTBF", &FaultConfig{MTBF: -3}, fault.ErrNonPositiveMTBF},
-		{"negative MTTR", &FaultConfig{MTBF: 100, MTTR: -1}, fault.ErrNegativeMTTR},
-		{"negative horizon", &FaultConfig{MTBF: 100, Horizon: -1}, fault.ErrNonPositiveSpan},
-		{"negative retries", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{MaxRetries: -1}}, fault.ErrNegativeRetries},
-		{"negative backoff", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Backoff: -1}}, fault.ErrNegativeBackoff},
-		{"unknown retry mode", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Mode: 9}}, fault.ErrUnknownRetryMode},
-		{"unknown restart", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Restart: 9}}, fault.ErrUnknownRestart},
-		{"trace plus MTBF", &FaultConfig{Trace: ftrace(fail(1, 0), repair(2, 0)), MTBF: 100}, nil},
-		{"trace group out of range", &FaultConfig{Trace: ftrace(fail(1, 10))}, fault.ErrGroupOutOfRange},
+		{"zero MTBF", &FaultConfig{}, nil, fault.ErrNonPositiveMTBF},
+		{"negative MTBF", &FaultConfig{MTBF: -3}, nil, fault.ErrNonPositiveMTBF},
+		{"NaN MTBF", &FaultConfig{MTBF: math.NaN()}, nil, fault.ErrNonPositiveMTBF},
+		{"negative MTTR", &FaultConfig{MTBF: 100, MTTR: -1}, nil, fault.ErrNegativeMTTR},
+		{"NaN MTTR", &FaultConfig{MTBF: 100, MTTR: math.NaN()}, nil, fault.ErrNegativeMTTR},
+		{"negative horizon", &FaultConfig{MTBF: 100, Horizon: -1}, nil, fault.ErrNonPositiveSpan},
+		{"negative retries", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{MaxRetries: -1}}, nil, fault.ErrNegativeRetries},
+		{"negative backoff", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Backoff: -1}}, nil, fault.ErrNegativeBackoff},
+		{"unknown retry mode", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Mode: 9}}, nil, fault.ErrUnknownRetryMode},
+		{"unknown restart", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Restart: 9}}, nil, fault.ErrUnknownRestart},
+		{"trace plus MTBF", &FaultConfig{Trace: ftrace(fail(1, 0), repair(2, 0)), MTBF: 100}, nil, nil},
+		{"trace group out of range", &FaultConfig{Trace: ftrace(fail(1, 10))}, nil, fault.ErrGroupOutOfRange},
+		{"negative checkpoint cost", &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointPeriodic,
+			CheckpointInterval: 600, CheckpointCost: -1}, nil, fault.ErrNegativeCheckpointCost},
+		{"interval without periodic", &FaultConfig{MTBF: 40000, CheckpointInterval: 600}, nil, fault.ErrIntervalWithoutPeriodic},
+		{"periodic without interval", &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointPeriodic}, nil, fault.ErrNonPositiveInterval},
+		{"daly without cost", &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointDaly}, nil, fault.ErrDalyNeedsCost},
+		{"on-resize without malleable", &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointOnResize, CheckpointCost: 30},
+			nil, ErrOnResizeNeedsMalleable},
+		{"negative resize overhead", nil, func(c *Config) { c.Malleable, c.ResizeOverhead = true, -3 }, ErrNegativeResizeOverhead},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Faults: tc.fc})
+			cfg := Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Faults: tc.fc}
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			_, err := New(cfg)
 			if err == nil {
 				t.Fatal("config accepted, want error")
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is %v", err, tc.want)
 			}
+			cfg.Scheduler = nil
+			if verr := cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("Validate() = %v, New = %v; want the same error", verr, err)
+			}
 		})
 	}
 
+	for _, fc := range []*FaultConfig{
+		{MTBF: 100, MTTR: 50, Seed: 1},
+		{MTBF: 40000, Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 600, CheckpointCost: 30},
+		{MTBF: 40000, Checkpoint: fault.CheckpointDaly, CheckpointCost: 30},
+	} {
+		if _, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Faults: fc}); err != nil {
+			t.Fatalf("valid fault config %+v rejected: %v", *fc, err)
+		}
+	}
+	if _, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Malleable: true,
+		Faults: &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointOnResize, CheckpointCost: 30}}); err != nil {
+		t.Fatalf("on-resize checkpointing with Malleable rejected: %v", err)
+	}
 	if _, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{}, Contiguous: true,
 		Faults: &FaultConfig{MTBF: 100}}); err != nil {
 		t.Fatalf("contiguous allocation with faults rejected: %v", err)
-	}
-	if _, err := New(Config{M: 320, Unit: 32, Scheduler: sched.FCFS{},
-		Faults: &FaultConfig{MTBF: 100, MTTR: 50, Seed: 1}}); err != nil {
-		t.Fatalf("valid fault config rejected: %v", err)
 	}
 }
 

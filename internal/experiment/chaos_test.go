@@ -570,9 +570,8 @@ func TestSweepFaultKnobs(t *testing.T) {
 	base := Point{X: 0, Params: p, Cs: 5}
 	faulty := base
 	faulty.X = 1
-	faulty.MTBF = 30000
-	faulty.MTTR = 2000
-	faulty.Retry = fault.RetryPolicy{Restart: fault.RemainingRuntime}
+	faulty.Faults = &engine.FaultConfig{MTBF: 30000, MTTR: 2000,
+		Retry: fault.RetryPolicy{Restart: fault.RemainingRuntime}}
 
 	sw := &Sweep{
 		ID:         "chaos-knobs",

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"elastisched/internal/engine"
 	"elastisched/internal/fault"
 	"elastisched/internal/workload"
 )
@@ -562,8 +563,10 @@ func Robustness() *Experiment {
 			p.PM = 1.0
 			pt := Point{
 				X: mtbf, Params: p, Cs: CsFor(0.5),
-				MTBF: mtbf, MTTR: 2000,
-				Retry:     fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+				Faults: &engine.FaultConfig{
+					MTBF: mtbf, MTTR: 2000,
+					Retry: fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+				},
 				Malleable: malleable,
 			}
 			if malleable {
@@ -615,11 +618,13 @@ func Checkpoint() *Experiment {
 		point := func(x int64, policy fault.CheckpointPolicy, interval int64) Point {
 			return Point{
 				X: float64(x), Params: batchParams(0.5, 0.9), Cs: CsFor(0.5),
-				MTBF: mtbf, MTTR: mttr,
-				Retry:              fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
-				CheckpointPolicy:   policy,
-				CheckpointInterval: interval,
-				CheckpointCost:     cost,
+				Faults: &engine.FaultConfig{
+					MTBF: mtbf, MTTR: mttr,
+					Retry:              fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+					Checkpoint:         policy,
+					CheckpointInterval: interval,
+					CheckpointCost:     cost,
+				},
 			}
 		}
 		daly := fault.DalyInterval(mtbf, cost)

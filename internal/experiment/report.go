@@ -192,7 +192,7 @@ func (r *Result) TSV() string {
 // standard one (which stays byte-stable for the committed figure series).
 func (r *Result) HasFaults() bool {
 	for _, pt := range r.Sweep.Points {
-		if pt.MTBF > 0 {
+		if pt.Faults != nil {
 			return true
 		}
 	}
@@ -227,7 +227,7 @@ func (r *Result) FaultTSV() string {
 // sweeps get their own.
 func (r *Result) HasCheckpoints() bool {
 	for _, pt := range r.Sweep.Points {
-		if pt.CheckpointPolicy != fault.CheckpointNone {
+		if pt.Faults != nil && pt.Faults.Checkpoint != fault.CheckpointNone {
 			return true
 		}
 	}

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 	"elastisched/internal/dispatch"
 	"elastisched/internal/ecc"
 	"elastisched/internal/engine"
-	"elastisched/internal/fault"
 	"elastisched/internal/metrics"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
@@ -35,22 +32,12 @@ type Point struct {
 	// partitioning with optional defragmentation).
 	Contiguous bool
 	Migrate    bool
-	// MTBF/MTTR enable fault injection at this point (per node group, sim
-	// seconds; MTBF <= 0 disables it). Each run samples its fault trace
-	// from the run seed, so the same seed fails the same groups at the
+	// Faults, when non-nil, injects node-group failures at this point: the
+	// failure model, the retry policy for its victims, and the checkpoint
+	// policy, exactly as the engine takes them. Each run copies it and sets
+	// Seed to the run seed, so the same seed fails the same groups at the
 	// same instants under every algorithm.
-	MTBF float64
-	MTTR float64
-	// Retry is the policy applied to failure victims when faults are on.
-	Retry fault.RetryPolicy
-	// CheckpointPolicy lets running batch jobs save restart state when
-	// faults are on: kills then restart from the last checkpoint instead
-	// of the Retry.Restart binary. CheckpointInterval is the periodic
-	// policy's interval I; CheckpointCost is the charge C per checkpoint
-	// (and per restart-from-checkpoint). See fault.CheckpointPolicy.
-	CheckpointPolicy   fault.CheckpointPolicy
-	CheckpointInterval int64
-	CheckpointCost     int64
+	Faults *engine.FaultConfig
 	// Malleable turns on scheduler-initiated resizing at this point: the
 	// engine rescales remaining work through every resize and fault victims
 	// with malleable bounds shrink onto their surviving groups instead of
@@ -61,17 +48,12 @@ type Point struct {
 	// seconds, charged to the resized job (Malleable only).
 	ResizeOverhead int64
 	// Clusters, when above 1, evaluates this point on the sharded
-	// dispatcher (dispatch.Run): the workload is split over Clusters
-	// per-cluster machines of Params.M processors and the merged global
-	// summary fills the cell. Route names the routing policy ("" =
-	// round-robin); it is rejected when Clusters <= 1.
+	// dispatcher: the workload is split over Clusters per-cluster machines
+	// of Params.M processors and the merged global summary fills the cell
+	// (0 means one cluster). Route, Epoch, Steal, and Affinity mirror the
+	// dispatch.Config fields of the same names and follow its rules.
 	Clusters int
 	Route    string
-	// Epoch, Steal, and Affinity select the dispatcher's dynamic epoch
-	// protocol at this point (barrier-synchronized stepping, queue-digest
-	// exchange, work stealing, affinity pinning); they mirror the
-	// dispatch.Config fields of the same names. Steal, Affinity, and the
-	// "feedback" route all need Epoch > 0.
 	Epoch    int64
 	Steal    bool
 	Affinity int
@@ -83,48 +65,6 @@ func (p Point) EffectiveCs() int {
 		return p.Cs
 	}
 	return core.DefaultCs
-}
-
-// Typed point-validation errors, testable with errors.Is alongside the
-// fault package's (ErrNonPositiveMTBF, ErrNegativeMTTR,
-// ErrIntervalWithoutPeriodic, ...).
-var (
-	// ErrNegativeResizeOverhead rejects a negative per-resize penalty.
-	ErrNegativeResizeOverhead = errors.New("experiment: resize overhead must not be negative")
-	// ErrCheckpointWithoutFaults rejects a checkpoint policy on a point
-	// with fault injection off — there is nothing to restart from.
-	ErrCheckpointWithoutFaults = errors.New("experiment: checkpoint policy set without fault injection (MTBF <= 0)")
-)
-
-// ValidateRobustness checks the point's fault and elasticity knobs up
-// front — before any workload is generated — wrapping the fault package's
-// typed errors so callers can test with errors.Is. MTBF <= 0 (faults off)
-// is legal; NaN or negative rates, a negative resize overhead or
-// checkpoint cost, an interval without a periodic policy, and checkpoint
-// policies missing their prerequisites are not.
-func (p Point) ValidateRobustness() error {
-	if math.IsNaN(p.MTBF) || p.MTBF < 0 {
-		return fmt.Errorf("%w (got %g)", fault.ErrNonPositiveMTBF, p.MTBF)
-	}
-	if math.IsNaN(p.MTTR) || p.MTTR < 0 {
-		return fmt.Errorf("%w (got %g)", fault.ErrNegativeMTTR, p.MTTR)
-	}
-	if p.ResizeOverhead < 0 {
-		return fmt.Errorf("%w (got %d)", ErrNegativeResizeOverhead, p.ResizeOverhead)
-	}
-	if err := p.Retry.Validate(); err != nil {
-		return err
-	}
-	if err := fault.ValidateCheckpoint(p.CheckpointPolicy, p.CheckpointInterval, p.CheckpointCost, p.MTBF); err != nil {
-		return err
-	}
-	if p.CheckpointPolicy != fault.CheckpointNone && p.MTBF <= 0 {
-		return fmt.Errorf("%w (policy %s)", ErrCheckpointWithoutFaults, p.CheckpointPolicy)
-	}
-	if p.CheckpointPolicy == fault.CheckpointOnResize && !p.Malleable {
-		return engine.ErrOnResizeNeedsMalleable
-	}
-	return nil
 }
 
 // Sweep is one figure panel: a set of algorithms evaluated over a set of
@@ -220,6 +160,44 @@ func (c *workloadCache) get(pi, si int, params workload.Params) (*cwf.Workload, 
 	return e.w, e.err
 }
 
+// runConfig builds the dispatch configuration of one run: algorithm a at
+// point pi under the given seed. Workers=1 keeps the sweep's own worker
+// pool the only parallelism; the dispatch result is identical for any
+// value. The point's Faults is shared across workers, so each run gets its
+// own copy to seed.
+func (s *Sweep) runConfig(pi int, a Algorithm, seed int64) dispatch.Config {
+	pt := &s.Points[pi]
+	cfg := dispatch.Config{
+		Clusters: pt.Clusters,
+		Workers:  1,
+		Engine: engine.Config{
+			M:              pt.Params.M,
+			Unit:           pt.Params.Unit,
+			ProcessECC:     a.ECC,
+			MaxECCPerJob:   pt.Params.MaxECCPerJob,
+			Contiguous:     pt.Contiguous,
+			Migrate:        pt.Migrate,
+			Malleable:      pt.Malleable,
+			ResizeOverhead: pt.ResizeOverhead,
+			Prevalidated:   true,
+		},
+		NewScheduler: func() sched.Scheduler { return a.New(*pt) },
+		Route:        pt.Route,
+		Epoch:        pt.Epoch,
+		Steal:        pt.Steal,
+		Affinity:     pt.Affinity,
+	}
+	if cfg.Clusters == 0 {
+		cfg.Clusters = 1
+	}
+	if pt.Faults != nil {
+		fc := *pt.Faults
+		fc.Seed = seed
+		cfg.Engine.Faults = &fc
+	}
+	return cfg
+}
+
 // Run executes the sweep on up to workers goroutines (0 = GOMAXPROCS).
 // The work unit is one (algorithm, point, seed) run; workloads are
 // generated once per (point, seed) and shared across algorithms. Every run
@@ -230,32 +208,11 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 	if len(s.Algorithms) == 0 || len(s.Points) == 0 {
 		return nil, fmt.Errorf("experiment %s: empty sweep", s.ID)
 	}
-	for _, pt := range s.Points {
-		if err := pt.ValidateRobustness(); err != nil {
+	// Check every point before generating any workload. The algorithm
+	// picks only the scheduler and ECC processing, which no validator reads.
+	for pi, pt := range s.Points {
+		if err := s.runConfig(pi, Algorithm{}, 0).Validate(); err != nil {
 			return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, err)
-		}
-		if pt.Route != "" && pt.Clusters <= 1 {
-			return nil, fmt.Errorf("experiment %s: point %g sets Route=%q without Clusters > 1",
-				s.ID, pt.X, pt.Route)
-		}
-		if (pt.Epoch != 0 || pt.Steal || pt.Affinity > 0) && pt.Clusters <= 1 {
-			return nil, fmt.Errorf("experiment %s: point %g sets epoch/steal/affinity without Clusters > 1",
-				s.ID, pt.X)
-		}
-		if pt.Clusters > 1 {
-			// Resolve the policy name up front so a typo fails the sweep
-			// before any workload is generated. Epoch mode admits the
-			// dynamic feedback policy on top of the static set.
-			resolve := dispatch.NewRouter
-			if pt.Epoch > 0 {
-				resolve = dispatch.NewDynamicRouter
-			}
-			if _, err := resolve(pt.Route); err != nil {
-				return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, err)
-			}
-			if pt.Epoch == 0 && (pt.Steal || pt.Affinity > 0 || pt.Route == dispatch.RouteFeedback) {
-				return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, dispatch.ErrEpochRequired)
-			}
 		}
 	}
 	seeds := s.Seeds
@@ -287,8 +244,7 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 		defer wg.Done()
 		for t := range tasks {
 			out := slot(t.ai, t.pi, t.si)
-			pt := s.Points[t.pi]
-			params := pt.Params
+			params := s.Points[t.pi].Params
 			params.Seed = seeds[t.si]
 			if failed.Load() {
 				// A run already failed: skip the engine run, but still
@@ -306,64 +262,14 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 				failed.Store(true)
 				continue
 			}
-			a := s.Algorithms[t.ai]
-			cfg := engine.Config{
-				M:              params.M,
-				Unit:           params.Unit,
-				ProcessECC:     a.ECC,
-				MaxECCPerJob:   params.MaxECCPerJob,
-				Contiguous:     pt.Contiguous,
-				Migrate:        pt.Migrate,
-				Malleable:      pt.Malleable,
-				ResizeOverhead: pt.ResizeOverhead,
-				Prevalidated:   true,
-			}
-			if pt.MTBF > 0 {
-				cfg.Faults = &engine.FaultConfig{
-					MTBF: pt.MTBF, MTTR: pt.MTTR,
-					Seed: seeds[t.si], Retry: pt.Retry,
-					Checkpoint:         pt.CheckpointPolicy,
-					CheckpointInterval: pt.CheckpointInterval,
-					CheckpointCost:     pt.CheckpointCost,
-				}
-			}
-			if pt.Clusters > 1 {
-				// Sharded point: the cell records the merged global view.
-				// Workers=1 keeps the sweep's own worker pool the only
-				// parallelism; the dispatch result is identical for any
-				// value, so this is purely a scheduling choice.
-				r, err := dispatch.Run(w, dispatch.Config{
-					Clusters:     pt.Clusters,
-					Workers:      1,
-					Engine:       cfg,
-					NewScheduler: func() sched.Scheduler { return a.New(pt) },
-					Route:        pt.Route,
-					Epoch:        pt.Epoch,
-					Steal:        pt.Steal,
-					Affinity:     pt.Affinity,
-				})
-				if err != nil {
-					out.err = err
-					failed.Store(true)
-					continue
-				}
-				out.sum = r.Merged
-				out.ecc = r.ECC
-				out.events = r.Events
-				out.cycles = r.Cycles
-				continue
-			}
-			cfg.Scheduler = a.New(pt)
-			r, err := engine.Run(w, cfg)
+			r, err := dispatch.Run(w, s.runConfig(t.pi, s.Algorithms[t.ai], seeds[t.si]))
 			if err != nil {
 				out.err = err
 				failed.Store(true)
 				continue
 			}
-			out.sum = r.Summary
-			out.ecc = r.ECC
-			out.events = r.Events
-			out.cycles = r.Cycles
+			// A single cluster's merged summary is its engine summary.
+			out.sum, out.ecc, out.events, out.cycles = r.Merged, r.ECC, r.Events, r.Cycles
 		}
 	}
 	wg.Add(workers)

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"elastisched/internal/dispatch"
@@ -79,15 +79,16 @@ func TestSweepShardedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSweepRouteValidation: a Route on a non-sharded point and an unknown
-// policy name both fail before any workload is generated.
+// policy name both fail before any workload is generated, with the
+// dispatcher's typed errors.
 func TestSweepRouteValidation(t *testing.T) {
 	s := shardedSweep(dispatch.RouteLeastWork)
 	s.Points[0].Clusters = 1
-	if _, err := s.Run(1); err == nil || !strings.Contains(err.Error(), "without Clusters") {
-		t.Fatalf("Route without Clusters accepted: %v", err)
+	if _, err := s.Run(1); !errors.Is(err, dispatch.ErrNeedsClusters) {
+		t.Fatalf("Route without Clusters: got %v, want errors.Is(err, ErrNeedsClusters)", err)
 	}
 	s = shardedSweep("no-such-policy")
-	if _, err := s.Run(1); err == nil || !strings.Contains(err.Error(), "unknown routing policy") {
+	if _, err := s.Run(1); !errors.Is(err, dispatch.ErrUnknownRoute) {
 		t.Fatalf("unknown policy accepted: %v", err)
 	}
 }
