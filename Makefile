@@ -10,7 +10,8 @@ build:
 	$(GO) build ./...
 
 vet:
-	gofmt -l . && $(GO) vet ./...
+	test -z "$$(gofmt -l .)"
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...

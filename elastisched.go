@@ -406,47 +406,12 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
-	cfg := engine.Config{
-		M:              sn.M,
-		Unit:           sn.Unit,
-		Scheduler:      algo.New(pt),
-		ProcessECC:     sn.ProcessECC,
-		MaxECCPerJob:   sn.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     sn.Contiguous,
-		Migrate:        sn.Migrate,
-		Malleable:      sn.Malleable,
-		ResizeOverhead: sn.ResizeOverhead,
+	cfg, err := sn.Config()
+	if err != nil {
+		return nil, err
 	}
-	if sn.Retry != nil {
-		// A fault-injected session: the pending failure/repair events live in
-		// the snapshot itself (no trace is re-sampled on restore), so the
-		// rebuilt config only needs the matching retry policy and checkpoint
-		// knobs.
-		ckpt, err := fault.ParseCheckpointPolicy(sn.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults = &engine.FaultConfig{
-			Trace:          &fault.Trace{},
-			Retry:          *sn.Retry,
-			Checkpoint:     ckpt,
-			CheckpointCost: sn.CheckpointCost,
-		}
-		switch ckpt {
-		case fault.CheckpointPeriodic:
-			cfg.Faults.CheckpointInterval = sn.CheckpointInterval
-		case fault.CheckpointDaly:
-			// Daly derives per-job intervals from the captured MTBF; the
-			// config carries it as a sampling parameter (incompatible with
-			// a scripted trace placeholder), which is harmless here — a
-			// restored session never samples, its fault events are pinned
-			// in the snapshot.
-			cfg.Faults.Trace = nil
-			cfg.Faults.MTBF = sn.CheckpointMTBF
-		}
-	}
+	cfg.Scheduler = algo.New(experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead})
+	cfg.Paranoid = opt.Paranoid
 	if opt.Trace != nil {
 		cfg.Observer = opt.Trace
 	}

@@ -10,7 +10,7 @@
 // unchanged, Reservation_DP collapses to a single knapsack whenever one of
 // its two capacity constraints is slack, DP rows are filled only up to the
 // running suffix weight, and the steady state allocates nothing. The
-// original naive programs are retained in dp_reference.go as the oracle
+// original naive programs are retained in dp_reference_test.go as the oracle
 // for the differential tests.
 package core
 
@@ -293,7 +293,7 @@ func (s *Scratch) knapsack1D(w, v, suf []int, C int, sel []int32) []int32 {
 //     program collapses to a single knapsack over min(m, frec).
 //
 // All collapses provably return the reference implementation's selection
-// (see dp_reference.go and FuzzDPEquivalence).
+// (see dp_reference_test.go and FuzzDPEquivalence).
 //
 // The returned slice is Scratch-owned; see the Scratch aliasing contract.
 func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) []*job.Job {

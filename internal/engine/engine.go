@@ -19,7 +19,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -46,9 +45,6 @@ type Config struct {
 	MaxECCPerJob int
 	// Paranoid verifies machine invariants at every instant (slow; tests).
 	Paranoid bool
-	// MaxCyclesPerInstant bounds the scheduler fixed-point loop; exceeding
-	// it means the policy livelocked. 0 uses a generous default.
-	MaxCyclesPerInstant int
 	// Observer, when non-nil, receives placement events (dispatches,
 	// completions, resizes) — e.g. a trace.Recorder for Gantt rendering.
 	// Observers are not part of snapshots: a restored session reports only
@@ -62,10 +58,6 @@ type Config struct {
 	// contiguous placement fails, running jobs are compacted toward group
 	// zero and the placement retried.
 	Migrate bool
-	// DebugLog, when non-nil, receives one line per simulation event
-	// (arrival, dispatch, completion, ECC) — the scheduler-debugging
-	// trace. Slows the run; for tooling and tests.
-	DebugLog io.Writer
 	// Prevalidated promises the caller already ran w.Validate(M)
 	// successfully, skipping re-validation. Set by sweep drivers that replay
 	// one validated workload under many algorithms.
@@ -256,7 +248,7 @@ func noopWake(int64) {}
 
 func (s *Session) arriveEv(now int64, arg any)   { s.arrive(arg.(*job.Job), now) }
 func (s *Session) completeEv(now int64, arg any) { s.complete(arg.(*job.Job), now) }
-func (s *Session) commandEv(now int64, arg any)  { s.command(*arg.(*cwf.Command), now) }
+func (s *Session) commandEv(_ int64, arg any)    { s.command(*arg.(*cwf.Command)) }
 
 // getCompletion returns the recorded completion handle. The zero Handle
 // comes back for IDs with no pending completion; callers may pass it
@@ -279,9 +271,6 @@ func New(cfg Config) (*Session, error) {
 	}
 	if cfg.Unit <= 0 {
 		cfg.Unit = 1
-	}
-	if cfg.MaxCyclesPerInstant <= 0 {
-		cfg.MaxCyclesPerInstant = 1 << 20
 	}
 
 	newMachine := machine.New
@@ -683,10 +672,14 @@ func (s *Session) checkInvariants() error {
 	return nil
 }
 
+// maxCyclesPerInstant bounds the scheduler fixed-point loop; exceeding it
+// means the policy livelocked.
+const maxCyclesPerInstant = 1 << 20
+
 // scheduleInstant re-invokes the policy until it makes no progress.
 func (s *Session) scheduleInstant() error {
 	for iter := 0; ; iter++ {
-		if iter >= s.cfg.MaxCyclesPerInstant {
+		if iter >= maxCyclesPerInstant {
 			return fmt.Errorf("engine: scheduler %s made progress for %d consecutive cycles at t=%d (livelock)",
 				s.cfg.Scheduler.Name(), iter, s.eng.Now())
 		}
@@ -717,24 +710,10 @@ func (s *Session) scheduleInstant() error {
 	}
 }
 
-// debugf writes one event line to the debug log. Callers must check
-// debugging() first: a variadic call boxes its arguments at the call site,
-// which would put per-event allocations on the hot path even with no log
-// attached.
-func (s *Session) debugf(format string, args ...any) {
-	fmt.Fprintf(s.cfg.DebugLog, format+"\n", args...)
-}
-
-// debugging reports whether a debug log is attached.
-func (s *Session) debugging() bool { return s.cfg.DebugLog != nil }
-
 // arrive admits a job to its waiting queue.
 func (s *Session) arrive(j *job.Job, now int64) {
 	j.State = job.Waiting
 	j.LastSkip = -1
-	if s.debugging() {
-		s.debugf("t=%d arrive job=%d class=%s size=%d dur=%d", now, j.ID, j.Class, j.Size, j.Dur)
-	}
 	s.collector.JobArrived(j, now)
 	if s.st != nil {
 		s.st.JobArrived(j, now)
@@ -789,9 +768,6 @@ func (s *Session) start(j *job.Job) bool {
 	s.completion.Put(j.ID, s.eng.AtArg(now+j.EffectiveRuntime(), s.completeH, j))
 	s.scheduleFirstCheckpoint(j, now)
 	s.active.Insert(j)
-	if s.debugging() {
-		s.debugf("t=%d start job=%d size=%d killby=%d wait=%d", now, j.ID, j.Size, j.EndTime, j.Wait())
-	}
 	s.collector.JobStarted(j, now)
 	if s.st != nil {
 		s.st.JobStarted(j, now)
@@ -812,9 +788,6 @@ func (s *Session) complete(j *job.Job, now int64) {
 	s.cancelCheckpoint(j.ID)
 	j.State = job.Finished
 	j.FinishTime = now
-	if s.debugging() {
-		s.debugf("t=%d finish job=%d ran=%d", now, j.ID, j.RunTime())
-	}
 	s.collector.JobFinished(j, now)
 	if s.st != nil {
 		s.st.JobFinished(j, now)
@@ -825,18 +798,12 @@ func (s *Session) complete(j *job.Job, now int64) {
 }
 
 // command processes one Elastic Control Command event.
-func (s *Session) command(c cwf.Command, now int64) {
+func (s *Session) command(c cwf.Command) {
 	if s.proc == nil {
 		s.dropped++
-		if s.debugging() {
-			s.debugf("t=%d ecc job=%d %s %d dropped (no processor)", now, c.JobID, c.Type, c.Amount)
-		}
 		return
 	}
-	out := s.proc.Apply(c, s)
-	if s.debugging() {
-		s.debugf("t=%d ecc job=%d %s %d -> %s", now, c.JobID, c.Type, c.Amount, out)
-	}
+	s.proc.Apply(c, s)
 }
 
 // --- ecc.Target implementation -------------------------------------------
@@ -967,9 +934,6 @@ func (s *Session) finishResize(j *job.Job, newSize int, auto bool) {
 	s.collector.SizeChanged(newSize-oldSize, now)
 	if auto {
 		s.collector.SchedulerResized()
-	}
-	if s.debugging() {
-		s.debugf("t=%d resize job=%d %d->%d auto=%v killby=%d", now, j.ID, oldSize, newSize, auto, j.EndTime)
 	}
 	if s.st != nil {
 		s.st.JobResized(j, oldSize, now)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"elastisched/internal/job"
 	"elastisched/internal/machine"
 	"elastisched/internal/sched"
+	"elastisched/internal/trace"
 	"elastisched/internal/workload"
 )
 
@@ -504,7 +504,7 @@ func (touchForever) Schedule(c *sched.Context) { c.Touch() }
 
 func TestLivelockGuardTrips(t *testing.T) {
 	w := wl(batch(1, 32, 10, 0))
-	_, err := Run(w, Config{M: 320, Unit: 32, Scheduler: touchForever{}, MaxCyclesPerInstant: 100})
+	_, err := Run(w, Config{M: 320, Unit: 32, Scheduler: touchForever{}})
 	if err == nil || !strings.Contains(err.Error(), "livelock") {
 		t.Fatalf("livelock not detected: %v", err)
 	}
@@ -549,19 +549,23 @@ func TestOversubscribingPolicyPanics(t *testing.T) {
 	Run(w, Config{M: 320, Unit: 32, Scheduler: overAllocator{}}) //nolint:errcheck
 }
 
-func TestDebugLogRecordsLifecycle(t *testing.T) {
-	var buf bytes.Buffer
+// TestObserverRecordsLifecycle follows one job through arrival, dispatch,
+// an ET +10 command and completion on the Observer path: the recorded span
+// must stretch to the extended kill-by time.
+func TestObserverRecordsLifecycle(t *testing.T) {
 	w := wl(batch(1, 320, 100, 0))
 	w.Commands = []cwf.Command{{JobID: 1, Issue: 50, Type: cwf.ExtendTime, Amount: 10}}
-	_, err := Run(w, Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, ProcessECC: true, DebugLog: &buf})
+	rec := trace.NewRecorder(320, 32)
+	res, err := Run(w, Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, ProcessECC: true, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := buf.String()
-	for _, want := range []string{"arrive job=1", "start job=1", "ecc job=1 ET 10 -> applied", "finish job=1 ran=110"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("debug log missing %q:\n%s", want, log)
-		}
+	if res.ECC.Applied != 1 {
+		t.Errorf("ECC applied = %d, want 1", res.ECC.Applied)
+	}
+	spans := rec.Spans()
+	if len(spans) != 1 || spans[0].JobID != 1 || spans[0].Start != 0 || spans[0].End != 110 {
+		t.Fatalf("spans = %+v, want job 1 over [0, 110]", spans)
 	}
 }
 

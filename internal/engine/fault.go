@@ -157,15 +157,12 @@ func (s *Session) applyFault(ev *fault.Event, now int64) {
 			// an out-of-range group here is an engine bug.
 			panic(fmt.Sprintf("engine: applying fault at t=%d: %v", now, err))
 		}
-		if s.debugging() {
-			s.debugf("t=%d fail groups=%v down=%d victims=%d", now, ev.Groups, failed, len(victims))
-		}
 		for _, id := range victims {
 			j := s.active.Find(id)
 			if j == nil {
 				panic(fmt.Sprintf("engine: failure victim job %d not in active list at t=%d", id, now))
 			}
-			if s.shrinkVictim(j, now) {
+			if s.shrinkVictim(j) {
 				continue
 			}
 			s.kill(j, now)
@@ -177,9 +174,6 @@ func (s *Session) applyFault(ev *fault.Event, now int64) {
 		repaired, err := s.mach.RepairGroups(ev.Groups)
 		if err != nil {
 			panic(fmt.Sprintf("engine: applying repair at t=%d: %v", now, err))
-		}
-		if s.debugging() {
-			s.debugf("t=%d repair groups=%v restored=%d", now, ev.Groups, repaired)
 		}
 		if repaired > 0 {
 			s.notifyCapacity(now)
@@ -205,16 +199,13 @@ func (s *Session) notifyCapacity(now int64) {
 // bounds qualify, only in Malleable mode, and only when the surviving
 // allocation stays at or above the job's minimum (on contiguous machines,
 // the longest surviving contiguous run must).
-func (s *Session) shrinkVictim(j *job.Job, now int64) bool {
+func (s *Session) shrinkVictim(j *job.Job) bool {
 	if !s.cfg.Malleable || j.Class != job.Batch || !j.Malleable() {
 		return false
 	}
 	newSize, err := s.mach.ShrinkDraining(j.ID, j.MinProcs)
 	if err != nil {
 		return false
-	}
-	if s.debugging() {
-		s.debugf("t=%d fault-shrink job=%d %d->%d", now, j.ID, j.Size, newSize)
 	}
 	if newSize != j.Size {
 		s.finishResize(j, newSize, true)
@@ -260,9 +251,6 @@ func (s *Session) kill(j *job.Job, now int64) {
 	if !requeue {
 		j.State = job.Dropped
 		j.FinishTime = now
-		if s.debugging() {
-			s.debugf("t=%d kill job=%d dropped retries=%d", now, j.ID, j.Retries)
-		}
 		return
 	}
 
@@ -306,9 +294,6 @@ func (s *Session) kill(j *job.Job, now int64) {
 	j.Rigid = true
 	j.State = job.Waiting
 	s.eng.AtArg(j.Arrival, s.arriveH, j)
-	if s.debugging() {
-		s.debugf("t=%d kill job=%d requeued at=%d dur=%d retries=%d", now, j.ID, j.Arrival, j.Dur, j.Retries)
-	}
 }
 
 // --- checkpointing --------------------------------------------------------
@@ -388,9 +373,6 @@ func (s *Session) checkpoint(j *job.Job, now int64) {
 	j.CkptAt = now
 	s.collector.CheckpointTaken(c, j.Size)
 	s.ckpt[j.ID] = s.eng.AtArg(now+c+s.ckptIntervalFor(j), s.ckptH, j)
-	if s.debugging() {
-		s.debugf("t=%d checkpoint job=%d cost=%d killby=%d", now, j.ID, c, j.EndTime)
-	}
 }
 
 func max64(a, b int64) int64 {

@@ -493,3 +493,97 @@ func TestKilledJobStateAndRetryCount(t *testing.T) {
 		t.Fatalf("victim state = %v after drain, want finished", victim.State)
 	}
 }
+
+// TestCheckpointResumeFromSnapshotConfig resumes the periodic and on-resize
+// checkpoint policies from a snapshot alone: the restoring config comes
+// from Snapshot.Config, not from the caller, and the resumed run must
+// finish with a result identical to the uninterrupted one.
+func TestCheckpointResumeFromSnapshotConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		malleable bool
+		fc        FaultConfig
+		scheduler func() sched.Scheduler
+	}{
+		{"periodic", false, FaultConfig{MTBF: 40000, MTTR: 2000, Seed: 7,
+			Retry: fault.RetryPolicy{Backoff: 30}, Checkpoint: fault.CheckpointPeriodic,
+			CheckpointInterval: 600, CheckpointCost: 30},
+			func() sched.Scheduler { return &sched.EASY{} }},
+		{"on-resize", true, FaultConfig{MTBF: 40000, MTTR: 2000, Seed: 7,
+			Checkpoint: fault.CheckpointOnResize, CheckpointCost: 30},
+			func() sched.Scheduler { return sched.NewAutoResize(&sched.EASY{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := workload.DefaultParams()
+			p.Seed, p.N, p.TargetLoad, p.PM = 3, 150, 0.9, 1.0
+			w, err := workload.Generate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func() *Session {
+				fc := tc.fc
+				s, err := New(Config{M: 320, Unit: 32, Scheduler: tc.scheduler(), Paranoid: true,
+					Malleable: tc.malleable, Faults: &fc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Load(w); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			full := mk()
+			if err := full.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := full.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			live := mk()
+			if err := live.RunUntil(w.Jobs[len(w.Jobs)/2].Arrival); err != nil {
+				t.Fatal(err)
+			}
+			sn, err := live.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sn.Metrics.Checkpoints == 0 || sn.Metrics.Checkpoints == want.Summary.CheckpointsTaken {
+				t.Fatalf("checkpoints before/over the snapshot = %d/%d; the round trip would not cover the policy",
+					sn.Metrics.Checkpoints, want.Summary.CheckpointsTaken)
+			}
+			var buf bytes.Buffer
+			if err := sn.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := dec.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Scheduler = tc.scheduler()
+			cfg.Paranoid = true
+			resumed, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Restore(dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed run diverged:\ngot:  %+v\nwant: %+v", got, want)
+			}
+		})
+	}
+}

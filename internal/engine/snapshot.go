@@ -54,9 +54,9 @@ type EventSnap struct {
 // Snapshot is the complete, self-contained state of a Session at an
 // instant boundary. It is plain data: JSON-encodable via Encode /
 // DecodeSnapshot, inspectable, and restorable into a fresh Session built
-// with an equivalent Config (same geometry and feature flags; the
-// scheduler may differ, enabling policy-swap resume — captured policy
-// state then does not carry over).
+// with an equivalent Config (Snapshot.Config rebuilds one: same geometry
+// and feature flags; the scheduler may differ, enabling policy-swap
+// resume — captured policy state then does not carry over).
 type Snapshot struct {
 	Version   int    `json:"version"`
 	Scheduler string `json:"scheduler"`
@@ -305,6 +305,51 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		sn.SchedState = b
 	}
 	return sn, nil
+}
+
+// Config inverts the mapping Snapshot applies: it returns the engine
+// configuration the snapshot restores into — geometry, feature flags and
+// fault knobs. Scheduler, Paranoid and Observer are not part of a snapshot;
+// the caller sets them before New.
+//
+// A fault-injected session's pending failure and repair events live in the
+// snapshot itself (a restored session never samples a trace), so the
+// rebuilt fault config carries only the retry policy and checkpoint knobs,
+// with an empty scripted trace as the placeholder. Daly is the exception:
+// its per-job intervals derive from the captured MTBF, which the config can
+// only carry as a sampling parameter in place of the trace.
+func (sn *Snapshot) Config() (Config, error) {
+	cfg := Config{
+		M:              sn.M,
+		Unit:           sn.Unit,
+		ProcessECC:     sn.ProcessECC,
+		MaxECCPerJob:   sn.MaxECCPerJob,
+		Contiguous:     sn.Contiguous,
+		Migrate:        sn.Migrate,
+		Malleable:      sn.Malleable,
+		ResizeOverhead: sn.ResizeOverhead,
+	}
+	if sn.Retry == nil {
+		return cfg, nil
+	}
+	ckpt, err := fault.ParseCheckpointPolicy(sn.Checkpoint)
+	if err != nil {
+		return Config{}, err
+	}
+	cfg.Faults = &FaultConfig{
+		Trace:          &fault.Trace{},
+		Retry:          *sn.Retry,
+		Checkpoint:     ckpt,
+		CheckpointCost: sn.CheckpointCost,
+	}
+	switch ckpt {
+	case fault.CheckpointPeriodic:
+		cfg.Faults.CheckpointInterval = sn.CheckpointInterval
+	case fault.CheckpointDaly:
+		cfg.Faults.Trace = nil
+		cfg.Faults.MTBF = sn.CheckpointMTBF
+	}
+	return cfg, nil
 }
 
 // Restore reinstates a captured snapshot into this session, which must be

@@ -8,8 +8,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"elastisched/internal/job"
 	"elastisched/internal/machine"
 )
@@ -271,10 +269,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Describe renders a one-line summary of the context, for debug traces.
-func Describe(ctx *Context) string {
-	return fmt.Sprintf("t=%d free=%d/%d waitB=%d waitD=%d active=%d",
-		ctx.Now, ctx.Free(), ctx.M(), ctx.Batch.Len(), ctx.Dedicated.Len(), ctx.Active.Len())
 }

@@ -223,10 +223,3 @@ func TestContextStartTracksProgress(t *testing.T) {
 		t.Errorf("free = %d, want 256", c.Free())
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	h := newHarness(t, 320, 32)
-	if Describe(h.ctx()) == "" {
-		t.Error("empty description")
-	}
-}
