@@ -49,6 +49,7 @@ import (
 	"text/tabwriter"
 
 	es "elastisched"
+	"elastisched/internal/dispatch"
 	"elastisched/internal/fault"
 	"elastisched/internal/prof"
 )
@@ -64,12 +65,6 @@ var (
 	// ErrShardedSession rejects session control of a sharded run: capping,
 	// checkpointing and resuming operate on one session.
 	ErrShardedSession = errors.New("simrun: -until, -checkpoint and -resume require -clusters 1")
-	// ErrRouteNeedsClusters rejects a non-default -route without a sharded
-	// run to apply it to.
-	ErrRouteNeedsClusters = errors.New("simrun: -route needs -clusters > 1")
-	// ErrDynamicNeedsClusters rejects the epoch-protocol knobs without a
-	// sharded run to apply them to.
-	ErrDynamicNeedsClusters = errors.New("simrun: -epoch, -steal and -affinity need -clusters > 1")
 	// ErrCheckpointNeedsFaults rejects checkpoint knobs without fault
 	// injection to restart from.
 	ErrCheckpointNeedsFaults = errors.New("simrun: -ckpt-policy, -ckpt-interval and -ckpt-cost need -mtbf or -fault-trace")
@@ -86,16 +81,15 @@ func resolveProcs(m, procs int) (int, error) {
 	return m, nil
 }
 
-// validateSharded rejects flag combinations that need a single cluster,
-// and sharding knobs applied to a single-cluster run.
+// validateSharded applies the dispatcher's rule for the sharding knobs
+// (-route, -epoch, -steal, -affinity; dispatch.ErrNeedsClusters on a single
+// cluster), then rejects flag combinations that need a single cluster.
 func validateSharded(clusters int, so sweepOpts, resuming bool) error {
+	sh := dispatch.Config{Clusters: clusters, Route: so.route, Epoch: so.epoch, Steal: so.steal, Affinity: so.affinity}
+	if err := sh.ValidateSharding(); err != nil {
+		return err
+	}
 	if clusters <= 1 {
-		if so.route != "" && so.route != "roundrobin" {
-			return fmt.Errorf("%w (got -route %s)", ErrRouteNeedsClusters, so.route)
-		}
-		if so.epoch != 0 || so.steal || so.affinity != 0 {
-			return ErrDynamicNeedsClusters
-		}
 		return nil
 	}
 	if so.gantt != "" || so.jobsOut != "" {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	es "elastisched"
+	"elastisched/internal/dispatch"
 	"elastisched/internal/fault"
 )
 
@@ -368,7 +369,8 @@ func TestResolveProcs(t *testing.T) {
 }
 
 // TestValidateSharded pins the typed rejections of single-cluster-only
-// flags under -clusters > 1.
+// flags under -clusters > 1, and of sharding knobs under -clusters 1 with
+// or without single-cluster-only flags.
 func TestValidateSharded(t *testing.T) {
 	if err := validateSharded(1, sweepOpts{gantt: "-", until: 100, checkFile: "x"}, true); err != nil {
 		t.Errorf("clusters=1 rejected: %v", err)
@@ -379,19 +381,25 @@ func TestValidateSharded(t *testing.T) {
 	if err := validateSharded(1, sweepOpts{until: -1, route: "roundrobin"}, false); err != nil {
 		t.Errorf("default route on clusters=1 rejected: %v", err)
 	}
-	if err := validateSharded(1, sweepOpts{until: -1, route: "least-work"}, false); !errors.Is(err, ErrRouteNeedsClusters) {
-		t.Errorf("-route without clusters: got %v, want errors.Is(err, ErrRouteNeedsClusters)", err)
+	for _, so := range []sweepOpts{{until: -1}, {gantt: "-", until: 100}} {
+		so.route = "least-work"
+		if err := validateSharded(1, so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
+			t.Errorf("-route without clusters (%+v): got %v, want errors.Is(err, dispatch.ErrNeedsClusters)", so, err)
+		}
 	}
 	if err := validateSharded(4, sweepOpts{until: -1, route: "least-work"}, false); err != nil {
 		t.Errorf("routed sharded run rejected: %v", err)
 	}
 	for name, so := range map[string]sweepOpts{
-		"epoch":    {until: -1, epoch: 500},
-		"steal":    {until: -1, steal: true},
-		"affinity": {until: -1, affinity: 3},
+		"epoch":          {until: -1, epoch: 500},
+		"steal":          {until: -1, steal: true},
+		"affinity":       {until: -1, affinity: 3},
+		"epoch+gantt":    {gantt: "-", until: -1, epoch: 500},
+		"steal+until":    {until: 100, steal: true},
+		"affinity+until": {gantt: "x.svg", until: 100, affinity: 3},
 	} {
-		if err := validateSharded(1, so, false); !errors.Is(err, ErrDynamicNeedsClusters) {
-			t.Errorf("-%s without clusters: got %v, want errors.Is(err, ErrDynamicNeedsClusters)", name, err)
+		if err := validateSharded(1, so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
+			t.Errorf("-%s without clusters: got %v, want errors.Is(err, dispatch.ErrNeedsClusters)", name, err)
 		}
 	}
 	if err := validateSharded(4, sweepOpts{until: -1, epoch: 500, steal: true, affinity: 3, route: "feedback"}, false); err != nil {

@@ -112,6 +112,18 @@ func (cfg Config) Validate() error {
 	if cfg.Engine.Observer != nil {
 		return ErrTemplateObserver
 	}
+	if err := cfg.ValidateSharding(); err != nil {
+		return err
+	}
+	return cfg.Engine.Validate()
+}
+
+// ValidateSharding checks the sharding knobs alone — Route, Epoch, Steal
+// and Affinity against Clusters — so a front end that runs a single
+// cluster without the dispatcher rejects them by the same rule. A cluster
+// count below 2 counts as a single cluster here; Validate rejects one
+// below 1 first.
+func (cfg Config) ValidateSharding() error {
 	if _, err := NewRouter(cfg.Route); err != nil {
 		return err
 	}
@@ -121,14 +133,14 @@ func (cfg Config) Validate() error {
 	if cfg.Affinity < 0 {
 		return fmt.Errorf("%w (got %d)", ErrNegativeAffinity, cfg.Affinity)
 	}
-	if cfg.Clusters == 1 && ((cfg.Route != "" && cfg.Route != RouteRoundRobin) ||
+	if cfg.Clusters <= 1 && ((cfg.Route != "" && cfg.Route != RouteRoundRobin) ||
 		cfg.Epoch != 0 || cfg.Steal || cfg.Affinity != 0) {
 		return ErrNeedsClusters
 	}
 	if cfg.Epoch == 0 && (cfg.Steal || cfg.Affinity > 0 || cfg.Route == RouteFeedback) {
 		return ErrEpochRequired
 	}
-	return cfg.Engine.Validate()
+	return nil
 }
 
 // ClusterResult is one cluster's outcome.
@@ -146,14 +158,12 @@ type Result struct {
 	// view: job counts, the busy-area utilization over the global window
 	// and machine, job-weighted means (wait, runtime, bounded slowdown,
 	// per-cluster slowdown, per-class waits), MaxWait, and the fault/ECC
-	// accounting sums. Multi-cluster runs additionally export per-cluster
-	// sample vectors (engine ExportSamples, costing O(jobs) memory per
-	// cluster) and fill the exact global order statistics: MedianWait and
-	// P95Wait by quickselect over the waits concatenated in cluster-index
-	// order, and the steady-state window/utilization/mean-wait from the
-	// k-way-merged completion instants and per-cluster busy-step
-	// integrals — identical to the values a single global collector would
-	// report for the same per-cluster schedules. Only MaxQueueDepth
+	// accounting sums. The order statistics — MedianWait, P95Wait and the
+	// steady-state window, utilization and mean wait — come from
+	// metrics.Summary.SetOrderStats over each cluster's sample view
+	// (engine Session.Samples) in cluster-index order: the collector's own
+	// code, so they are identical to the values a single global collector
+	// would report for the same per-cluster schedules. Only MaxQueueDepth
 	// remains a per-cluster property (a global maximum needs the sum of
 	// per-cluster depth step functions, which are not exported); read it
 	// from Clusters[i].
@@ -203,7 +213,7 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: cluster 0: %w", err)
 		}
-		return assemble([]*engine.Result{out}, []int{len(w.Jobs)}, cfg.Engine.M), nil
+		return assemble([]*engine.Result{out}, nil, []int{len(w.Jobs)}, cfg.Engine.M), nil
 	}
 	router, err := NewRouter(cfg.Route)
 	if err != nil {
@@ -215,16 +225,11 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 // clusterEngine builds cluster c's engine configuration from the template:
 // its own scheduler instance, and its own fault stream seeded at an offset
 // of its index, so the same global seed fails the same groups of the same
-// clusters on every run. Multi-cluster runs export the per-job sample
-// vectors the exact merge needs; a single cluster's summary already is the
-// exact global view, so it skips the export cost.
+// clusters on every run.
 func (cfg *Config) clusterEngine(c int) engine.Config {
 	ecfg := cfg.Engine
 	ecfg.Scheduler = cfg.NewScheduler()
 	ecfg.Prevalidated = true
-	if cfg.Clusters > 1 {
-		ecfg.ExportSamples = true
-	}
 	if cfg.Engine.Faults != nil {
 		fc := *cfg.Engine.Faults
 		fc.Seed += int64(c)
@@ -233,9 +238,10 @@ func (cfg *Config) clusterEngine(c int) engine.Config {
 	return ecfg
 }
 
-// assemble builds the Result from the per-cluster outcomes, summing in
-// cluster order; jobs[c] is the number of submissions cluster c owns.
-func assemble(outs []*engine.Result, jobs []int, clusterM int) *Result {
+// assemble builds the Result from the per-cluster outcomes and sample
+// views, summing in cluster order; jobs[c] is the number of submissions
+// cluster c owns. A single cluster needs no samples (see mergeSummaries).
+func assemble(outs []*engine.Result, samples []metrics.Samples, jobs []int, clusterM int) *Result {
 	res := &Result{Clusters: make([]ClusterResult, len(outs))}
 	for c, r := range outs {
 		res.Clusters[c] = ClusterResult{Cluster: c, Jobs: jobs[c], Result: r}
@@ -244,14 +250,14 @@ func assemble(outs []*engine.Result, jobs []int, clusterM int) *Result {
 		res.Events += r.Events
 		res.Cycles += r.Cycles
 	}
-	res.Merged = mergeSummaries(outs, clusterM)
+	res.Merged = mergeSummaries(outs, samples, clusterM)
 	return res
 }
 
 // mergeSummaries combines per-cluster summaries into the global view,
 // walking clusters in index order so every float accumulates
 // deterministically. See Result.Merged for the field-by-field semantics.
-func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
+func mergeSummaries(outs []*engine.Result, samples []metrics.Samples, clusterM int) metrics.Summary {
 	if len(outs) == 1 {
 		// One cluster: its summary already is the exact global view,
 		// order statistics and queue depth included.
@@ -322,81 +328,6 @@ func mergeSummaries(outs []*engine.Result, clusterM int) metrics.Summary {
 		g.MeanDedWait = dedSum / float64(g.DedicatedJobs)
 		g.DedicatedOnTime = onTimeSum / float64(g.DedicatedJobs)
 	}
-	mergeOrderStats(&g, outs)
+	g.SetOrderStats(samples)
 	return g
-}
-
-// mergeOrderStats fills the exact global order statistics from the
-// per-cluster sample exports: MedianWait/P95Wait and the steady window's
-// ends by quickselect over the waits and completion instants concatenated
-// in cluster-index order (exactly the value a sort of the concatenation
-// would index, per the quickselect contract), and the steady-state
-// utilization/mean-wait from busy-step window integrals — the same
-// formulas a single global collector applies, evaluated in O(total) time
-// with cluster-index-order accumulation. Clusters that ran without
-// ExportSamples leave the order-stat fields zero (the pre-export
-// behaviour).
-func mergeOrderStats(g *metrics.Summary, outs []*engine.Result) {
-	total := 0
-	for _, r := range outs {
-		if r.Samples == nil {
-			if r.Summary.Jobs > 0 {
-				return
-			}
-			continue
-		}
-		total += len(r.Samples.Waits)
-	}
-	if total == 0 {
-		return
-	}
-	waits := make([]float64, 0, total)
-	for _, r := range outs {
-		if r.Samples != nil {
-			waits = append(waits, r.Samples.Waits...)
-		}
-	}
-	n := len(waits)
-	g.MedianWait = metrics.KthSmallest(waits, int(0.5*float64(n-1)))
-	g.P95Wait = metrics.KthSmallest(waits, int(0.95*float64(n-1)))
-
-	// Steady state mirrors the collector: fewer than 10 completions keep
-	// the full window with zeroed measures; the window is the central
-	// [10th, 90th]-percentile span of the global completion instants.
-	if n < 10 {
-		g.SteadyWindow = [2]int64{g.WindowStart, g.WindowEnd}
-		return
-	}
-	finishes := make([]int64, 0, n)
-	for _, r := range outs {
-		if r.Samples != nil {
-			for _, p := range r.Samples.PerJob {
-				finishes = append(finishes, p.Finish)
-			}
-		}
-	}
-	t0 := metrics.KthSmallest(finishes, n/10)
-	t1 := metrics.KthSmallest(finishes, n-1-n/10)
-	g.SteadyWindow = [2]int64{t0, t1}
-	if t1 <= t0 {
-		return
-	}
-	var steadyArea, steadyWait float64
-	var steadyJobs int
-	for _, r := range outs {
-		if r.Samples == nil {
-			continue
-		}
-		steadyArea += metrics.WindowArea(r.Samples.BusySteps, t0, t1)
-		for _, p := range r.Samples.PerJob {
-			if p.Arrival >= t0 && p.Arrival <= t1 {
-				steadyWait += p.Wait
-				steadyJobs++
-			}
-		}
-	}
-	g.SteadyUtilization = steadyArea / (float64(t1-t0) * float64(g.MachineSize))
-	if steadyJobs > 0 {
-		g.SteadyMeanWait = steadyWait / float64(steadyJobs)
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"elastisched/internal/cwf"
 	"elastisched/internal/engine"
 	"elastisched/internal/job"
+	"elastisched/internal/metrics"
 )
 
 // This file is the multi-cluster run path. Every job reaches its cluster in
@@ -56,6 +57,8 @@ type epochRun struct {
 	sessions []*engine.Session
 	errs     []error
 	outs     []*engine.Result
+	// samples holds each drained cluster's sample view for the merge.
+	samples []metrics.Samples
 	// jobs counts the submissions each cluster owns: the routed split,
 	// adjusted by every steal.
 	jobs []int
@@ -101,6 +104,7 @@ func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 		sessions: make([]*engine.Session, cfg.Clusters),
 		errs:     make([]error, cfg.Clusters),
 		outs:     make([]*engine.Result, cfg.Clusters),
+		samples:  make([]metrics.Samples, cfg.Clusters),
 		jobs:     make([]int, cfg.Clusters),
 		digests:  make([]Digest, cfg.Clusters),
 	}
@@ -131,7 +135,7 @@ func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 	if err := e.parallel(e.drain); err != nil {
 		return nil, err
 	}
-	res := assemble(e.outs, e.jobs, cfg.Engine.M)
+	res := assemble(e.outs, e.samples, e.jobs, cfg.Engine.M)
 	res.Steals, res.Epochs, res.Owners = e.steals, e.epochs, e.owner
 	return res, nil
 }
@@ -195,10 +199,11 @@ func (e *epochRun) openSessions(w *cwf.Workload, parts []*cwf.Workload) error {
 	return nil
 }
 
-// drain runs cluster c to completion and takes its result. A loaded
-// cluster opens its session here, inside its own task, so only the sessions
-// the workers are running are live at once; every session is dropped once
-// its result is taken.
+// drain runs cluster c to completion and takes its result and sample view.
+// A loaded cluster opens its session here, inside its own task, so only the
+// sessions the workers are running are live at once; every session is
+// dropped once its result is taken — the view keeps only its series alive,
+// and stays valid because the session never runs again.
 func (e *epochRun) drain(c int) (err error) {
 	s := e.sessions[c]
 	if s == nil {
@@ -214,6 +219,7 @@ func (e *epochRun) drain(c int) (err error) {
 		return err
 	}
 	e.outs[c], err = s.Result()
+	e.samples[c] = s.Samples()
 	return err
 }
 

@@ -63,36 +63,66 @@ func TestMergedSlowdownJobWeighted(t *testing.T) {
 // MedianWait/P95Wait must equal — exactly, not approximately — the values
 // computed from the per-cluster sample vectors concatenated in
 // cluster-index order, and the steady-state window, utilization, and mean
-// wait must equal an independent recomputation from the same exported
-// samples using the collector's formulas.
+// wait must equal an independent recomputation from the same samples
+// using the collector's formulas. Two more rows cover the edges of the
+// shared computation: a cluster that completes no job, and fewer than 10
+// completions overall (the whole-window fallback with zero steady
+// measures).
 func TestMergedOrderStatsExact(t *testing.T) {
 	w := testWorkload(t, 180, 17)
+	base := Config{
+		Clusters:     3,
+		Engine:       engine.Config{M: 320, Unit: 32, ProcessECC: true},
+		NewScheduler: losFactory,
+	}
+	type row struct {
+		name string
+		w    *cwf.Workload
+		cfg  Config
+	}
+	var rows []row
 	for _, policy := range staticPolicies {
-		t.Run(policy, func(t *testing.T) {
-			res, err := Run(w, Config{
-				Clusters:     3,
-				Engine:       engine.Config{M: 320, Unit: 32, ProcessECC: true},
-				NewScheduler: losFactory,
-				Route:        policy,
-			})
+		cfg := base
+		cfg.Route = policy
+		rows = append(rows, row{policy, w, cfg})
+	}
+	// Affinity 1 pins every job to cluster ID mod 3; with no ID ≡ 2 left,
+	// cluster 2 completes nothing. Without stealing the split stays fixed.
+	empty := base
+	empty.Epoch, empty.Affinity = 1000, 1
+	rows = append(rows, row{"empty-cluster", subWorkload(w, func(j *job.Job) bool { return j.ID%3 != 2 }), empty})
+	rows = append(rows, row{"under-ten", subWorkload(w, func(j *job.Job) bool { return j.ID <= w.Jobs[6].ID }), base})
+
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.w
+			res, err := Run(w, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			samples := clusterSamples(t, w, tc.cfg, res)
 
 			// Concatenate samples in cluster-index order, as the merge does.
 			var waits []float64
 			var perJob []metrics.JobPoint
-			for _, c := range res.Clusters {
-				sm := c.Result.Samples
-				if sm == nil {
-					t.Fatalf("cluster %d exported no samples", c.Cluster)
-				}
+			for _, sm := range samples {
 				waits = append(waits, sm.Waits...)
 				perJob = append(perJob, sm.PerJob...)
 			}
 			n := len(waits)
 			if n != res.Merged.Jobs {
 				t.Fatalf("%d wait samples for %d merged jobs", n, res.Merged.Jobs)
+			}
+			switch tc.name {
+			case "empty-cluster":
+				if res.Clusters[2].Result.Summary.Jobs != 0 || n < 10 {
+					t.Fatalf("scenario drifted: cluster 2 completed %d jobs, %d overall",
+						res.Clusters[2].Result.Summary.Jobs, n)
+				}
+			case "under-ten":
+				if n == 0 || n >= 10 {
+					t.Fatalf("scenario drifted: %d completions, want 1..9", n)
+				}
 			}
 
 			// Median / p95 against a full sort of the concatenation.
@@ -103,6 +133,23 @@ func TestMergedOrderStatsExact(t *testing.T) {
 			}
 			if want := sorted[int(0.95*float64(n-1))]; res.Merged.P95Wait != want {
 				t.Errorf("P95Wait = %v, sorted concatenation gives %v", res.Merged.P95Wait, want)
+			}
+
+			if n < 10 {
+				// The collector's fallback: the whole window, first arrival
+				// to last completion, with zero steady measures.
+				first, last := perJob[0].Arrival, perJob[0].Finish
+				for _, p := range perJob {
+					first, last = min(first, p.Arrival), max(last, p.Finish)
+				}
+				if res.Merged.SteadyWindow != [2]int64{first, last} {
+					t.Errorf("SteadyWindow = %v, want the whole window [%d %d]", res.Merged.SteadyWindow, first, last)
+				}
+				if res.Merged.SteadyUtilization != 0 || res.Merged.SteadyMeanWait != 0 {
+					t.Errorf("steady measures %v/%v, want 0/0 below 10 completions",
+						res.Merged.SteadyUtilization, res.Merged.SteadyMeanWait)
+				}
+				return
 			}
 
 			// Steady window from the sorted global completion instants.
@@ -123,9 +170,9 @@ func TestMergedOrderStatsExact(t *testing.T) {
 			// cluster-index order so the floating-point sums are identical.
 			var area, waitSum float64
 			var steadyJobs int
-			for _, c := range res.Clusters {
-				area += metrics.WindowArea(c.Result.Samples.BusySteps, t0, t1)
-				for _, p := range c.Result.Samples.PerJob {
+			for _, sm := range samples {
+				area += busyArea(sm.BusySteps, t0, t1)
+				for _, p := range sm.PerJob {
 					if p.Arrival >= t0 && p.Arrival <= t1 {
 						waitSum += p.Wait
 						steadyJobs++
@@ -149,9 +196,79 @@ func TestMergedOrderStatsExact(t *testing.T) {
 	}
 }
 
+// subWorkload returns the jobs of w that keep accepts, with their commands.
+func subWorkload(w *cwf.Workload, keep func(*job.Job) bool) *cwf.Workload {
+	sub := &cwf.Workload{Header: w.Header}
+	kept := map[int]bool{}
+	for _, j := range w.Jobs {
+		if keep(j) {
+			sub.Jobs = append(sub.Jobs, j)
+			kept[j.ID] = true
+		}
+	}
+	for _, cmd := range w.Commands {
+		if kept[cmd.JobID] {
+			sub.Commands = append(sub.Commands, cmd)
+		}
+	}
+	return sub
+}
+
+// clusterSamples replays each cluster's part of a run whose split is fixed
+// up front (a static policy, stealing off) in a fresh session, and returns
+// the sessions' sample views in cluster-index order: the merge's inputs,
+// rebuilt without the dispatcher. Each replay must reproduce the
+// dispatcher's summary for its cluster.
+func clusterSamples(t *testing.T, w *cwf.Workload, cfg Config, res *Result) []metrics.Samples {
+	t.Helper()
+	router, err := NewRouter(cfg.Route)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, _ := split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router)
+	samples := make([]metrics.Samples, len(parts))
+	for c, part := range parts {
+		s, err := engine.New(cfg.clusterEngine(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(part); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Summary, res.Clusters[c].Result.Summary) {
+			t.Fatalf("cluster %d replay diverged from the dispatched run", c)
+		}
+		samples[c] = s.Samples()
+	}
+	return samples
+}
+
+// busyArea integrates a busy step function over [t0, t1] step by step, in
+// order: each step holds until the next one, the last until t1.
+func busyArea(steps []metrics.BusyStep, t0, t1 int64) float64 {
+	var area float64
+	for i, st := range steps {
+		end := t1
+		if i+1 < len(steps) {
+			end = min(end, steps[i+1].T)
+		}
+		if start := max(st.T, t0); end > start {
+			area += float64(st.Busy) * float64(end-start)
+		}
+	}
+	return area
+}
+
 // TestSingleClusterMergedIsPassthrough: with one cluster the merged summary
 // is the engine summary itself — every field, order statistics and
-// MaxQueueDepth included — and no sample export is paid.
+// MaxQueueDepth included.
 func TestSingleClusterMergedIsPassthrough(t *testing.T) {
 	w := testWorkload(t, 120, 9)
 	res, err := Run(w, Config{
@@ -165,9 +282,6 @@ func TestSingleClusterMergedIsPassthrough(t *testing.T) {
 	if !reflect.DeepEqual(res.Merged, res.Clusters[0].Result.Summary) {
 		t.Fatalf("merged %+v is not the single cluster's summary %+v",
 			res.Merged, res.Clusters[0].Result.Summary)
-	}
-	if res.Clusters[0].Result.Samples != nil {
-		t.Fatal("single-cluster run paid the sample export")
 	}
 	if res.Merged.MedianWait == 0 && res.Merged.P95Wait == 0 {
 		t.Fatal("single-cluster order statistics missing from passthrough")

@@ -81,13 +81,6 @@ type Config struct {
 	// redistribution, checkpoint/restart of the reshaped layout). Only
 	// meaningful with Malleable.
 	ResizeOverhead int64
-	// ExportSamples attaches the run's per-job sample vectors (waits,
-	// bounded slowdowns, per-job arrival/finish points, busy steps) to
-	// Result.Samples. Off by default: the vectors cost O(jobs) extra
-	// memory per run and single-run paths never read them. The sharded
-	// dispatcher enables it per cluster to compute exact global order
-	// statistics in the merge.
-	ExportSamples bool
 }
 
 // ErrNegativeResizeOverhead rejects a negative per-resize penalty.
@@ -166,10 +159,6 @@ type Result struct {
 	// any instant (free processors beyond the longest contiguous run;
 	// always 0 on scatter machines).
 	PeakFragmentedWaste int
-	// Samples holds the per-job sample vectors when Config.ExportSamples
-	// is set, nil otherwise. See metrics.Samples for the vectors and their
-	// aliasing contract.
-	Samples *metrics.Samples
 }
 
 // Session is a live, incrementally driven simulation. The zero value is
@@ -307,11 +296,6 @@ func New(cfg Config) (*Session, error) {
 		// was armed before. Load re-arms, so the double call is harmless.
 		s.st.ResetDeltas()
 	}
-	if cfg.ExportSamples {
-		// Same reasoning: Load rebuilds the collector and re-arms it, but an
-		// Inject-fed session keeps this one.
-		s.collector.RetainSamples()
-	}
 	if cfg.Malleable {
 		if m, ok := cfg.Scheduler.(sched.Malleable); ok {
 			s.malleable = m
@@ -376,9 +360,6 @@ func (s *Session) Load(w *cwf.Workload) error {
 	}
 
 	s.collector = metrics.NewCollectorSized(s.cfg.M, len(w.Jobs))
-	if s.cfg.ExportSamples {
-		s.collector.RetainSamples()
-	}
 
 	// Clone jobs (quantizing sizes to the machine unit) and schedule the
 	// arrival stream. One backing slice holds every clone; events carry
@@ -598,9 +579,6 @@ func (s *Session) Result() (*Result, error) {
 	}
 	if s.proc != nil {
 		res.ECC = s.proc.Stats
-	}
-	if s.cfg.ExportSamples {
-		res.Samples = s.collector.ExportSamples()
 	}
 	return res, nil
 }

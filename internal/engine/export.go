@@ -5,13 +5,15 @@ import (
 	"fmt"
 
 	"elastisched/internal/job"
+	"elastisched/internal/metrics"
 )
 
 // This file is the engine half of the sharded dispatcher's epoch protocol:
-// read-only queue exports for barrier digests, Withdraw/AbsorbAt to move a
-// queued job between sessions, and ArmFaults for sessions fed by Inject
-// instead of Load. Everything here operates at instant boundaries only —
-// the dispatcher calls between RunUntil rounds, never mid-instant.
+// read-only queue exports for barrier digests, the sample view the merge
+// reads, Withdraw/AbsorbAt to move a queued job between sessions, and
+// ArmFaults for sessions fed by Inject instead of Load. Everything here
+// operates at instant boundaries only — the dispatcher calls between
+// RunUntil rounds, never mid-instant.
 
 // Typed errors of the withdraw/absorb pair, testable with errors.Is.
 var (
@@ -31,6 +33,12 @@ func (s *Session) WaitingBatch() []*job.Job { return s.batch.Jobs() }
 // ActiveJobs returns the running jobs in residual (kill-by) order, under
 // the same aliasing contract as WaitingBatch.
 func (s *Session) ActiveJobs() []*job.Job { return s.active.Jobs() }
+
+// Samples returns a view of the per-job series the session's metrics are
+// computed from (see metrics.Samples), under the same aliasing contract as
+// WaitingBatch. Read right after Result, it is what the sharded merge needs
+// for exact global order statistics, at no copying cost.
+func (s *Session) Samples() metrics.Samples { return s.collector.Samples() }
 
 // FreeProcs returns the machine's free in-service processors.
 func (s *Session) FreeProcs() int { return s.mach.Free() }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -585,5 +587,53 @@ func TestCheckpointResumeFromSnapshotConfig(t *testing.T) {
 				t.Fatalf("resumed run diverged:\ngot:  %+v\nwant: %+v", got, want)
 			}
 		})
+	}
+}
+
+// snapshotPinSHA256 is the sha256 of TestSnapshotEncodingPinned's encoded
+// snapshot. A change here is a change to the snapshot wire format (or to
+// the schedule it captures): bump SnapshotVersion if the format moved.
+const snapshotPinSHA256 = "a76d0d5843d506f33a7e69a614f3be2db7789dcd9baa3603cb9f559b570b8bc1"
+
+// TestSnapshotEncodingPinned pins the snapshot wire format byte for byte:
+// one fixed malleable session under faults with daly checkpoints, stopped
+// mid-run, must encode to the recorded digest. The scenario must actually
+// exercise kills, checkpoints and resizes before the stop, so every
+// collector series and fault/checkpoint/resize field reaches the encoding.
+func TestSnapshotEncodingPinned(t *testing.T) {
+	p := workload.DefaultParams()
+	p.Seed, p.N, p.TargetLoad, p.PM = 5, 120, 0.9, 1.0
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{M: 320, Unit: 32, Scheduler: sched.NewAutoResize(&sched.EASY{}),
+		ProcessECC: true, Malleable: true, ResizeOverhead: 20,
+		Faults: &FaultConfig{MTBF: 40000, MTTR: 2000, Seed: 11,
+			Retry: fault.RetryPolicy{Backoff: 30}, Checkpoint: fault.CheckpointDaly, CheckpointCost: 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(w.Jobs[2*len(w.Jobs)/3].Arrival); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sn.Metrics
+	if m.Killed == 0 || m.Checkpoints == 0 || m.SchedResizes == 0 || len(m.PerJob) == 0 {
+		t.Fatalf("scenario drifted: kills %d, checkpoints %d, resizes %d, completions %d; the pin would not cover them",
+			m.Killed, m.Checkpoints, m.SchedResizes, len(m.PerJob))
+	}
+	var buf bytes.Buffer
+	if err := sn.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != snapshotPinSHA256 {
+		t.Fatalf("snapshot encoding sha256 = %s, pinned %s", got, snapshotPinSHA256)
 	}
 }

@@ -431,9 +431,6 @@ func (s *Session) Restore(sn *Snapshot) error {
 	s.mach = mach
 	s.ctx.Machine = mach
 	s.collector = metrics.NewCollectorFromSnapshot(sn.Metrics)
-	if s.cfg.ExportSamples {
-		s.collector.RetainSamples()
-	}
 	if s.cfg.ProcessECC {
 		if sn.ECC != nil {
 			s.proc = ecc.NewProcessorFromSnapshot(*sn.ECC)

@@ -29,14 +29,7 @@ type Collector struct {
 	// measures only ever feed arithmetic means, so they accumulate as
 	// streaming sums — same accumulation order as the old per-job slices,
 	// so the float results are bit-identical.
-	waits []float64
-	// retainSlow makes JobFinished keep the per-job bounded-slowdown
-	// samples next to the streaming sum, so ExportSamples can hand out
-	// complete per-job vectors (the sharded merge needs them for exact
-	// global order statistics). Off by default: it costs one float64 per
-	// job that single-run paths never read.
-	retainSlow  bool
-	slows       []float64
+	waits       []float64
 	runSum      float64
 	slowSum     float64
 	batchSum    float64
@@ -75,20 +68,10 @@ type Collector struct {
 
 	// busySteps records the busy-count step function (one entry per change)
 	// so steady-state windows can be evaluated after the fact.
-	busySteps []busyStep
+	busySteps []BusyStep
 	// perJob records (arrival, finish, wait) per completed job for windowed
 	// wait statistics.
-	perJob []jobPoint
-}
-
-type busyStep struct {
-	t    int64
-	busy int
-}
-
-type jobPoint struct {
-	arrival, finish int64
-	wait            float64
+	perJob []JobPoint
 }
 
 // NewCollector returns a collector for a machine of m processors.
@@ -102,16 +85,10 @@ func NewCollectorSized(m, n int) *Collector {
 	return &Collector{
 		m:         m,
 		waits:     make([]float64, 0, n),
-		perJob:    make([]jobPoint, 0, n),
-		busySteps: make([]busyStep, 0, 2*n),
+		perJob:    make([]JobPoint, 0, n),
+		busySteps: make([]BusyStep, 0, 2*n),
 	}
 }
-
-// RetainSamples makes the collector keep the per-job bounded-slowdown
-// series so ExportSamples can return complete per-job vectors. It must be
-// enabled before the first completion; engine sessions arm it at Load and
-// Restore when the configuration asks for sample export.
-func (c *Collector) RetainSamples() { c.retainSlow = true }
 
 // integrate advances the busy-area and down-capacity integrals to time t.
 func (c *Collector) integrate(t int64) {
@@ -128,11 +105,11 @@ func (c *Collector) integrate(t int64) {
 // noteBusy appends to the busy step function (coalescing same-instant
 // changes).
 func (c *Collector) noteBusy(t int64) {
-	if n := len(c.busySteps); n > 0 && c.busySteps[n-1].t == t {
-		c.busySteps[n-1].busy = c.busy
+	if n := len(c.busySteps); n > 0 && c.busySteps[n-1].T == t {
+		c.busySteps[n-1].Busy = c.busy
 		return
 	}
-	c.busySteps = append(c.busySteps, busyStep{t, c.busy})
+	c.busySteps = append(c.busySteps, BusyStep{t, c.busy})
 }
 
 // JobArrived opens the measurement window at the first arrival and tracks
@@ -186,16 +163,13 @@ func (c *Collector) JobFinished(j *job.Job, t int64) {
 	}
 
 	w := float64(j.Wait())
-	c.perJob = append(c.perJob, jobPoint{arrival: j.Arrival, finish: t, wait: w})
+	c.perJob = append(c.perJob, JobPoint{Arrival: j.Arrival, Finish: t, Wait: w})
 	r := float64(j.RunTime())
 	c.waits = append(c.waits, w)
 	c.runSum += r
 	// Per-job bounded slowdown with the conventional 10s floor.
 	den := math.Max(r, 10)
 	c.slowSum += (w + math.Max(r, 10)) / den
-	if c.retainSlow {
-		c.slows = append(c.slows, (w+math.Max(r, 10))/den)
-	}
 	if j.Class == job.Dedicated {
 		c.dedTotal++
 		c.dedSum += w
@@ -273,94 +247,40 @@ func (c *Collector) ProcsShrunk(procSeconds float64) { c.shrunkProcSecs += procS
 // work-conserving resize.
 func (c *Collector) ResizeOverheadApplied(seconds int64) { c.reconfigSecs += float64(seconds) }
 
-// BusyStep is one exported entry of the busy-count step function.
+// BusyStep is one entry of the busy-count step function.
 type BusyStep struct {
 	T    int64 `json:"t"`
 	Busy int   `json:"busy"`
 }
 
-// JobPoint is one exported per-job record (arrival, finish, wait).
+// JobPoint is one per-job record (arrival, finish, wait).
 type JobPoint struct {
 	Arrival int64   `json:"arrival"`
 	Finish  int64   `json:"finish"`
 	Wait    float64 `json:"wait"`
 }
 
-// Samples are the per-job sample vectors of one run, exported for exact
-// cross-run aggregation: the sharded merge concatenates per-cluster waits
-// (quickselect gives the exact global median/p95), k-way-merges the
-// completion instants in PerJob (global steady-state window), and
-// integrates BusySteps over that window (global steady utilization). All
-// vectors are in completion order — the collector's accumulation order —
-// so PerJob finish times are non-decreasing. Memory cost: O(jobs) floats
-// per vector plus O(events) busy steps, which is why the export sits
-// behind a flag (engine Config.ExportSamples).
+// Samples is a read-only view of one part's per-job series: a whole
+// collector's, or one cluster's in a sharded run. Every series is in
+// completion order — the collector's accumulation order — so PerJob finish
+// times are non-decreasing. Summary.SetOrderStats computes the order
+// statistics from a list of views, which makes a sharded merge over
+// per-cluster views exact: it reports what one global collector would.
 type Samples struct {
 	// Waits holds one waiting-time sample per completed job.
-	Waits []float64 `json:"waits,omitempty"`
-	// BoundedSlow holds the per-job bounded slowdowns ((wait+run)/run with
-	// the conventional 10s floor); empty unless RetainSamples was armed.
-	BoundedSlow []float64 `json:"bounded_slow,omitempty"`
+	Waits []float64
 	// PerJob holds (arrival, finish, wait) per completed job.
-	PerJob []JobPoint `json:"per_job,omitempty"`
+	PerJob []JobPoint
 	// BusySteps is the busy-processor step function (one entry per change).
-	BusySteps []BusyStep `json:"busy_steps,omitempty"`
+	BusySteps []BusyStep
 }
 
-// ExportSamples returns the collector's per-job sample vectors. Waits and
-// BoundedSlow alias live collector state (treat them as read-only); PerJob
-// and BusySteps are copies (the internal representations are unexported).
-// Summary never reorders the aliased slices, so the export stays valid
-// across further accounting and a final Summary call.
-func (c *Collector) ExportSamples() *Samples {
-	s := &Samples{
-		Waits:       c.waits,
-		BoundedSlow: c.slows,
-		PerJob:      make([]JobPoint, len(c.perJob)),
-		BusySteps:   make([]BusyStep, len(c.busySteps)),
-	}
-	for i, p := range c.perJob {
-		s.PerJob[i] = JobPoint{Arrival: p.arrival, Finish: p.finish, Wait: p.wait}
-	}
-	for i, b := range c.busySteps {
-		s.BusySteps[i] = BusyStep{T: b.t, Busy: b.busy}
-	}
-	return s
+// Samples returns a view of the collector's series. It aliases live state:
+// it is valid until the collector next accounts an event, and callers must
+// not modify it.
+func (c *Collector) Samples() Samples {
+	return Samples{Waits: c.waits, PerJob: c.perJob, BusySteps: c.busySteps}
 }
-
-// WindowArea integrates an exported busy step function over [t0, t1]: the
-// busy processor-seconds inside the window. It is the exported-samples
-// counterpart of WindowUtilization (same clipping rules), used by the
-// sharded merge to evaluate global steady-state utilization from
-// per-cluster sample exports.
-func WindowArea(steps []BusyStep, t0, t1 int64) float64 {
-	if t1 <= t0 || len(steps) == 0 {
-		return 0
-	}
-	var area float64
-	for i, st := range steps {
-		segStart := st.T
-		segEnd := t1
-		if i+1 < len(steps) && steps[i+1].T < segEnd {
-			segEnd = steps[i+1].T
-		}
-		if segStart < t0 {
-			segStart = t0
-		}
-		if segEnd > segStart {
-			area += float64(st.Busy) * float64(segEnd-segStart)
-		}
-		if i+1 < len(steps) && steps[i+1].T >= t1 {
-			break
-		}
-	}
-	return area
-}
-
-// KthSmallest returns the k-th smallest element (0-based) of xs,
-// reordering xs in place — the exported quickselect the sharded merge
-// applies to concatenated per-cluster samples. See kth for the contract.
-func KthSmallest[T cmp.Ordered](xs []T, k int) T { return kth(xs, k) }
 
 // Snapshot is the collector's complete accumulator state, sufficient to
 // resume metering mid-run. The per-job series keep their accumulation
@@ -375,7 +295,6 @@ type Snapshot struct {
 	T0          int64      `json:"t0"`
 	TEnd        int64      `json:"t_end"`
 	Waits       []float64  `json:"waits,omitempty"`
-	Slows       []float64  `json:"slows,omitempty"`
 	RunSum      float64    `json:"run_sum"`
 	SlowSum     float64    `json:"slow_sum"`
 	BatchSum    float64    `json:"batch_sum"`
@@ -405,11 +324,10 @@ type Snapshot struct {
 
 // Snapshot captures the collector state for NewCollectorFromSnapshot.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		M: c.m, Busy: c.busy, LastT: c.lastT, Area: c.area,
 		HaveT0: c.haveT0, T0: c.t0, TEnd: c.tEnd,
 		Waits:  append([]float64(nil), c.waits...),
-		Slows:  append([]float64(nil), c.slows...),
 		RunSum: c.runSum, SlowSum: c.slowSum, BatchSum: c.batchSum, BatchCount: c.batchCount,
 		DedSum: c.dedSum, DedOnTime: c.dedOnTime, DedTotal: c.dedTotal,
 		JobsStarted: c.jobsStarted, JobsDone: c.jobsDone,
@@ -419,23 +337,17 @@ func (c *Collector) Snapshot() Snapshot {
 		Checkpoints: c.checkpoints, CkptCost: c.ckptOverhead,
 		SchedResizes: c.schedResizes, ShrunkProcSecs: c.shrunkProcSecs,
 		ReconfigSecs: c.reconfigSecs,
+		BusySteps:    append([]BusyStep(nil), c.busySteps...),
+		PerJob:       append([]JobPoint(nil), c.perJob...),
 	}
-	for _, b := range c.busySteps {
-		s.BusySteps = append(s.BusySteps, BusyStep{T: b.t, Busy: b.busy})
-	}
-	for _, p := range c.perJob {
-		s.PerJob = append(s.PerJob, JobPoint{Arrival: p.arrival, Finish: p.finish, Wait: p.wait})
-	}
-	return s
 }
 
 // NewCollectorFromSnapshot reconstructs a collector mid-run.
 func NewCollectorFromSnapshot(s Snapshot) *Collector {
-	c := &Collector{
+	return &Collector{
 		m: s.M, busy: s.Busy, lastT: s.LastT, area: s.Area,
 		haveT0: s.HaveT0, t0: s.T0, tEnd: s.TEnd,
 		waits:  append([]float64(nil), s.Waits...),
-		slows:  append([]float64(nil), s.Slows...),
 		runSum: s.RunSum, slowSum: s.SlowSum, batchSum: s.BatchSum, batchCount: s.BatchCount,
 		dedSum: s.DedSum, dedOnTime: s.DedOnTime, dedTotal: s.DedTotal,
 		jobsStarted: s.JobsStarted, jobsDone: s.JobsDone,
@@ -445,14 +357,9 @@ func NewCollectorFromSnapshot(s Snapshot) *Collector {
 		checkpoints: s.Checkpoints, ckptOverhead: s.CkptCost,
 		schedResizes: s.SchedResizes, shrunkProcSecs: s.ShrunkProcSecs,
 		reconfigSecs: s.ReconfigSecs,
+		busySteps:    append([]BusyStep(nil), s.BusySteps...),
+		perJob:       append([]JobPoint(nil), s.PerJob...),
 	}
-	for _, b := range s.BusySteps {
-		c.busySteps = append(c.busySteps, busyStep{t: b.T, busy: b.Busy})
-	}
-	for _, p := range s.PerJob {
-		c.perJob = append(c.perJob, jobPoint{arrival: p.Arrival, finish: p.Finish, wait: p.Wait})
-	}
-	return c
 }
 
 // Summary is the digest of one run.
@@ -568,12 +475,7 @@ func (c *Collector) Summary() Summary {
 	if s.MeanRun > 0 {
 		s.Slowdown = (s.MeanWait + s.MeanRun) / s.MeanRun
 	}
-	if n := len(c.waits); n > 0 {
-		// Exact order statistics via selection: identical values to sorting
-		// the copy and indexing, at O(n) instead of O(n log n) per statistic.
-		ys := append([]float64(nil), c.waits...)
-		s.MedianWait = kth(ys, int(0.5*float64(n-1)))
-		s.P95Wait = kth(ys, int(0.95*float64(n-1)))
+	if len(c.waits) > 0 {
 		mx := c.waits[0]
 		for _, v := range c.waits[1:] {
 			if v > mx {
@@ -591,9 +493,67 @@ func (c *Collector) Summary() Summary {
 	if c.dedTotal > 0 {
 		s.DedicatedOnTime = float64(c.dedOnTime) / float64(c.dedTotal)
 	}
-	s.SteadyWindow, s.SteadyUtilization, s.SteadyMeanWait = c.steadyState()
+	s.SetOrderStats([]Samples{c.Samples()})
 	s.MaxQueueDepth = c.maxQueued
 	return s
+}
+
+// SetOrderStats fills the summary's order statistics from per-part sample
+// views, concatenated in list order: MedianWait and P95Wait over the waits,
+// and the steady-state window — between the 10th- and 90th-percentile
+// completion instants — with the busy-area utilization and the mean wait
+// of the jobs that arrived inside it. Fewer than 10 completions keep the
+// whole window [WindowStart, WindowEnd] with zero steady measures.
+// MachineSize and the window must be set first. The collector passes its
+// own view; the sharded merge passes one per cluster, so both apply the
+// same operations in the same order and the merged values are exactly
+// what one global collector would report.
+func (s *Summary) SetOrderStats(parts []Samples) {
+	n := 0
+	for _, p := range parts {
+		n += len(p.Waits)
+	}
+	if n > 0 {
+		// Exact order statistics via selection: identical values to sorting
+		// the concatenation and indexing, in O(n) instead of O(n log n).
+		waits := make([]float64, 0, n)
+		for _, p := range parts {
+			waits = append(waits, p.Waits...)
+		}
+		s.MedianWait = kth(waits, int(0.5*float64(n-1)))
+		s.P95Wait = kth(waits, int(0.95*float64(n-1)))
+	}
+	s.SteadyWindow = [2]int64{s.WindowStart, s.WindowEnd}
+	if n < 10 {
+		return
+	}
+	finishes := make([]int64, 0, n)
+	for _, p := range parts {
+		for _, j := range p.PerJob {
+			finishes = append(finishes, j.Finish)
+		}
+	}
+	t0 := kth(finishes, n/10)
+	t1 := kth(finishes, n-1-n/10)
+	s.SteadyWindow = [2]int64{t0, t1}
+	if t1 <= t0 {
+		return
+	}
+	var area, wait float64
+	var cnt int
+	for _, p := range parts {
+		area += windowArea(p.BusySteps, t0, t1)
+		for _, j := range p.PerJob {
+			if j.Arrival >= t0 && j.Arrival <= t1 {
+				wait += j.Wait
+				cnt++
+			}
+		}
+	}
+	s.SteadyUtilization = area / (float64(t1-t0) * float64(s.MachineSize))
+	if cnt > 0 {
+		s.SteadyMeanWait = wait / float64(cnt)
+	}
 }
 
 // kth returns the k-th smallest element (0-based) of xs, reordering xs in
@@ -639,60 +599,27 @@ func kth[T cmp.Ordered](xs []T, k int) T {
 	return xs[k]
 }
 
-// steadyState computes utilization and mean wait over the central window
-// between the 10th- and 90th-percentile completion instants.
-func (c *Collector) steadyState() (window [2]int64, util, wait float64) {
-	n := len(c.perJob)
-	if n < 10 {
-		return [2]int64{c.t0, c.tEnd}, 0, 0
-	}
-	finishes := make([]int64, n)
-	for i, p := range c.perJob {
-		finishes[i] = p.finish
-	}
-	t0 := kth(finishes, n/10)
-	t1 := kth(finishes, n-1-n/10)
-	if t1 <= t0 {
-		return [2]int64{t0, t1}, 0, 0
-	}
-	util = c.WindowUtilization(t0, t1)
-	var sum float64
-	var cnt int
-	for _, p := range c.perJob {
-		if p.arrival >= t0 && p.arrival <= t1 {
-			sum += p.wait
-			cnt++
-		}
-	}
-	if cnt > 0 {
-		wait = sum / float64(cnt)
-	}
-	return [2]int64{t0, t1}, util, wait
-}
-
-// WindowUtilization integrates the recorded busy curve over [t0, t1].
-func (c *Collector) WindowUtilization(t0, t1 int64) float64 {
-	if t1 <= t0 || len(c.busySteps) == 0 {
-		return 0
-	}
+// windowArea integrates a busy step function over [t0, t1]: the busy
+// processor-seconds inside the window.
+func windowArea(steps []BusyStep, t0, t1 int64) float64 {
 	var area float64
-	for i, st := range c.busySteps {
-		segStart := st.t
+	for i, st := range steps {
+		segStart := st.T
 		segEnd := t1
-		if i+1 < len(c.busySteps) && c.busySteps[i+1].t < segEnd {
-			segEnd = c.busySteps[i+1].t
+		if i+1 < len(steps) && steps[i+1].T < segEnd {
+			segEnd = steps[i+1].T
 		}
 		if segStart < t0 {
 			segStart = t0
 		}
 		if segEnd > segStart {
-			area += float64(st.busy) * float64(segEnd-segStart)
+			area += float64(st.Busy) * float64(segEnd-segStart)
 		}
-		if i+1 < len(c.busySteps) && c.busySteps[i+1].t >= t1 {
+		if i+1 < len(steps) && steps[i+1].T >= t1 {
 			break
 		}
 	}
-	return area / (float64(t1-t0) * float64(c.m))
+	return area
 }
 
 // String renders the headline metrics.

@@ -265,14 +265,15 @@ func TestWindowUtilization(t *testing.T) {
 	c.JobArrived(j, 0)
 	c.JobStarted(j, 0)
 	c.JobFinished(j, 100)
-	if got := c.WindowUtilization(0, 100); got != 0.5 {
-		t.Errorf("window util = %g, want 0.5", got)
+	// 160 of 320 processors busy over [0, 100]: half the window's capacity.
+	if got := windowArea(c.busySteps, 0, 100); got != 16000 {
+		t.Errorf("window area = %g, want 16000", got)
 	}
-	if got := c.WindowUtilization(50, 150); got != 0.25 {
-		t.Errorf("half-overlap window util = %g, want 0.25", got)
+	if got := windowArea(c.busySteps, 50, 150); got != 8000 {
+		t.Errorf("half-overlap window area = %g, want 8000", got)
 	}
-	if got := c.WindowUtilization(100, 100); got != 0 {
-		t.Errorf("empty window util = %g, want 0", got)
+	if got := windowArea(c.busySteps, 100, 100); got != 0 {
+		t.Errorf("empty window area = %g, want 0", got)
 	}
 }
 
