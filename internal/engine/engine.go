@@ -180,6 +180,12 @@ type Session struct {
 	// jobs lists every job this session owns — Load clones plus injected
 	// jobs — in admission order. Snapshots reference jobs by index into it.
 	jobs []*job.Job
+	// clones and cmds back Load's jobs and commands. Their pending
+	// arrivals and issues are static kernel events indexing these slices
+	// (as fault events index ftrace.Events); Withdraw may shift jobs, never
+	// clones.
+	clones []job.Job
+	cmds   []cwf.Command
 	// ids dedups injected job IDs; built lazily on the first Inject so the
 	// sweep hot path (Load + Run only) never allocates it.
 	ids map[int]bool
@@ -213,7 +219,9 @@ type Session struct {
 	// arriveH/completeH/commandH/faultH/ckptH are the shared event
 	// callbacks, bound once so the hot paths schedule through simkit.AtArg
 	// without allocating a closure per event. ckptH is bound only under a
-	// timer-driven checkpoint policy (periodic or daly).
+	// timer-driven checkpoint policy (periodic or daly). Load's arrivals and
+	// commands and the fault trace are static events instead (staticEv);
+	// faultH serves only fault events reinstated by Restore.
 	arriveH, completeH, commandH, faultH, ckptH simkit.ArgHandler
 	// ftrace is the resolved fault trace (scripted or sampled at Load);
 	// nil when fault injection is off.
@@ -238,6 +246,25 @@ func noopWake(int64) {}
 func (s *Session) arriveEv(now int64, arg any)   { s.arrive(arg.(*job.Job), now) }
 func (s *Session) completeEv(now int64, arg any) { s.complete(arg.(*job.Job), now) }
 func (s *Session) commandEv(_ int64, arg any)    { s.command(*arg.(*cwf.Command)) }
+
+// Static event kinds: Load's arrivals and commands, and the fault trace
+// Load or ArmFaults resolved. Each indexes the slice it names.
+const (
+	arriveK  simkit.StaticKind = iota + 1 // Session.clones
+	commandK                              // Session.cmds
+	faultK                                // Session.ftrace.Events
+)
+
+func (s *Session) staticEv(now int64, k simkit.StaticKind, i int) {
+	switch k {
+	case arriveK:
+		s.arrive(&s.clones[i], now)
+	case commandK:
+		s.command(s.cmds[i])
+	case faultK:
+		s.applyFault(&s.ftrace.Events[i], now)
+	}
+}
 
 // getCompletion returns the recorded completion handle. The zero Handle
 // comes back for IDs with no pending completion; callers may pass it
@@ -304,6 +331,7 @@ func New(cfg Config) (*Session, error) {
 	s.arriveH = s.arriveEv
 	s.completeH = s.completeEv
 	s.commandH = s.commandEv
+	s.eng.OnStatic(s.staticEv)
 	if cfg.Faults != nil {
 		// Bound lazily: fault-free runs never dispatch a fault event, and a
 		// fault snapshot only restores into a fault-enabled config.
@@ -361,14 +389,15 @@ func (s *Session) Load(w *cwf.Workload) error {
 
 	s.collector = metrics.NewCollectorSized(s.cfg.M, len(w.Jobs))
 
-	// Clone jobs (quantizing sizes to the machine unit) and schedule the
-	// arrival stream. One backing slice holds every clone; events carry
-	// pointers into it.
-	clones := make([]job.Job, len(w.Jobs))
+	// Clone jobs (quantizing sizes to the machine unit) and register the
+	// arrival and command streams as static events indexing the clones and
+	// the command copy.
+	s.clones = make([]job.Job, len(w.Jobs))
 	s.jobs = make([]*job.Job, 0, len(w.Jobs))
+	s.eng.GrowStatic(len(w.Jobs) + len(w.Commands))
 	for i, orig := range w.Jobs {
-		clones[i] = *orig
-		j := &clones[i]
+		s.clones[i] = *orig
+		j := &s.clones[i]
 		q, err := s.mach.Quantize(j.Size)
 		if err != nil {
 			return fmt.Errorf("engine: job %d: %v", j.ID, err)
@@ -376,12 +405,12 @@ func (s *Session) Load(w *cwf.Workload) error {
 		j.Size = q
 		s.quantizeBounds(j)
 		s.jobs = append(s.jobs, j)
-		s.eng.AtArg(j.Arrival, s.arriveH, j)
+		s.eng.AtStatic(j.Arrival, arriveK, i)
 	}
-	cmds := make([]cwf.Command, len(w.Commands))
-	copy(cmds, w.Commands)
-	for i := range cmds {
-		s.eng.AtArg(cmds[i].Issue, s.commandH, &cmds[i])
+	s.cmds = make([]cwf.Command, len(w.Commands))
+	copy(s.cmds, w.Commands)
+	for i := range s.cmds {
+		s.eng.AtStatic(s.cmds[i].Issue, commandK, i)
 	}
 	if s.cfg.Faults != nil {
 		// Default sampling horizon: the workload's span under estimates.

@@ -15,7 +15,8 @@ import (
 // quantum is also its failure domain.
 type FaultConfig struct {
 	// Trace is a scripted fault scenario. When nil, a trace is sampled at
-	// Load from the renewal model below.
+	// Load from the renewal model below. Sessions read the trace while they
+	// run, so it must not be modified while one is using it.
 	Trace *fault.Trace
 
 	// MTBF and MTTR parameterize the sampled model (per node group, sim
@@ -104,8 +105,9 @@ func (s *Session) FaultTrace() *fault.Trace { return s.ftrace }
 
 // loadFaults resolves the session's fault trace (sampling one if the
 // configuration asks for it), validates it against the machine geometry,
-// and schedules its events. Called by Load only: a restored session gets
-// its pending fault events from the snapshot instead.
+// and registers its events as static events indexing the trace, which the
+// session then only reads. Called by Load and ArmFaults only: a restored
+// session gets its pending fault events from the snapshot instead.
 func (s *Session) loadFaults(horizon int64) error {
 	fc := s.cfg.Faults
 	t := fc.Trace
@@ -134,9 +136,9 @@ func (s *Session) loadFaults(horizon int64) error {
 		return fmt.Errorf("engine: fault trace: %w", err)
 	}
 	s.ftrace = t
+	s.eng.GrowStatic(len(t.Events))
 	for i := range t.Events {
-		ev := t.Events[i] // copy: the event outlives the caller's trace
-		s.eng.AtArg(ev.Time, s.faultH, &ev)
+		s.eng.AtStatic(t.Events[i].Time, faultK, i)
 	}
 	return nil
 }
@@ -306,12 +308,13 @@ func (s *Session) kill(j *job.Job, now int64) {
 // resizes or ECC commands stretch and shrink the job's timeline mid-run.
 //
 // Event-order ties are deterministic and favor not checkpointing: fault
-// events are scheduled at Load, so at an equal timestamp a kill dispatches
-// first and cancels the checkpoint; a completion re-scheduled by the
-// checkpoint handler's retime carries a lower sequence number than the
-// next checkpoint it schedules, so a completion landing exactly on a
-// checkpoint instant also wins. The audit oracle's chain replay depends on
-// exactly these tie rules.
+// events are registered at Load (or ArmFaults), before the first dispatch,
+// so their sequence numbers precede every checkpoint's and at an equal
+// timestamp a kill dispatches first and cancels the checkpoint; a
+// completion re-scheduled by the checkpoint handler's retime carries a
+// lower sequence number than the next checkpoint it schedules, so a
+// completion landing exactly on a checkpoint instant also wins. The audit
+// oracle's chain replay depends on exactly these tie rules.
 
 func (s *Session) ckptEv(now int64, arg any) { s.checkpoint(arg.(*job.Job), now) }
 

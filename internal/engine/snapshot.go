@@ -12,6 +12,7 @@ import (
 	"elastisched/internal/machine"
 	"elastisched/internal/metrics"
 	"elastisched/internal/sched"
+	"elastisched/internal/simkit"
 )
 
 // SnapshotVersion stamps the snapshot encoding. Decoders reject snapshots
@@ -255,40 +256,9 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	}
 
 	for _, pe := range s.eng.PendingInOrder() {
-		ev := EventSnap{Time: pe.Time, Job: -1}
-		switch arg := pe.Arg.(type) {
-		case nil:
-			ev.Kind = evWake
-		case *cwf.Command:
-			ev.Kind = evCommand
-			c := *arg
-			ev.Cmd = &c
-		case *fault.Event:
-			if arg.Kind == fault.Fail {
-				ev.Kind = evFail
-			} else {
-				ev.Kind = evRepair
-			}
-			ev.Groups = append([]int(nil), arg.Groups...)
-		case *job.Job:
-			idx, ok := index[arg]
-			if !ok {
-				return nil, fmt.Errorf("engine: snapshot found pending event for job %d the session does not own", arg.ID)
-			}
-			ev.Job = idx
-			// A job pointer argument is the job's arrival, its completion,
-			// or its next checkpoint; the completion is the one whose handle
-			// the completion table holds, the checkpoint the one in the
-			// checkpoint table.
-			if pe.Handle == s.getCompletion(arg.ID) {
-				ev.Kind = evComplete
-			} else if h, ok := s.ckpt[arg.ID]; ok && pe.Handle == h {
-				ev.Kind = evCkpt
-			} else {
-				ev.Kind = evArrive
-			}
-		default:
-			return nil, fmt.Errorf("engine: snapshot found pending event with unknown argument %T", pe.Arg)
+		ev, err := s.snapEvent(pe, index)
+		if err != nil {
+			return nil, err
 		}
 		sn.Events = append(sn.Events, ev)
 	}
@@ -305,6 +275,67 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		sn.SchedState = b
 	}
 	return sn, nil
+}
+
+// snapEvent encodes one pending kernel event. A static event (Load's
+// arrivals and commands, the fault trace) stands for the element of the
+// slice it indexes and encodes exactly as the heap event carrying that
+// element as its argument would; index maps each owned job to its
+// position in Snapshot.Jobs.
+func (s *Session) snapEvent(pe simkit.PendingEvent, index map[*job.Job]int) (EventSnap, error) {
+	ev := EventSnap{Time: pe.Time, Job: -1}
+	arg := pe.Arg
+	switch pe.Kind {
+	case 0: // a heap event
+	case arriveK:
+		arg = &s.clones[pe.Index]
+	case commandK:
+		arg = &s.cmds[pe.Index]
+	case faultK:
+		arg = &s.ftrace.Events[pe.Index]
+	default:
+		return ev, fmt.Errorf("engine: snapshot found pending static event of unknown kind %d", pe.Kind)
+	}
+	switch arg := arg.(type) {
+	case nil:
+		ev.Kind = evWake
+	case *cwf.Command:
+		ev.Kind = evCommand
+		c := *arg
+		ev.Cmd = &c
+	case *fault.Event:
+		if arg.Kind == fault.Fail {
+			ev.Kind = evFail
+		} else {
+			ev.Kind = evRepair
+		}
+		ev.Groups = append([]int(nil), arg.Groups...)
+	case *job.Job:
+		idx, ok := index[arg]
+		if !ok {
+			return ev, fmt.Errorf("engine: snapshot found pending event for job %d the session does not own", arg.ID)
+		}
+		ev.Job = idx
+		// A job pointer argument is the job's arrival, its completion, or
+		// its next checkpoint; the completion is the one whose handle the
+		// completion table holds, the checkpoint the one in the checkpoint
+		// table (a heap event's handle is never the zero Handle those
+		// tables return for absent IDs). Static job events are Load
+		// arrivals and carry no handle.
+		switch {
+		case pe.Kind != 0:
+			ev.Kind = evArrive
+		case pe.Handle == s.getCompletion(arg.ID):
+			ev.Kind = evComplete
+		case pe.Handle == s.ckpt[arg.ID]:
+			ev.Kind = evCkpt
+		default:
+			ev.Kind = evArrive
+		}
+	default:
+		return ev, fmt.Errorf("engine: snapshot found pending event with unknown argument %T", pe.Arg)
+	}
+	return ev, nil
 }
 
 // Config inverts the mapping Snapshot applies: it returns the engine

@@ -13,12 +13,13 @@ package fault
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -268,7 +269,12 @@ func Generate(p GenParams) (*Trace, error) {
 	r := rand.New(rand.NewSource(p.Seed))
 	ttf := dist.Exponential{Mean: p.MTBF}
 	ttr := dist.Exponential{Mean: p.MTTR}
-	t := &Trace{}
+	type sampled struct {
+		time  int64
+		kind  Kind
+		group int
+	}
+	var evs []sampled
 	for g := 0; g < p.Groups; g++ {
 		now := int64(0)
 		for {
@@ -277,13 +283,27 @@ func Generate(p GenParams) (*Trace, error) {
 				break
 			}
 			up := now + atLeast(ttr.Sample(r), 1)
-			t.Events = append(t.Events,
-				Event{Time: now, Kind: Fail, Groups: []int{g}},
-				Event{Time: up, Kind: Repair, Groups: []int{g}})
+			evs = append(evs, sampled{now, Fail, g}, sampled{up, Repair, g})
 			now = up
 		}
 	}
-	sortEvents(t.Events)
+	// Order by (time, kind, group): failures before repairs at the same
+	// instant. The key is unique — one group's events are strictly
+	// increasing in time — so the unstable sort is deterministic.
+	slices.SortFunc(evs, func(a, b sampled) int {
+		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.kind, b.kind), cmp.Compare(a.group, b.group))
+	})
+	// Every event's one-element Groups is a capped window of one array.
+	t := &Trace{}
+	if len(evs) == 0 {
+		return t, nil
+	}
+	groups := make([]int, len(evs))
+	t.Events = make([]Event, len(evs))
+	for i, e := range evs {
+		groups[i] = e.group
+		t.Events[i] = Event{Time: e.time, Kind: e.kind, Groups: groups[i : i+1 : i+1]}
+	}
 	return t, nil
 }
 
@@ -292,28 +312,6 @@ func atLeast(v float64, min int64) int64 {
 		return n
 	}
 	return min
-}
-
-// sortEvents orders events by (time, kind, first group): failures before
-// repairs at the same instant, deterministically.
-func sortEvents(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return firstGroup(a) < firstGroup(b)
-	})
-}
-
-func firstGroup(e Event) int {
-	if len(e.Groups) == 0 {
-		return -1
-	}
-	return e.Groups[0]
 }
 
 // Validate checks that the trace is well-formed for a machine with the

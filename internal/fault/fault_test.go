@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"elastisched/internal/dist"
 )
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
@@ -62,6 +67,80 @@ func TestGenerateClosesEveryOutage(t *testing.T) {
 		for _, w := range ws {
 			if w[1] == math.MaxInt64 {
 				t.Fatalf("group %d has an unclosed outage", g)
+			}
+		}
+	}
+}
+
+// stableGenerate is Generate as it was written with one []int per event
+// and a reflection-based stable sort: the reference its replacement must
+// reproduce event for event.
+func stableGenerate(p GenParams) *Trace {
+	r := rand.New(rand.NewSource(p.Seed))
+	ttf := dist.Exponential{Mean: p.MTBF}
+	ttr := dist.Exponential{Mean: p.MTTR}
+	t := &Trace{}
+	for g := 0; g < p.Groups; g++ {
+		now := int64(0)
+		for {
+			now += atLeast(ttf.Sample(r), 1)
+			if now >= p.Horizon {
+				break
+			}
+			up := now + atLeast(ttr.Sample(r), 1)
+			t.Events = append(t.Events,
+				Event{Time: now, Kind: Fail, Groups: []int{g}},
+				Event{Time: up, Kind: Repair, Groups: []int{g}})
+			now = up
+		}
+	}
+	sort.SliceStable(t.Events, func(i, j int) bool {
+		a, b := t.Events[i], t.Events[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return a.Groups[0] < b.Groups[0]
+	})
+	return t
+}
+
+// TestGenerateKeysUniqueAndStable is the property that lets Generate use
+// an unstable sort: across seeds, group counts and fault densities
+// (including MTTR 0, where a repair may share its instant with other
+// groups' events), every sampled trace is strictly increasing in its
+// (time, kind, group) key, so no two events tie and any correct sort
+// yields the stable sort's order. It also checks the result against the
+// stable-sort reference event for event, and that appending to one
+// event's Groups cannot write into its neighbour's.
+func TestGenerateKeysUniqueAndStable(t *testing.T) {
+	for _, groups := range []int{1, 2, 3, 10, 64} {
+		for _, rates := range [][2]float64{{300, 5000}, {5000, 800}, {2000, 0}, {40000, 2000}} {
+			for seed := int64(0); seed < 12; seed++ {
+				p := GenParams{Groups: groups, MTBF: rates[0], MTTR: rates[1], Horizon: 50000, Seed: seed}
+				got, err := Generate(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := stableGenerate(p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v: Generate differs from the stable-sort reference", p)
+				}
+				for i := 1; i < len(got.Events); i++ {
+					a, b := got.Events[i-1], got.Events[i]
+					if a.Time > b.Time || (a.Time == b.Time && (a.Kind > b.Kind ||
+						(a.Kind == b.Kind && a.Groups[0] >= b.Groups[0]))) {
+						t.Fatalf("%+v: events %d and %d not strictly ordered: %+v, %+v", p, i-1, i, a, b)
+					}
+				}
+				if len(got.Events) > 1 {
+					e := got.Events[0]
+					_ = append(e.Groups, -1)
+					if got.Events[1].Groups[0] == -1 {
+						t.Fatalf("%+v: event Groups windows share capacity", p)
+					}
+				}
 			}
 		}
 	}

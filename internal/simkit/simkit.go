@@ -20,11 +20,22 @@
 // entries embed the (time, seq) ordering key — no pointer chasing in the
 // hot comparisons — and sift operations never write back into event
 // records. A compaction pass bounds the garbage when cancellations dominate.
+//
+// The queue has two parts. The heap above holds dynamic events: anything
+// scheduled with At, AtArg or After, at any time, cancellable. The static
+// source holds events registered with AtStatic before the first dispatch
+// (a replayed trace's arrivals, commands and faults): never cancelled,
+// each a 24-byte (time, seq, kind, index) record with no arena slot and no
+// heap entry, sorted once and then read through a cursor. Both parts draw
+// sequence numbers from one counter, and every dispatch takes the minimum
+// (time, seq) over the cursor and the heap top, so the dispatch order is
+// exactly what it would be with every event on the heap.
 package simkit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Time is simulation time in integer seconds. Integer time keeps event
@@ -39,6 +50,16 @@ type Handler func(now Time)
 // with one shared ArgHandler instead of allocating a fresh closure per
 // event.
 type ArgHandler func(now Time, arg any)
+
+// StaticKind is a caller-chosen tag of a static event, passed back to the
+// StaticHandler. It must be nonzero: PendingEvent uses zero to mark heap
+// events.
+type StaticKind uint8
+
+// StaticHandler is the one callback of an engine's static source: it
+// receives the kind and the index the event was registered with,
+// typically a position in a slice the caller owns.
+type StaticHandler func(now Time, kind StaticKind, idx int)
 
 // event is one scheduled occurrence's record. Records are pooled: gen
 // increments each time the record is voided (fired, cancelled, or
@@ -94,6 +115,23 @@ type Engine struct {
 	dead    int    // cancelled entries still buried in the queue
 	chunks  [][]event
 	freeIDs []int32
+
+	// src is the static source; src[next:] is still pending. unsorted is
+	// set when a registration arrived out of (time, seq) order and cleared
+	// by the one sort before src is first read.
+	src      []static
+	next     int
+	unsorted bool
+	onStatic StaticHandler
+}
+
+// static is one static source event. seq comes from the engine's one
+// sequence counter, so (time, seq) orders it against heap entries.
+type static struct {
+	time Time
+	seq  uint64
+	kind StaticKind
+	idx  int32
 }
 
 // at returns the record for an event id.
@@ -112,9 +150,9 @@ func (e *Engine) Now() Time { return e.now }
 // Dispatched returns the number of events dispatched so far.
 func (e *Engine) Dispatched() uint64 { return e.stepped }
 
-// Pending returns the number of scheduled events. O(1): a live counter is
-// maintained across At, Cancel, and dispatch.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of scheduled events, static and dynamic.
+// O(1): a live counter is maintained across At, Cancel, and dispatch.
+func (e *Engine) Pending() int { return e.live + len(e.src) - e.next }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) is an error in the caller; the engine panics to surface the bug
@@ -134,6 +172,37 @@ func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) Handle {
 	ev.arg = arg
 	return Handle{ev, ev.gen}
 }
+
+// OnStatic installs the handler every static event is dispatched to.
+func (e *Engine) OnStatic(fn StaticHandler) { e.onStatic = fn }
+
+// AtStatic registers a static event: the OnStatic handler runs with kind
+// k and idx at absolute time t. Static events must be registered before
+// the first dispatch and cannot be cancelled; in exchange they cost no
+// event record and no heap entry. They take their sequence number from
+// the counter At and AtArg use, so interleaving AtStatic with AtArg yields
+// the same dispatch order as scheduling everything with AtArg.
+func (e *Engine) AtStatic(t Time, k StaticKind, idx int) {
+	switch {
+	case e.stepped > 0:
+		panic("simkit: static event registered after the first dispatch")
+	case t < e.now:
+		panic(fmt.Sprintf("simkit: scheduling event at %d before now %d", t, e.now))
+	case k == 0 || e.onStatic == nil:
+		panic(fmt.Sprintf("simkit: static event of kind %d without a handler", k))
+	case idx < 0 || idx > 1<<31-1:
+		panic(fmt.Sprintf("simkit: static index %d outside int32", idx))
+	}
+	if n := len(e.src); n > 0 && e.src[n-1].time > t {
+		e.unsorted = true
+	}
+	e.src = append(e.src, static{time: t, seq: e.seq, kind: k, idx: int32(idx)})
+	e.seq++
+}
+
+// GrowStatic makes room for n more static events, so a caller that knows
+// its stream lengths registers them with one allocation.
+func (e *Engine) GrowStatic(n int) { e.src = slices.Grow(e.src, n) }
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Time, fn Handler) Handle {
@@ -220,34 +289,81 @@ func (e *Engine) compact() {
 	e.dead = 0
 }
 
+// settled reports whether both heads of the queue can be read as they
+// stand: the static source is in order and the heap's top is live.
+func (e *Engine) settled() bool {
+	return !e.unsorted && (len(e.queue) == 0 || e.queue[0].gen == e.at(e.queue[0].id).gen)
+}
+
+// settle readies both heads of the queue for reading. It sorts the static
+// source if registrations arrived out of (time, seq) order (they all
+// precede the first dispatch, so this sorts at most once), and discards
+// cancelled entries at the top of the heap.
+func (e *Engine) settle() {
+	if e.unsorted {
+		slices.SortFunc(e.src[e.next:], func(a, b static) int {
+			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
+		})
+		e.unsorted = false
+	}
+	for len(e.queue) > 0 && e.queue[0].gen != e.at(e.queue[0].id).gen {
+		e.dead--
+		e.recycle(e.queue.pop().id)
+	}
+}
+
+// staticFirst reports whether the earliest pending event is the static
+// source's next one rather than the heap's top. The queue must be settled.
+func (e *Engine) staticFirst() bool {
+	if e.next == len(e.src) {
+		return false
+	}
+	if len(e.queue) == 0 {
+		return true
+	}
+	s, q := &e.src[e.next], &e.queue[0]
+	return before(s.time, s.seq, q.time, q.seq)
+}
+
+// before reports whether the event keyed (at, as) dispatches before the
+// one keyed (bt, bs).
+func before(at Time, as uint64, bt Time, bs uint64) bool {
+	return at < bt || (at == bt && as < bs)
+}
+
 // Step dispatches the single earliest pending event and advances the clock
 // to its timestamp. It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		en := e.queue.pop()
-		ev := e.at(en.id)
-		if ev.gen != en.gen {
-			// Cancelled: release the record, keep looking.
-			e.dead--
-			e.recycle(en.id)
-			continue
-		}
-		e.now = en.time
+	if !e.settled() {
+		e.settle()
+	}
+	if e.staticFirst() {
+		s := e.src[e.next]
+		e.next++
+		e.now = s.time
 		e.stepped++
-		e.live--
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		// Recycle before invoking: the record is reusable by events the
-		// handler schedules, and the generation bump voids the fired
-		// event's handles.
-		e.recycle(en.id)
-		if afn != nil {
-			afn(e.now, arg)
-		} else {
-			fn(e.now)
-		}
+		e.onStatic(e.now, s.kind, int(s.idx))
 		return true
 	}
-	return false
+	if len(e.queue) == 0 {
+		return false
+	}
+	en := e.queue.pop()
+	ev := e.at(en.id)
+	e.now = en.time
+	e.stepped++
+	e.live--
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	// Recycle before invoking: the record is reusable by events the
+	// handler schedules, and the generation bump voids the fired event's
+	// handles.
+	e.recycle(en.id)
+	if afn != nil {
+		afn(e.now, arg)
+	} else {
+		fn(e.now)
+	}
+	return true
 }
 
 // StepTimestamp dispatches every event that shares the earliest pending
@@ -272,14 +388,14 @@ func (e *Engine) StepTimestamp() (Time, bool) {
 // PeekTime returns the timestamp of the earliest pending event, pruning
 // any cancelled entries that have reached the top of the queue.
 func (e *Engine) PeekTime() (Time, bool) {
-	for len(e.queue) > 0 {
-		en := &e.queue[0]
-		if en.gen != e.at(en.id).gen {
-			e.dead--
-			e.recycle(e.queue.pop().id)
-			continue
-		}
-		return en.time, true
+	if !e.settled() {
+		e.settle()
+	}
+	if e.staticFirst() {
+		return e.src[e.next].time, true
+	}
+	if len(e.queue) > 0 {
+		return e.queue[0].time, true
 	}
 	return 0, false
 }
@@ -305,45 +421,50 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// PendingEvent describes one live scheduled event, for state capture. Arg
-// is the AtArg argument (nil for At/After events); Handle identifies the
-// event so callers can match it against handles they retained (e.g. a
-// completion table). Ordering in the slice returned by PendingInOrder is
+// PendingEvent describes one live scheduled event, for state capture. For
+// a heap event, Arg is the AtArg argument (nil for At/After events) and
+// Handle identifies the event so callers can match it against handles
+// they retained (e.g. a completion table). For a static event, Kind is its
+// nonzero StaticKind and Index the index it was registered with; Handle
+// and Arg are zero. Ordering in the slice returned by PendingInOrder is
 // dispatch order.
 type PendingEvent struct {
 	Handle Handle
 	Time   Time
 	Arg    any
+	Kind   StaticKind
+	Index  int
 }
 
 // PendingInOrder returns every live (uncancelled, unfired) event in the
-// exact order the engine would dispatch them: ascending (time, seq). It is
-// the capture half of a snapshot: a caller that re-schedules equivalent
-// events into a fresh engine in this order reproduces the dispatch order
-// exactly, because seq numbers are assigned monotonically at scheduling
-// time.
+// exact order the engine would dispatch them: ascending (time, seq) over
+// the heap and the static source together. It is the capture half of a
+// snapshot: a caller that re-schedules equivalent events into a fresh
+// engine in this order reproduces the dispatch order exactly, because seq
+// numbers are assigned monotonically at scheduling time.
 func (e *Engine) PendingInOrder() []PendingEvent {
-	type ordered struct {
-		time Time
-		seq  uint64
-		id   int32
-	}
-	live := make([]ordered, 0, e.live)
+	live := make([]entry, 0, e.live)
 	for _, en := range e.queue {
 		if en.gen == e.at(en.id).gen {
-			live = append(live, ordered{en.time, en.seq, en.id})
+			live = append(live, en)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].time != live[j].time {
-			return live[i].time < live[j].time
-		}
-		return live[i].seq < live[j].seq
+	slices.SortFunc(live, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
 	})
-	out := make([]PendingEvent, len(live))
-	for i, o := range live {
-		ev := e.at(o.id)
-		out[i] = PendingEvent{Handle: Handle{ev, ev.gen}, Time: o.time, Arg: ev.arg}
+	// Merge with the static remainder, which is already in order.
+	e.settle()
+	rest := e.src[e.next:]
+	out := make([]PendingEvent, 0, len(live)+len(rest))
+	for len(live) > 0 || len(rest) > 0 {
+		if len(rest) > 0 && (len(live) == 0 || before(rest[0].time, rest[0].seq, live[0].time, live[0].seq)) {
+			out = append(out, PendingEvent{Time: rest[0].time, Kind: rest[0].kind, Index: int(rest[0].idx)})
+			rest = rest[1:]
+			continue
+		}
+		ev := e.at(live[0].id)
+		out = append(out, PendingEvent{Handle: Handle{ev, ev.gen}, Time: live[0].time, Arg: ev.arg})
+		live = live[1:]
 	}
 	return out
 }
@@ -353,7 +474,8 @@ func (e *Engine) PendingInOrder() []PendingEvent {
 // fresh engine is: re-schedule the captured pending events in
 // PendingInOrder order (all of them land at times >= the captured now),
 // then RestoreClock. Restoring onto an engine whose clock has already
-// advanced past now is a caller bug and panics.
+// advanced past now is a caller bug and panics, as is any pending event,
+// heap or static, before now.
 func (e *Engine) RestoreClock(now Time, dispatched uint64) {
 	if e.now > now {
 		panic(fmt.Sprintf("simkit: RestoreClock(%d) with clock already at %d", now, e.now))
@@ -361,6 +483,11 @@ func (e *Engine) RestoreClock(now Time, dispatched uint64) {
 	for _, en := range e.queue {
 		if en.gen == e.at(en.id).gen && en.time < now {
 			panic(fmt.Sprintf("simkit: RestoreClock(%d) with event pending at %d", now, en.time))
+		}
+	}
+	for _, s := range e.src[e.next:] {
+		if s.time < now {
+			panic(fmt.Sprintf("simkit: RestoreClock(%d) with event pending at %d", now, s.time))
 		}
 	}
 	e.now = now
