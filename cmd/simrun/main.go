@@ -18,15 +18,15 @@
 //	simrun -resume part1.snap
 //
 // Scale-out runs shard the workload across parallel cluster simulations:
-// -clusters N dispatches the jobs over N clusters of -procs processors
-// each (a global machine of N×procs), reporting the merged metrics.
+// -clusters N dispatches the jobs over N clusters of -m processors each
+// (a global machine of N×m), reporting the merged metrics.
 // -route picks the dispatch policy — roundrobin (default), least-work
 // (balance queued processor-seconds), or best-fit (size-aware bin
 // packing). Results are deterministic for a given workload, cluster count
 // and policy. Gantt rendering and session control (-gantt, -jobs, -until,
 // -checkpoint, -resume) need a single cluster:
 //
-//	cwfgen -n 2000 | simrun -algos Delayed-LOS -procs 320 -clusters 4 -route least-work
+//	cwfgen -n 2000 | simrun -algos Delayed-LOS -m 320 -clusters 4 -route least-work
 //
 // -epoch E switches the dispatcher to its barrier-synchronized protocol
 // (clusters exchange queue digests every E sim-seconds), unlocking the
@@ -36,7 +36,7 @@
 // to a home cluster that routing and stealing respect. Dynamic results stay
 // deterministic and worker-count independent:
 //
-//	cwfgen -n 2000 | simrun -algos Delayed-LOS -procs 320 -clusters 4 -epoch 5000 -steal -route feedback
+//	cwfgen -n 2000 | simrun -algos Delayed-LOS -m 320 -clusters 4 -epoch 5000 -steal -route feedback
 package main
 
 import (
@@ -56,9 +56,6 @@ import (
 
 // Typed flag-combination errors, testable with errors.Is.
 var (
-	// ErrProcsConflict rejects -procs and -m set to different values: they
-	// are aliases (-procs is the scale-out spelling of the machine size).
-	ErrProcsConflict = errors.New("simrun: -procs and -m are aliases; set only one (or the same value)")
 	// ErrShardedRender rejects per-placement rendering of a sharded run:
 	// parallel clusters have no single schedule to draw.
 	ErrShardedRender = errors.New("simrun: -gantt and -jobs require -clusters 1")
@@ -69,17 +66,6 @@ var (
 	// injection to restart from.
 	ErrCheckpointNeedsFaults = errors.New("simrun: -ckpt-policy, -ckpt-interval and -ckpt-cost need -mtbf or -fault-trace")
 )
-
-// resolveProcs merges the -m and -procs aliases.
-func resolveProcs(m, procs int) (int, error) {
-	if m != 0 && procs != 0 && m != procs {
-		return 0, fmt.Errorf("%w: -m %d vs -procs %d", ErrProcsConflict, m, procs)
-	}
-	if procs != 0 {
-		return procs, nil
-	}
-	return m, nil
-}
 
 // validateSharded applies the dispatcher's rule for the sharding knobs
 // (-route, -epoch, -steal, -affinity; dispatch.ErrNeedsClusters on a single
@@ -104,9 +90,8 @@ func validateSharded(clusters int, so sweepOpts, resuming bool) error {
 func main() {
 	var (
 		algosFlag = flag.String("algos", "EASY,LOS,Delayed-LOS", "comma-separated algorithm names")
-		m         = flag.Int("m", 0, "machine size in processors (0 = from the trace's MaxNodes header, else 320)")
-		procs     = flag.Int("procs", 0, "per-cluster machine size in processors (alias of -m)")
-		clusters  = flag.Int("clusters", 1, "parallel cluster simulations behind a global dispatcher (global machine = clusters x procs)")
+		m         = flag.Int("m", 0, "machine size in processors, per cluster with -clusters (0 = from the trace's MaxNodes header, else 320)")
+		clusters  = flag.Int("clusters", 1, "parallel cluster simulations behind a global dispatcher (global machine = clusters x m)")
 		routeF    = flag.String("route", "roundrobin", "sharded dispatch policy: roundrobin, least-work, best-fit, or feedback (feedback needs -epoch)")
 		epochF    = flag.Int64("epoch", 0, "epoch length in sim seconds for the dispatcher's barrier-synchronized protocol, needed by -steal, -affinity and -route feedback (with -clusters > 1)")
 		stealF    = flag.Bool("steal", false, "let idle clusters steal queued jobs at each epoch barrier (needs -epoch)")
@@ -146,10 +131,7 @@ func main() {
 		return
 	}
 
-	mv, err := resolveProcs(*m, *procs)
-	if err != nil {
-		fatal(err)
-	}
+	mv := *m
 	so := sweepOpts{
 		gantt: *gantt, jobsOut: *jobsOut, until: *until, checkFile: *checkFile,
 		clusters: *clusters, route: *routeF,

@@ -350,24 +350,6 @@ func TestGCD(t *testing.T) {
 	}
 }
 
-// TestResolveProcs covers the -m/-procs aliasing, including the typed
-// conflict rejection.
-func TestResolveProcs(t *testing.T) {
-	for _, c := range []struct {
-		m, procs, want int
-	}{
-		{0, 0, 0}, {320, 0, 320}, {0, 640, 640}, {320, 320, 320},
-	} {
-		got, err := resolveProcs(c.m, c.procs)
-		if err != nil || got != c.want {
-			t.Errorf("resolveProcs(%d,%d) = (%d,%v), want (%d,nil)", c.m, c.procs, got, err, c.want)
-		}
-	}
-	if _, err := resolveProcs(320, 640); !errors.Is(err, ErrProcsConflict) {
-		t.Errorf("conflicting -m/-procs: got %v, want errors.Is(err, ErrProcsConflict)", err)
-	}
-}
-
 // TestValidateSharded pins the typed rejections of single-cluster-only
 // flags under -clusters > 1, and of sharding knobs under -clusters 1 with
 // or without single-cluster-only flags.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"elastisched/internal/job"
 	"elastisched/internal/sched"
 )
 
@@ -70,12 +69,4 @@ func (d *DelayedLOS) Schedule(ctx *sched.Context) {
 		set := ReservationDP(window, m, frec, fret, ctx.Now, &d.scratch)
 		startAll(ctx, set)
 	}
-}
-
-// selectBasic exposes the Basic_DP decision for a hypothetical capacity,
-// used by the adaptive policy and by tests. The returned slice follows the
-// Scratch aliasing contract: it is valid only until the scheduler's next
-// DP call.
-func (d *DelayedLOS) selectBasic(ctx *sched.Context, m int) []*job.Job {
-	return BasicDP(ctx.Window(m, d.Lookahead), m, &d.scratch)
 }

@@ -194,9 +194,9 @@ type Result struct {
 // Run executes the workload across cfg.Clusters parallel cluster sessions
 // and merges the outcomes. The workload is validated once against the
 // per-cluster machine and not mutated (each session clones its jobs), so
-// the same workload can be replayed under other configurations. A single
-// cluster is one plain engine run over the whole workload; every
-// multi-cluster run goes through runEpochs.
+// the same workload can be replayed under other configurations. Every run
+// goes through runEpochs; a single cluster is a one-part static split,
+// which runs without barriers.
 func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -207,13 +207,6 @@ func Run(w *cwf.Workload, cfg Config) (*Result, error) {
 		if err := w.Validate(cfg.Engine.M); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Clusters == 1 {
-		out, err := engine.Run(w, cfg.clusterEngine(0))
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: cluster 0: %w", err)
-		}
-		return assemble([]*engine.Result{out}, nil, []int{len(w.Jobs)}, cfg.Engine.M), nil
 	}
 	router, err := NewRouter(cfg.Route)
 	if err != nil {
@@ -240,7 +233,7 @@ func (cfg *Config) clusterEngine(c int) engine.Config {
 
 // assemble builds the Result from the per-cluster outcomes and sample
 // views, summing in cluster order; jobs[c] is the number of submissions
-// cluster c owns. A single cluster needs no samples (see mergeSummaries).
+// cluster c owns.
 func assemble(outs []*engine.Result, samples []metrics.Samples, jobs []int, clusterM int) *Result {
 	res := &Result{Clusters: make([]ClusterResult, len(outs))}
 	for c, r := range outs {

@@ -11,6 +11,7 @@ import (
 	"elastisched/internal/core"
 	"elastisched/internal/cwf"
 	"elastisched/internal/engine"
+	"elastisched/internal/fault"
 	"elastisched/internal/job"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
@@ -101,48 +102,75 @@ func TestShardedFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleClusterMatchesEngine: with one cluster the dispatcher is the
-// plain engine run — the per-cluster result must match engine.Run exactly,
-// and the merged summary must agree on the mergeable fields.
+// TestSingleClusterMatchesEngine: one cluster is a one-part static split
+// through the epoch loop, and its cluster result must DeepEqual (so also
+// encode to the same JSON as) engine.Run on the same workload — for a
+// plain run and for one with every engine feature on: ECC, sampled faults
+// with daly checkpoints, malleable resizing and contiguous allocation. The
+// merged summary must agree on the mergeable fields.
 func TestSingleClusterMatchesEngine(t *testing.T) {
-	w := testWorkload(t, 200, 3)
-	res, err := Run(w, Config{
-		Clusters:     1,
-		Engine:       engine.Config{M: 320, Unit: 32, ProcessECC: true},
-		NewScheduler: losFactory,
-	})
+	p := workload.DefaultParams()
+	p.N, p.Seed, p.TargetLoad = 160, 13, 0.9
+	p.PD, p.PE, p.PR, p.PM = 0.2, 0.2, 0.1, 1.0
+	full, err := workload.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.Run(w, engine.Config{
-		M: 320, Unit: 32, ProcessECC: true, Scheduler: core.NewLOS(true),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Clusters[0].Result, ref) {
-		t.Fatalf("cluster result %+v != engine result %+v", res.Clusters[0].Result, ref)
-	}
-	m, s := res.Merged, ref.Summary
-	if m.Jobs != s.Jobs || m.MachineSize != s.MachineSize ||
-		m.WindowStart != s.WindowStart || m.WindowEnd != s.WindowEnd ||
-		m.DedicatedJobs != s.DedicatedJobs || m.MaxWait != s.MaxWait {
-		t.Fatalf("merged %+v disagrees with engine summary %+v", m, s)
-	}
-	for _, c := range []struct {
-		name string
-		a, b float64
+	for _, tc := range []struct {
+		name     string
+		w        *cwf.Workload
+		cfg      engine.Config
+		newSched func() sched.Scheduler
 	}{
-		{"Utilization", m.Utilization, s.Utilization},
-		{"MeanWait", m.MeanWait, s.MeanWait},
-		{"MeanRun", m.MeanRun, s.MeanRun},
-		{"Slowdown", m.Slowdown, s.Slowdown},
-		{"MeanBatchWait", m.MeanBatchWait, s.MeanBatchWait},
-		{"MeanDedWait", m.MeanDedWait, s.MeanDedWait},
+		{"plain", testWorkload(t, 200, 3), engine.Config{M: 320, Unit: 32, ProcessECC: true}, losFactory},
+		{"ecc-faults-malleable-contiguous", full, engine.Config{
+			M: 320, Unit: 32, ProcessECC: true, Contiguous: true,
+			Malleable: true, ResizeOverhead: 20,
+			Faults: &engine.FaultConfig{MTBF: 40000, MTTR: 2000, Seed: 5,
+				Checkpoint: fault.CheckpointDaly, CheckpointCost: 30},
+		}, func() sched.Scheduler { return sched.NewAutoResize(&sched.EASY{Ded: true}) }},
 	} {
-		if math.Abs(c.a-c.b) > 1e-9*(1+math.Abs(c.b)) {
-			t.Errorf("merged %s = %g, engine %g", c.name, c.a, c.b)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.w, Config{Clusters: 1, Engine: tc.cfg, NewScheduler: tc.newSched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ecfg := tc.cfg
+			ecfg.Scheduler = tc.newSched()
+			ref, err := engine.Run(tc.w, ecfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := ref.Summary; tc.cfg.Faults != nil && (s.KilledJobs == 0 || s.CheckpointsTaken == 0 ||
+				s.SchedulerResizes == 0 || ref.ECC.Applied == 0) {
+				t.Fatalf("scenario drifted: kills %d, checkpoints %d, resizes %d, ECCs applied %d",
+					s.KilledJobs, s.CheckpointsTaken, s.SchedulerResizes, ref.ECC.Applied)
+			}
+			if !reflect.DeepEqual(res.Clusters[0].Result, ref) {
+				t.Fatalf("cluster result %+v != engine result %+v", res.Clusters[0].Result, ref)
+			}
+			m, s := res.Merged, ref.Summary
+			if m.Jobs != s.Jobs || m.MachineSize != s.MachineSize ||
+				m.WindowStart != s.WindowStart || m.WindowEnd != s.WindowEnd ||
+				m.DedicatedJobs != s.DedicatedJobs || m.MaxWait != s.MaxWait {
+				t.Fatalf("merged %+v disagrees with engine summary %+v", m, s)
+			}
+			for _, c := range []struct {
+				name string
+				a, b float64
+			}{
+				{"Utilization", m.Utilization, s.Utilization},
+				{"MeanWait", m.MeanWait, s.MeanWait},
+				{"MeanRun", m.MeanRun, s.MeanRun},
+				{"Slowdown", m.Slowdown, s.Slowdown},
+				{"MeanBatchWait", m.MeanBatchWait, s.MeanBatchWait},
+				{"MeanDedWait", m.MeanDedWait, s.MeanDedWait},
+			} {
+				if math.Abs(c.a-c.b) > 1e-9*(1+math.Abs(c.b)) {
+					t.Errorf("merged %s = %g, engine %g", c.name, c.a, c.b)
+				}
+			}
+		})
 	}
 }
 

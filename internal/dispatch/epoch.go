@@ -12,13 +12,14 @@ import (
 	"elastisched/internal/metrics"
 )
 
-// This file is the multi-cluster run path. Every job reaches its cluster in
-// one of two ways:
+// This file is the dispatcher's one run path. Every job reaches its cluster
+// in one of two ways:
 //
 //   - Loaded: under a static policy with stealing off, every job's cluster
-//     is fixed for the whole run (split). No barrier is needed: each
-//     cluster's session is opened inside the drain task that runs it, loads
-//     its part, runs to completion, and is dropped once its result is taken.
+//     is fixed for the whole run (split; a single cluster is a one-part
+//     split). No barrier is needed: each cluster's session is opened inside
+//     the drain task that runs it, loads its part, runs to completion, and
+//     is dropped once its result is taken.
 //   - Released at barriers: stealing and feedback routing need the
 //     deterministic epoch-synchronization protocol behind
 //     Config.Epoch/Steal/Affinity.
@@ -50,7 +51,7 @@ import (
 // observes — so the result is byte-identical for any worker count. A loaded
 // run never crosses a barrier, so the same holds there trivially.
 
-// epochRun is the state of one multi-cluster run.
+// epochRun is the state of one dispatcher run.
 type epochRun struct {
 	cfg      Config
 	workers  int
@@ -95,7 +96,7 @@ type epochRun struct {
 	barrier           int64
 }
 
-// runEpochs executes a multi-cluster run. The caller has validated the
+// runEpochs executes a dispatcher run. The caller has validated the
 // config and the workload and resolved the router.
 func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 	e := &epochRun{

@@ -241,7 +241,7 @@ type Session struct {
 
 // noopWake is the dedicated-start wake event: it exists only to force a
 // scheduler cycle at the requested start instant.
-func noopWake(int64) {}
+func noopWake(int64, any) {}
 
 func (s *Session) arriveEv(now int64, arg any)   { s.arrive(arg.(*job.Job), now) }
 func (s *Session) completeEv(now int64, arg any) { s.complete(arg.(*job.Job), now) }
@@ -448,6 +448,15 @@ func (s *Session) Inject(j *job.Job) error {
 	if j.Arrival < s.eng.Now() {
 		return fmt.Errorf("engine: inject job %d with arrival %d before now %d", j.ID, j.Arrival, s.eng.Now())
 	}
+	_, err := s.admit(j, j.Arrival, "inject")
+	return err
+}
+
+// admit is the online admission Inject and AbsorbAt share: it clones j,
+// quantizes its size and bounds, takes ownership of the clone, and
+// schedules its arrival at instant at. A job ID the session already owns
+// is refused; verb names the caller in that error.
+func (s *Session) admit(j *job.Job, at int64, verb string) (*job.Job, error) {
 	if s.ids == nil {
 		s.ids = make(map[int]bool, len(s.jobs)+1)
 		for _, ex := range s.jobs {
@@ -455,21 +464,20 @@ func (s *Session) Inject(j *job.Job) error {
 		}
 	}
 	if s.ids[j.ID] {
-		return fmt.Errorf("engine: inject duplicate job ID %d", j.ID)
+		return nil, fmt.Errorf("engine: %s duplicate job ID %d", verb, j.ID)
 	}
-
 	clone := new(job.Job)
 	*clone = *j
 	q, err := s.mach.Quantize(clone.Size)
 	if err != nil {
-		return fmt.Errorf("engine: job %d: %v", clone.ID, err)
+		return nil, fmt.Errorf("engine: job %d: %v", clone.ID, err)
 	}
 	clone.Size = q
 	s.quantizeBounds(clone)
 	s.jobs = append(s.jobs, clone)
 	s.ids[clone.ID] = true
-	s.eng.AtArg(clone.Arrival, s.arriveH, clone)
-	return nil
+	s.eng.AtArg(at, s.arriveH, clone)
+	return clone, nil
 }
 
 // InjectCommand admits one Elastic Control Command online, issued at or
@@ -730,7 +738,7 @@ func (s *Session) arrive(j *job.Job, now int64) {
 		if j.ReqStart > now {
 			// Wake the scheduler at the rigid start time even if no other
 			// event lands there.
-			s.eng.At(j.ReqStart, noopWake)
+			s.eng.AtArg(j.ReqStart, noopWake, nil)
 		}
 		return
 	}

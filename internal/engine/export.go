@@ -92,30 +92,14 @@ func (s *Session) AbsorbAt(j *job.Job, at int64) error {
 	if j.Size > s.cfg.M {
 		return fmt.Errorf("engine: absorb job %d of size %d exceeding machine %d", j.ID, j.Size, s.cfg.M)
 	}
-	if s.ids == nil {
-		s.ids = make(map[int]bool, len(s.jobs)+1)
-		for _, ex := range s.jobs {
-			s.ids[ex.ID] = true
-		}
-	}
-	if s.ids[j.ID] {
-		return fmt.Errorf("engine: absorb duplicate job ID %d", j.ID)
-	}
-	clone := new(job.Job)
-	*clone = *j
-	q, err := s.mach.Quantize(clone.Size)
+	clone, err := s.admit(j, at, "absorb")
 	if err != nil {
-		return fmt.Errorf("engine: job %d: %v", clone.ID, err)
+		return err
 	}
-	clone.Size = q
-	s.quantizeBounds(clone)
-	s.jobs = append(s.jobs, clone)
-	s.ids[clone.ID] = true
 	if s.absorbed == nil {
 		s.absorbed = make(map[int]bool)
 	}
 	s.absorbed[clone.ID] = true
-	s.eng.AtArg(at, s.arriveH, clone)
 	return nil
 }
 

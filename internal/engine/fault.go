@@ -318,10 +318,6 @@ func (s *Session) kill(j *job.Job, now int64) {
 
 func (s *Session) ckptEv(now int64, arg any) { s.checkpoint(arg.(*job.Job), now) }
 
-// checkpointChaining reports whether this session runs timer-driven
-// checkpoint chains (periodic or daly policy).
-func (s *Session) checkpointChaining() bool { return s.ckptH != nil }
-
 // ckptIntervalFor returns the wall interval before job j's next
 // checkpoint. Periodic jobs all share the configured interval. Daly jobs
 // each get their own optimum: the configured MTBF is per node group, and

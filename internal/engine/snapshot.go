@@ -542,7 +542,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 			*cp = *ev.Cmd
 			s.eng.AtArg(ev.Time, s.commandH, cp)
 		case evWake:
-			s.eng.At(ev.Time, noopWake)
+			s.eng.AtArg(ev.Time, noopWake, nil)
 		case evFail, evRepair:
 			if sn.Retry == nil {
 				return fmt.Errorf("engine: snapshot %s event at t=%d without fault injection", ev.Kind, ev.Time)

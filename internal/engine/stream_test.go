@@ -55,10 +55,16 @@ func pinSnapshot(t *testing.T, sn *Snapshot, want string) {
 	}
 }
 
-// resumeSnapshot round-trips sn through its JSON encoding into a fresh
-// session built from sn.Config, runs it to completion and returns the
-// result.
+// resumeSnapshot resumes sn under the stream tests' scheduler.
 func resumeSnapshot(t *testing.T, sn *Snapshot) *Result {
+	t.Helper()
+	return resumeSnapshotWith(t, sn, sched.NewAutoResize(&sched.EASY{}))
+}
+
+// resumeSnapshotWith round-trips sn through its JSON encoding into a fresh
+// session built from sn.Config with scheduler sc, runs it to completion
+// and returns the result.
+func resumeSnapshotWith(t *testing.T, sn *Snapshot, sc sched.Scheduler) *Result {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := sn.Encode(&buf); err != nil {
@@ -72,7 +78,7 @@ func resumeSnapshot(t *testing.T, sn *Snapshot) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Scheduler = sched.NewAutoResize(&sched.EASY{})
+	cfg.Scheduler = sc
 	cfg.Paranoid = true
 	s, err := New(cfg)
 	if err != nil {
@@ -190,6 +196,55 @@ func TestSnapshotAfterWithdrawPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored run diverged:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// wakeSnapshotPinSHA256 is the sha256 of TestSnapshotPendingWakePinned's
+// snapshot, recorded when a wake was still a closure event rather than a
+// shared handler with a nil argument.
+const wakeSnapshotPinSHA256 = "b924f475384a26265ee8b705967e4ef7390461ae309a26b4bd63b7c4cf3397f7"
+
+// TestSnapshotPendingWakePinned stops a heterogeneous session at the first
+// instant boundary where a dedicated job's wake event is pending, and
+// requires the pinned encoding, a "wake" record in it, and a restore that
+// runs to the uninterrupted result.
+func TestSnapshotPendingWakePinned(t *testing.T) {
+	p := workload.DefaultParams()
+	p.Seed, p.N, p.TargetLoad, p.PD = 4, 80, 0.9, 0.3
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{M: 320, Unit: 32, Scheduler: &sched.EASY{Ded: true}, ProcessECC: true, Paranoid: true}
+	want, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scheduler = &sched.EASY{Ded: true}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(w); err != nil {
+		t.Fatal(err)
+	}
+	var sn *Snapshot
+	for wakes := 0; wakes == 0; {
+		if ok, err := s.Step(); err != nil || !ok {
+			t.Fatalf("no wake pending before the run drained: ok=%v err=%v", ok, err)
+		}
+		if sn, err = s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range sn.Events {
+			if ev.Kind == evWake {
+				wakes++
+			}
+		}
+	}
+	pinSnapshot(t, sn, wakeSnapshotPinSHA256)
+	if got := resumeSnapshotWith(t, sn, &sched.EASY{Ded: true}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored run diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

@@ -562,8 +562,9 @@ func TestChaosSnapshotRoundTrip(t *testing.T) {
 
 // TestSweepFaultKnobs wires the Point-level fault knobs end to end: a
 // two-point sweep (faults off / faults on) must run clean, keep the
-// fault-free point byte-identical to a standalone run, and report downtime
-// and kills only at the faulty point.
+// fault-free point byte-identical to a standalone run, report downtime
+// and kills only at the faulty point, and seed each faulty run's fault
+// model with the run seed.
 func TestSweepFaultKnobs(t *testing.T) {
 	p := workload.DefaultParams()
 	p.N = 60
@@ -609,5 +610,24 @@ func TestSweepFaultKnobs(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%+v", res.Cells[0][0].PerSeed[0]), fmt.Sprintf("%+v", r.Summary); got != want {
 		t.Errorf("fault-free sweep cell diverged from standalone run\ngot:  %s\nwant: %s", got, want)
+	}
+
+	// The faulty point's seed-3 cell must be a standalone run whose fault
+	// model is seeded with the run seed: the sweep copies the point's
+	// FaultConfig per run and sets Seed, leaving the point untouched.
+	fc := *faulty.Faults
+	fc.Seed = 3
+	r, err = engine.Run(w, engine.Config{
+		M: pp.M, Unit: pp.Unit, Scheduler: a.New(faulty), ProcessECC: a.ECC,
+		MaxECCPerJob: pp.MaxECCPerJob, Faults: &fc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%+v", res.Cells[0][1].PerSeed[0]), fmt.Sprintf("%+v", r.Summary); got != want {
+		t.Errorf("faulty sweep cell diverged from standalone run at fault seed 3\ngot:  %s\nwant: %s", got, want)
+	}
+	if faulty.Faults.Seed != 0 {
+		t.Errorf("sweep wrote fault seed %d into the shared point", faulty.Faults.Seed)
 	}
 }

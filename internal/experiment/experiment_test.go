@@ -235,31 +235,6 @@ func TestImprovementTableFormat(t *testing.T) {
 	}
 }
 
-func TestMeanOver(t *testing.T) {
-	r, err := tinySweep().Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := r.MeanOver("EASY", MetricUtil)
-	if err != nil || v <= 0 || v > 1 {
-		t.Errorf("MeanOver = %g, %v", v, err)
-	}
-	if _, err := r.MeanOver("NOPE", MetricUtil); err == nil {
-		t.Error("unknown algo accepted")
-	}
-}
-
-func TestMetricByName(t *testing.T) {
-	for _, name := range []string{"util", "wait", "slowdown", "bslow", "p95wait", "dedontime"} {
-		if _, err := MetricByName(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := MetricByName("nope"); err == nil {
-		t.Error("unknown metric accepted")
-	}
-}
-
 func TestExperimentDefinitions(t *testing.T) {
 	exps := All()
 	if len(exps) < 12 {
@@ -539,17 +514,6 @@ func TestImprovementsAllPairs(t *testing.T) {
 	}
 	if _, ok := imps["Delayed-LOS>EASY"]; !ok {
 		t.Errorf("missing pair: %v", imps)
-	}
-}
-
-func TestSortedAlgoNames(t *testing.T) {
-	r, err := tinySweep().Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := r.SortedAlgoNames()
-	if len(names) != 2 || names[0] != "Delayed-LOS" || names[1] != "EASY" {
-		t.Errorf("names = %v", names)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"elastisched/internal/fault"
@@ -19,17 +18,11 @@ type Metric struct {
 	Higher bool // true if larger is better (utilization)
 }
 
-// The paper's three headline metrics plus diagnostics.
+// The paper's three headline metrics plus the fault diagnostics.
 var (
 	MetricUtil = Metric{"util", "mean utilization", func(s metrics.Summary) float64 { return s.Utilization }, true}
 	MetricWait = Metric{"wait", "mean job waiting time (s)", func(s metrics.Summary) float64 { return s.MeanWait }, false}
 	MetricSlow = Metric{"slowdown", "slowdown", func(s metrics.Summary) float64 { return s.Slowdown }, false}
-
-	MetricBoundedSlow = Metric{"bslow", "mean bounded slowdown", func(s metrics.Summary) float64 { return s.MeanBoundedSlow }, false}
-	MetricP95Wait     = Metric{"p95wait", "p95 waiting time (s)", func(s metrics.Summary) float64 { return s.P95Wait }, false}
-	MetricDedOnTime   = Metric{"dedontime", "dedicated on-time fraction", func(s metrics.Summary) float64 { return s.DedicatedOnTime }, true}
-	MetricSteadyUtil  = Metric{"steadyutil", "steady-state utilization", func(s metrics.Summary) float64 { return s.SteadyUtilization }, true}
-	MetricSteadyWait  = Metric{"steadywait", "steady-state mean wait (s)", func(s metrics.Summary) float64 { return s.SteadyMeanWait }, false}
 
 	// Fault-pipeline metrics for robustness and checkpoint-economics sweeps.
 	MetricLostWork  = Metric{"lostwork", "lost work (proc·s)", func(s metrics.Summary) float64 { return s.LostWorkSeconds }, false}
@@ -39,16 +32,6 @@ var (
 
 // Metrics lists the standard report metrics in order.
 func Metrics() []Metric { return []Metric{MetricUtil, MetricWait, MetricSlow} }
-
-// MetricByName resolves a metric name.
-func MetricByName(name string) (Metric, error) {
-	for _, m := range []Metric{MetricUtil, MetricWait, MetricSlow, MetricBoundedSlow, MetricP95Wait, MetricDedOnTime, MetricSteadyUtil, MetricSteadyWait, MetricLostWork, MetricFaultCost} {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Metric{}, fmt.Errorf("experiment: unknown metric %q", name)
-}
 
 // algoIndex finds an algorithm's row, or -1.
 func (r *Result) algoIndex(name string) int {
@@ -353,20 +336,6 @@ func (r *Result) Improvements(m Metric) map[string]float64 {
 	return out
 }
 
-// MeanOver returns the metric averaged over all points for one algorithm —
-// a robust scalar for test assertions about who wins overall.
-func (r *Result) MeanOver(algo string, m Metric) (float64, error) {
-	ai := r.algoIndex(algo)
-	if ai < 0 {
-		return 0, fmt.Errorf("experiment: %q not in sweep %s", algo, r.Sweep.ID)
-	}
-	var t float64
-	for pi := range r.Sweep.Points {
-		t += m.Get(r.Cells[ai][pi].Summary)
-	}
-	return t / float64(len(r.Sweep.Points)), nil
-}
-
 // Summary returns the aggregated summary of one (algorithm, point) cell.
 func (r *Result) Summary(algo string, point int) (metrics.Summary, error) {
 	ai := r.algoIndex(algo)
@@ -443,14 +412,4 @@ func (r *Result) SignificanceTable(target string, baselines []string) (string, e
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// SortedAlgoNames lists the sweep's algorithm names, sorted.
-func (r *Result) SortedAlgoNames() []string {
-	out := make([]string, 0, len(r.Sweep.Algorithms))
-	for _, a := range r.Sweep.Algorithms {
-		out = append(out, a.Name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,11 +8,9 @@ import (
 
 	"elastisched/internal/core"
 	"elastisched/internal/cwf"
-	"elastisched/internal/dispatch"
 	"elastisched/internal/ecc"
 	"elastisched/internal/engine"
 	"elastisched/internal/metrics"
-	"elastisched/internal/sched"
 	"elastisched/internal/workload"
 )
 
@@ -47,16 +45,6 @@ type Point struct {
 	// ResizeOverhead is the per-resize reconfiguration penalty in sim
 	// seconds, charged to the resized job (Malleable only).
 	ResizeOverhead int64
-	// Clusters, when above 1, evaluates this point on the sharded
-	// dispatcher: the workload is split over Clusters per-cluster machines
-	// of Params.M processors and the merged global summary fills the cell
-	// (0 means one cluster). Route, Epoch, Steal, and Affinity mirror the
-	// dispatch.Config fields of the same names and follow its rules.
-	Clusters int
-	Route    string
-	Epoch    int64
-	Steal    bool
-	Affinity int
 }
 
 // EffectiveCs resolves the point's C_s.
@@ -160,40 +148,26 @@ func (c *workloadCache) get(pi, si int, params workload.Params) (*cwf.Workload, 
 	return e.w, e.err
 }
 
-// runConfig builds the dispatch configuration of one run: algorithm a at
-// point pi under the given seed. Workers=1 keeps the sweep's own worker
-// pool the only parallelism; the dispatch result is identical for any
-// value. The point's Faults is shared across workers, so each run gets its
-// own copy to seed.
-func (s *Sweep) runConfig(pi int, a Algorithm, seed int64) dispatch.Config {
+// runConfig builds the engine configuration of one run: algorithm a at
+// point pi under the given seed. The point's Faults is shared across
+// workers, so each run gets its own copy to seed.
+func (s *Sweep) runConfig(pi int, a Algorithm, seed int64) engine.Config {
 	pt := &s.Points[pi]
-	cfg := dispatch.Config{
-		Clusters: pt.Clusters,
-		Workers:  1,
-		Engine: engine.Config{
-			M:              pt.Params.M,
-			Unit:           pt.Params.Unit,
-			ProcessECC:     a.ECC,
-			MaxECCPerJob:   pt.Params.MaxECCPerJob,
-			Contiguous:     pt.Contiguous,
-			Migrate:        pt.Migrate,
-			Malleable:      pt.Malleable,
-			ResizeOverhead: pt.ResizeOverhead,
-			Prevalidated:   true,
-		},
-		NewScheduler: func() sched.Scheduler { return a.New(*pt) },
-		Route:        pt.Route,
-		Epoch:        pt.Epoch,
-		Steal:        pt.Steal,
-		Affinity:     pt.Affinity,
-	}
-	if cfg.Clusters == 0 {
-		cfg.Clusters = 1
+	cfg := engine.Config{
+		M:              pt.Params.M,
+		Unit:           pt.Params.Unit,
+		ProcessECC:     a.ECC,
+		MaxECCPerJob:   pt.Params.MaxECCPerJob,
+		Contiguous:     pt.Contiguous,
+		Migrate:        pt.Migrate,
+		Malleable:      pt.Malleable,
+		ResizeOverhead: pt.ResizeOverhead,
+		Prevalidated:   true,
 	}
 	if pt.Faults != nil {
 		fc := *pt.Faults
 		fc.Seed = seed
-		cfg.Engine.Faults = &fc
+		cfg.Faults = &fc
 	}
 	return cfg
 }
@@ -262,14 +236,16 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 				failed.Store(true)
 				continue
 			}
-			r, err := dispatch.Run(w, s.runConfig(t.pi, s.Algorithms[t.ai], seeds[t.si]))
+			a := s.Algorithms[t.ai]
+			cfg := s.runConfig(t.pi, a, seeds[t.si])
+			cfg.Scheduler = a.New(s.Points[t.pi])
+			r, err := engine.Run(w, cfg)
 			if err != nil {
 				out.err = err
 				failed.Store(true)
 				continue
 			}
-			// A single cluster's merged summary is its engine summary.
-			out.sum, out.ecc, out.events, out.cycles = r.Merged, r.ECC, r.Events, r.Cycles
+			out.sum, out.ecc, out.events, out.cycles = r.Summary, r.ECC, r.Events, r.Cycles
 		}
 	}
 	wg.Add(workers)

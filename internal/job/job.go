@@ -159,12 +159,6 @@ func RescaleRemaining(rem int64, oldSize, newSize int) int64 {
 	return (work + int64(newSize) - 1) / int64(newSize)
 }
 
-// Overran reports whether the job hit its kill-by time before finishing its
-// actual work (killed due to under-estimation).
-func (j *Job) Overran() bool {
-	return j.Actual > 0 && j.Actual > j.Dur
-}
-
 // Wait returns the job's waiting time: start minus arrival for batch jobs,
 // and start minus the requested start for dedicated jobs (a dedicated job
 // started exactly on time has waited zero).

@@ -140,18 +140,6 @@ func TestBatchQueueRemoveKeepsOrder(t *testing.T) {
 	}
 }
 
-func TestBatchQueueRemoveAll(t *testing.T) {
-	q := NewBatchQueue()
-	jobs := []*Job{batchJob(1, 32, 1, 0), batchJob(2, 32, 1, 1), batchJob(3, 32, 1, 2)}
-	for _, j := range jobs {
-		q.Push(j)
-	}
-	q.RemoveAll([]*Job{jobs[0], jobs[2]})
-	if q.Len() != 1 || q.Head() != jobs[1] {
-		t.Fatal("RemoveAll broke queue")
-	}
-}
-
 func TestBatchQueueRemoveUnknownPanics(t *testing.T) {
 	q := NewBatchQueue()
 	q.Push(batchJob(1, 32, 1, 0))
@@ -422,18 +410,6 @@ func TestEffectiveRuntime(t *testing.T) {
 		if got := j.EffectiveRuntime(); got != c.want {
 			t.Errorf("dur=%d actual=%d: effective=%d, want %d", c.dur, c.actual, got, c.want)
 		}
-	}
-}
-
-func TestOverran(t *testing.T) {
-	if (&Job{Dur: 100, Actual: 150}).Overran() != true {
-		t.Error("over-running job not detected")
-	}
-	if (&Job{Dur: 100, Actual: 60}).Overran() {
-		t.Error("premature job flagged as overrun")
-	}
-	if (&Job{Dur: 100}).Overran() {
-		t.Error("exact job flagged as overrun")
 	}
 }
 

@@ -91,13 +91,6 @@ func (q *BatchQueue) Remove(j *Job) {
 	panic(fmt.Sprintf("job: remove of job %d not in batch queue", j.ID))
 }
 
-// RemoveAll deletes every job in set from the queue, preserving order.
-func (q *BatchQueue) RemoveAll(set []*Job) {
-	for _, j := range set {
-		q.Remove(j)
-	}
-}
-
 // Find returns the queued job with the given ID, or nil.
 func (q *BatchQueue) Find(id int) *Job {
 	for _, j := range q.Jobs() {

@@ -9,28 +9,28 @@ func BenchmarkEventThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for k := Time(0); k < 10000; k++ {
-			e.At(k, func(Time) {})
+			e.AtArg(k, func(Time, any) {}, nil)
 		}
 		e.Run()
 	}
 }
 
 // BenchmarkScheduleDispatch measures the steady-state schedule/dispatch
-// cycle on a long-lived engine: one At and one Step per iteration against a
+// cycle on a long-lived engine: one AtArg and one Step per iteration against a
 // standing backlog, the regime a mid-simulation event kernel lives in. The
 // target is zero allocations per operation.
 func BenchmarkScheduleDispatch(b *testing.B) {
 	e := New()
-	fn := func(Time) {}
+	fn := func(Time, any) {}
 	const backlog = 512
 	for i := 0; i < backlog; i++ {
-		e.At(Time(i), fn)
+		e.AtArg(Time(i), fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	t := Time(backlog)
 	for i := 0; i < b.N; i++ {
-		e.At(t, fn)
+		e.AtArg(t, fn, nil)
 		e.Step()
 		t++
 	}
@@ -41,17 +41,17 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 // against a standing backlog.
 func BenchmarkCancelReschedule(b *testing.B) {
 	e := New()
-	fn := func(Time) {}
+	fn := func(Time, any) {}
 	const far = Time(1) << 40
 	for i := 0; i < 64; i++ {
-		e.At(far+Time(i), fn)
+		e.AtArg(far+Time(i), fn, nil)
 	}
-	h := e.At(far+100, fn)
+	h := e.AtArg(far+100, fn, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Cancel(h)
-		h = e.At(far+100+Time(i%1000), fn)
+		h = e.AtArg(far+100+Time(i%1000), fn, nil)
 	}
 }
 
@@ -63,7 +63,7 @@ func BenchmarkCancelHeavy(b *testing.B) {
 		e := New()
 		evs := make([]Handle, 0, 10000)
 		for k := Time(0); k < 10000; k++ {
-			evs = append(evs, e.At(k, func(Time) {}))
+			evs = append(evs, e.AtArg(k, func(Time, any) {}, nil))
 		}
 		for k := 0; k < len(evs); k += 2 {
 			e.Cancel(evs[k])

@@ -11,8 +11,8 @@ import (
 func TestCancelZeroHandleIsNoOp(t *testing.T) {
 	e := New()
 	fired := 0
-	e.At(5, func(Time) { fired++ })
-	e.At(9, func(Time) { fired++ })
+	e.AtArg(5, func(Time, any) { fired++ }, nil)
+	e.AtArg(9, func(Time, any) { fired++ }, nil)
 	for i := 0; i < 3; i++ {
 		if e.Cancel(Handle{}) {
 			t.Fatal("Cancel(Handle{}) returned true")
@@ -31,10 +31,10 @@ func TestCancelZeroHandleIsNoOp(t *testing.T) {
 // the successor event, and must not report it scheduled.
 func TestCancelStaleHandleIsNoOp(t *testing.T) {
 	e := New()
-	stale := e.At(1, func(Time) {})
+	stale := e.AtArg(1, func(Time, any) {}, nil)
 	e.Run() // fires; the record becomes reusable
 	fired := false
-	fresh := e.At(10, func(Time) { fired = true })
+	fresh := e.AtArg(10, func(Time, any) { fired = true }, nil)
 	if e.Cancel(stale) {
 		t.Error("stale Cancel returned true")
 	}
@@ -124,7 +124,7 @@ func TestRestoreReplayMatchesOriginal(t *testing.T) {
 
 func TestRestoreClockRejectsPastEvents(t *testing.T) {
 	e := New()
-	e.At(5, func(Time) {})
+	e.AtArg(5, func(Time, any) {}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RestoreClock with an event before now did not panic")
@@ -135,7 +135,7 @@ func TestRestoreClockRejectsPastEvents(t *testing.T) {
 
 func TestRestoreClockRejectsRewind(t *testing.T) {
 	e := New()
-	e.At(5, func(Time) {})
+	e.AtArg(5, func(Time, any) {}, nil)
 	e.Run()
 	defer func() {
 		if recover() == nil {

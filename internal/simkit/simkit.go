@@ -22,14 +22,14 @@
 // records. A compaction pass bounds the garbage when cancellations dominate.
 //
 // The queue has two parts. The heap above holds dynamic events: anything
-// scheduled with At, AtArg or After, at any time, cancellable. The static
-// source holds events registered with AtStatic before the first dispatch
-// (a replayed trace's arrivals, commands and faults): never cancelled,
-// each a 24-byte (time, seq, kind, index) record with no arena slot and no
-// heap entry, sorted once and then read through a cursor. Both parts draw
-// sequence numbers from one counter, and every dispatch takes the minimum
-// (time, seq) over the cursor and the heap top, so the dispatch order is
-// exactly what it would be with every event on the heap.
+// scheduled with AtArg, at any time, cancellable. The static source holds
+// events registered with AtStatic before the first dispatch (a replayed
+// trace's arrivals, commands and faults): never cancelled, each a 24-byte
+// (time, seq, kind, index) record with no arena slot and no heap entry,
+// sorted once and then read through a cursor. Both parts draw sequence
+// numbers from one counter, and every dispatch takes the minimum (time,
+// seq) over the cursor and the heap top, so the dispatch order is exactly
+// what it would be with every event on the heap.
 package simkit
 
 import (
@@ -42,13 +42,10 @@ import (
 // ordering exact and runs reproducible for a given seed.
 type Time = int64
 
-// Handler is the callback attached to a scheduled event.
-type Handler func(now Time)
-
-// ArgHandler is a handler that receives a caller-supplied argument. AtArg
-// lets long-lived callers (the engine's arrival/completion paths) schedule
-// with one shared ArgHandler instead of allocating a fresh closure per
-// event.
+// ArgHandler is the callback of a dynamic event; it receives the argument
+// the event was scheduled with. Long-lived callers (the engine's
+// arrival/completion paths) schedule with one shared ArgHandler instead of
+// allocating a fresh closure per event.
 type ArgHandler func(now Time, arg any)
 
 // StaticKind is a caller-chosen tag of a static event, passed back to the
@@ -67,7 +64,6 @@ type StaticHandler func(now Time, kind StaticKind, idx int)
 type event struct {
 	time Time
 	gen  uint64
-	fn   Handler
 	afn  ArgHandler
 	arg  any
 }
@@ -151,21 +147,14 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Dispatched() uint64 { return e.stepped }
 
 // Pending returns the number of scheduled events, static and dynamic.
-// O(1): a live counter is maintained across At, Cancel, and dispatch.
+// O(1): a live counter is maintained across AtArg, Cancel, and dispatch.
 func (e *Engine) Pending() int { return e.live + len(e.src) - e.next }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) is an error in the caller; the engine panics to surface the bug
-// instead of silently reordering history.
-func (e *Engine) At(t Time, fn Handler) Handle {
-	ev := e.at(e.acquire(t))
-	ev.fn = fn
-	return Handle{ev, ev.gen}
-}
-
-// AtArg schedules fn(t, arg) at absolute time t. Unlike At, the callback is
-// a shared function plus an argument, so a caller dispatching many events
-// through one handler performs no per-event closure allocation.
+// AtArg schedules fn(t, arg) at absolute time t. The callback is a shared
+// function plus an argument, so a caller dispatching many events through
+// one handler performs no per-event closure allocation. Scheduling in the
+// past (t < Now) is an error in the caller; the engine panics to surface
+// the bug instead of silently reordering history.
 func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) Handle {
 	ev := e.at(e.acquire(t))
 	ev.afn = fn
@@ -180,7 +169,7 @@ func (e *Engine) OnStatic(fn StaticHandler) { e.onStatic = fn }
 // k and idx at absolute time t. Static events must be registered before
 // the first dispatch and cannot be cancelled; in exchange they cost no
 // event record and no heap entry. They take their sequence number from
-// the counter At and AtArg use, so interleaving AtStatic with AtArg yields
+// the counter AtArg uses, so interleaving AtStatic with AtArg yields
 // the same dispatch order as scheduling everything with AtArg.
 func (e *Engine) AtStatic(t Time, k StaticKind, idx int) {
 	switch {
@@ -203,11 +192,6 @@ func (e *Engine) AtStatic(t Time, k StaticKind, idx int) {
 // GrowStatic makes room for n more static events, so a caller that knows
 // its stream lengths registers them with one allocation.
 func (e *Engine) GrowStatic(n int) { e.src = slices.Grow(e.src, n) }
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d Time, fn Handler) Handle {
-	return e.At(e.now+d, fn)
-}
 
 // acquire takes an event record from the free list (or grows the arena by
 // one chunk), stamps it, and enqueues it.
@@ -240,7 +224,6 @@ func (e *Engine) acquire(t Time) int32 {
 func (e *Engine) recycle(id int32) {
 	ev := e.at(id)
 	ev.gen++
-	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
 	e.freeIDs = append(e.freeIDs, id)
@@ -259,7 +242,6 @@ func (e *Engine) Cancel(h Handle) bool {
 	// Void the record but keep it out of the pool: its queue entry still
 	// references it and will release it when popped.
 	ev.gen++
-	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
 	e.live--
@@ -353,16 +335,12 @@ func (e *Engine) Step() bool {
 	e.now = en.time
 	e.stepped++
 	e.live--
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	afn, arg := ev.afn, ev.arg
 	// Recycle before invoking: the record is reusable by events the
 	// handler schedules, and the generation bump voids the fired event's
 	// handles.
 	e.recycle(en.id)
-	if afn != nil {
-		afn(e.now, arg)
-	} else {
-		fn(e.now)
-	}
+	afn(e.now, arg)
 	return true
 }
 
@@ -422,12 +400,11 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // PendingEvent describes one live scheduled event, for state capture. For
-// a heap event, Arg is the AtArg argument (nil for At/After events) and
-// Handle identifies the event so callers can match it against handles
-// they retained (e.g. a completion table). For a static event, Kind is its
-// nonzero StaticKind and Index the index it was registered with; Handle
-// and Arg are zero. Ordering in the slice returned by PendingInOrder is
-// dispatch order.
+// a heap event, Arg is the AtArg argument and Handle identifies the event
+// so callers can match it against handles they retained (e.g. a completion
+// table). For a static event, Kind is its nonzero StaticKind and Index the
+// index it was registered with; Handle and Arg are zero. Ordering in the
+// slice returned by PendingInOrder is dispatch order.
 type PendingEvent struct {
 	Handle Handle
 	Time   Time

@@ -12,7 +12,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{30, 10, 20, 5, 25} {
 		at := at
-		e.At(at, func(now Time) { got = append(got, now) })
+		e.AtArg(at, func(now Time, _ any) { got = append(got, now) }, nil)
 	}
 	e.Run()
 	want := []Time{5, 10, 20, 25, 30}
@@ -31,7 +31,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.AtArg(100, func(Time, any) { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -43,11 +43,11 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 
 func TestClockAdvances(t *testing.T) {
 	e := New()
-	e.At(7, func(now Time) {
+	e.AtArg(7, func(now Time, _ any) {
 		if now != 7 {
 			t.Errorf("handler saw now=%d, want 7", now)
 		}
-	})
+	}, nil)
 	if e.Now() != 0 {
 		t.Fatalf("initial clock %d, want 0", e.Now())
 	}
@@ -60,19 +60,19 @@ func TestClockAdvances(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := New()
 	var at Time
-	e.At(10, func(Time) {
-		e.After(5, func(now Time) { at = now })
-	})
+	e.AtArg(10, func(Time, any) {
+		e.AtArg(e.Now()+5, func(now Time, _ any) { at = now }, nil)
+	}, nil)
 	e.Run()
 	if at != 15 {
-		t.Errorf("After(5) from t=10 fired at %d, want 15", at)
+		t.Errorf("Now()+5 from t=10 fired at %d, want 15", at)
 	}
 }
 
 func TestCancelPreventsDispatch(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.At(10, func(Time) { fired = true })
+	ev := e.AtArg(10, func(Time, any) { fired = true }, nil)
 	if !e.Cancel(ev) {
 		t.Fatal("Cancel returned false for a pending event")
 	}
@@ -87,7 +87,7 @@ func TestCancelPreventsDispatch(t *testing.T) {
 
 func TestCancelTwiceIsFalse(t *testing.T) {
 	e := New()
-	ev := e.At(10, func(Time) {})
+	ev := e.AtArg(10, func(Time, any) {}, nil)
 	e.Cancel(ev)
 	if e.Cancel(ev) {
 		t.Error("second Cancel returned true")
@@ -99,7 +99,7 @@ func TestCancelTwiceIsFalse(t *testing.T) {
 
 func TestCancelFiredEventIsFalse(t *testing.T) {
 	e := New()
-	ev := e.At(1, func(Time) {})
+	ev := e.AtArg(1, func(Time, any) {}, nil)
 	e.Run()
 	if e.Cancel(ev) {
 		t.Error("Cancel of already-fired event returned true")
@@ -112,7 +112,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	evs := make([]Handle, 0, 10)
 	for i := Time(1); i <= 10; i++ {
 		i := i
-		evs = append(evs, e.At(i, func(now Time) { got = append(got, now) }))
+		evs = append(evs, e.AtArg(i, func(now Time, _ any) { got = append(got, now) }, nil))
 	}
 	e.Cancel(evs[4]) // t=5
 	e.Cancel(evs[7]) // t=8
@@ -129,27 +129,27 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func(Time) {
+	e.AtArg(10, func(Time, any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling before now did not panic")
 			}
 		}()
-		e.At(5, func(Time) {})
-	})
+		e.AtArg(5, func(Time, any) {}, nil)
+	}, nil)
 	e.Run()
 }
 
 func TestStepTimestampBatchesOneInstant(t *testing.T) {
 	e := New()
 	count5, count9 := 0, 0
-	e.At(5, func(Time) { count5++ })
-	e.At(5, func(Time) {
+	e.AtArg(5, func(Time, any) { count5++ }, nil)
+	e.AtArg(5, func(Time, any) {
 		count5++
 		// Cascade at the same instant: must be included in this batch.
-		e.At(5, func(Time) { count5++ })
-	})
-	e.At(9, func(Time) { count9++ })
+		e.AtArg(5, func(Time, any) { count5++ }, nil)
+	}, nil)
+	e.AtArg(9, func(Time, any) { count9++ }, nil)
 
 	ts, ok := e.StepTimestamp()
 	if !ok || ts != 5 {
@@ -172,7 +172,7 @@ func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 	fired := map[Time]bool{}
 	for _, at := range []Time{1, 5, 10, 15} {
 		at := at
-		e.At(at, func(Time) { fired[at] = true })
+		e.AtArg(at, func(Time, any) { fired[at] = true }, nil)
 	}
 	e.RunUntil(10)
 	if !fired[1] || !fired[5] || !fired[10] {
@@ -188,8 +188,8 @@ func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 
 func TestPeekTimeSkipsCancelled(t *testing.T) {
 	e := New()
-	ev := e.At(3, func(Time) {})
-	e.At(8, func(Time) {})
+	ev := e.AtArg(3, func(Time, any) {}, nil)
+	e.AtArg(8, func(Time, any) {}, nil)
 	e.Cancel(ev)
 	if tm, ok := e.PeekTime(); !ok || tm != 8 {
 		t.Errorf("PeekTime = (%d, %v), want (8, true)", tm, ok)
@@ -199,7 +199,7 @@ func TestPeekTimeSkipsCancelled(t *testing.T) {
 func TestDispatchedCounter(t *testing.T) {
 	e := New()
 	for i := Time(0); i < 5; i++ {
-		e.At(i, func(Time) {})
+		e.AtArg(i, func(Time, any) {}, nil)
 	}
 	e.Run()
 	if e.Dispatched() != 5 {
@@ -210,14 +210,14 @@ func TestDispatchedCounter(t *testing.T) {
 func TestHandlersCanScheduleChains(t *testing.T) {
 	e := New()
 	depth := 0
-	var chain func(now Time)
-	chain = func(now Time) {
+	var chain ArgHandler
+	chain = func(now Time, _ any) {
 		depth++
 		if depth < 100 {
-			e.After(1, chain)
+			e.AtArg(e.Now()+1, chain, nil)
 		}
 	}
-	e.At(0, chain)
+	e.AtArg(0, chain, nil)
 	end := e.Run()
 	if depth != 100 {
 		t.Errorf("chain depth %d, want 100", depth)
@@ -234,7 +234,7 @@ func TestPropertyDispatchSorted(t *testing.T) {
 		var got []Time
 		for _, x := range times {
 			at := Time(x)
-			e.At(at, func(now Time) { got = append(got, now) })
+			e.AtArg(at, func(now Time, _ any) { got = append(got, now) }, nil)
 		}
 		e.Run()
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
@@ -246,13 +246,13 @@ func TestPropertyDispatchSorted(t *testing.T) {
 
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	e := New()
-	stale := e.At(1, func(Time) {})
+	stale := e.AtArg(1, func(Time, any) {}, nil)
 	e.Run() // fires; the record returns to the free list
 
-	// The next At must reuse the record (LIFO free list); the stale handle
+	// The next AtArg must reuse the record (LIFO free list); the stale handle
 	// now points at a live event of a later generation.
 	fired := false
-	fresh := e.At(5, func(Time) { fired = true })
+	fresh := e.AtArg(5, func(Time, any) { fired = true }, nil)
 	if fresh.ev != stale.ev {
 		t.Fatalf("free list did not recycle the record")
 	}
@@ -270,7 +270,7 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 
 func TestStaleHandleAfterCancelCannotCancelRecycledEvent(t *testing.T) {
 	e := New()
-	stale := e.At(10, func(Time) {})
+	stale := e.AtArg(10, func(Time, any) {}, nil)
 	if !e.Cancel(stale) {
 		t.Fatal("first cancel failed")
 	}
@@ -278,7 +278,7 @@ func TestStaleHandleAfterCancelCannotCancelRecycledEvent(t *testing.T) {
 	// dead queue entry is popped. Drain to flush it out.
 	e.Run()
 	fired := false
-	fresh := e.At(20, func(Time) { fired = true })
+	fresh := e.AtArg(20, func(Time, any) { fired = true }, nil)
 	if fresh.ev != stale.ev {
 		t.Fatalf("free list did not recycle the record")
 	}
@@ -293,17 +293,17 @@ func TestStaleHandleAfterCancelCannotCancelRecycledEvent(t *testing.T) {
 
 func TestEventRecordsAreReused(t *testing.T) {
 	e := New()
-	e.At(1, func(Time) {})
+	e.AtArg(1, func(Time, any) {}, nil)
 	e.Run()
 	// The free list is refilled in blocks; what matters is that the
-	// steady-state schedule/dispatch cycle never grows it — every At is
+	// steady-state schedule/dispatch cycle never grows it — every AtArg is
 	// served by the record the previous Step released.
 	size := len(e.freeIDs)
 	if size == 0 {
 		t.Fatal("free list empty after drain")
 	}
 	for i := Time(2); i < 100; i++ {
-		e.At(i, func(Time) {})
+		e.AtArg(i, func(Time, any) {}, nil)
 		e.Step()
 		if len(e.freeIDs) != size {
 			t.Fatalf("t=%d: free list holds %d records, want %d", i, len(e.freeIDs), size)
@@ -318,7 +318,7 @@ func TestPendingCounter(t *testing.T) {
 	}
 	hs := make([]Handle, 0, 10)
 	for i := Time(1); i <= 10; i++ {
-		hs = append(hs, e.At(i, func(Time) {}))
+		hs = append(hs, e.AtArg(i, func(Time, any) {}, nil))
 	}
 	if e.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", e.Pending())
@@ -358,7 +358,7 @@ func TestAtArgDeliversArgument(t *testing.T) {
 
 func TestHandleTime(t *testing.T) {
 	e := New()
-	h := e.At(42, func(Time) {})
+	h := e.AtArg(42, func(Time, any) {}, nil)
 	if tm, ok := h.Time(); !ok || tm != 42 {
 		t.Errorf("Time = (%d, %v), want (42, true)", tm, ok)
 	}
@@ -377,7 +377,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		fired := 0
 		evs := make([]Handle, n)
 		for i := 0; i < n; i++ {
-			evs[i] = e.At(Time(r.Intn(100)), func(Time) { fired++ })
+			evs[i] = e.AtArg(Time(r.Intn(100)), func(Time, any) { fired++ }, nil)
 		}
 		cancelled := 0
 		for _, ev := range evs {

@@ -39,7 +39,8 @@ func (r *mergeRig) label() int {
 func (r *mergeRig) fireArg(now Time, arg any) { r.fire(now, arg.(int)) }
 
 // fire records the label and runs its scripted reaction: schedule a child
-// at now through AtArg, a later one through At, and cancel a dynamic event.
+// at now through a shared handler, a later one through a closure with a
+// nil argument, and cancel a dynamic event.
 func (r *mergeRig) fire(now Time, l int) {
 	r.log = append(r.log, l)
 	if len(r.script) == 0 {
@@ -52,7 +53,7 @@ func (r *mergeRig) fire(now Time, l int) {
 	}
 	if a&2 != 0 && r.labels < maxMergeLabels {
 		c := r.label()
-		r.handles[c] = r.e.At(now+Time(a>>4%8), func(now Time) { r.fire(now, c) })
+		r.handles[c] = r.e.AtArg(now+Time(a>>4%8), func(now Time, _ any) { r.fire(now, c) }, nil)
 	}
 	if a&4 != 0 && r.labels > 0 {
 		r.cancel(int(a>>3) * 7 % r.labels)
@@ -77,7 +78,7 @@ func (r *mergeRig) schedule(op byte, t Time, victim int) {
 		}
 	case 1:
 		l := r.label()
-		r.handles[l] = r.e.At(t, func(now Time) { r.fire(now, l) })
+		r.handles[l] = r.e.AtArg(t, func(now Time, _ any) { r.fire(now, l) }, nil)
 	case 2:
 		l := r.label()
 		r.handles[l] = r.e.AtArg(t, r.fireArg, l)
@@ -94,7 +95,7 @@ type pendingKey struct {
 	time  Time
 }
 
-// pending projects PendingInOrder onto (label, time); At closures, whose
+// pending projects PendingInOrder onto (label, time); closure events, whose
 // argument is nil in both rigs, read as label -1.
 func (r *mergeRig) pending() []pendingKey {
 	var out []pendingKey
@@ -112,7 +113,7 @@ func (r *mergeRig) pending() []pendingKey {
 }
 
 // FuzzStreamMerge differentially tests the static source: random mixes of
-// AtStatic, At, AtArg and cancellations before the first dispatch, then
+// AtStatic, AtArg and cancellations before the first dispatch, then
 // handlers that schedule at now and later and cancel dynamic events, must
 // dispatch, count and list pending events exactly as a reference engine
 // that schedules everything with AtArg — compared at random stop points.
@@ -208,7 +209,7 @@ func TestRestoreClockRejectsPastStaticEvents(t *testing.T) {
 	e.OnStatic(func(Time, StaticKind, int) {})
 	e.AtStatic(20, 1, 0)
 	e.AtStatic(5, 1, 1)
-	e.At(30, func(Time) {})
+	e.AtArg(30, func(Time, any) {}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RestoreClock with a static event before now did not panic")

@@ -77,15 +77,6 @@ func Welch(a, b []float64) (t, dof float64, err error) {
 	return t, dof, nil
 }
 
-// WelchP returns the two-sided p-value of Welch's t-test.
-func WelchP(a, b []float64) (float64, error) {
-	t, dof, err := Welch(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return twoSidedP(t, dof), nil
-}
-
 // PairedT performs a paired t-test on the differences a[i]-b[i] (e.g. the
 // same workload simulated under two schedulers) and returns the two-sided
 // p-value. Identical samples give p = 1.

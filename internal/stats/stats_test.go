@@ -98,28 +98,13 @@ func TestCI95Degenerate(t *testing.T) {
 	}
 }
 
-func TestWelchIdenticalGroups(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	p, err := WelchP(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.99 {
-		t.Errorf("p = %g for identical groups, want ~1", p)
-	}
-}
-
 func TestWelchSeparatedGroups(t *testing.T) {
 	a := []float64{10, 11, 9, 10.5, 9.5, 10.2}
 	b := []float64{20, 21, 19, 20.5, 19.5, 20.2}
-	p, err := WelchP(a, b)
+	tstat, dof, err := Welch(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p > 1e-6 {
-		t.Errorf("p = %g for clearly separated groups", p)
-	}
-	tstat, dof, _ := Welch(a, b)
 	if tstat >= 0 {
 		t.Errorf("t = %g, want negative (a < b)", tstat)
 	}
