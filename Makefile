@@ -69,17 +69,22 @@ scale-smoke:
 
 # Chaos harness: every registry algorithm under seeded node-group fault
 # traces and retry policies, each schedule certified by the audit oracle,
-# plus mid-outage snapshot/restore round trips (see DESIGN.md section 10).
+# plus mid-outage snapshot/restore round trips (see DESIGN.md section 10),
+# and the delta-feed differential: every Stateful policy warm against cold
+# over the fault, checkpoint, malleable and contiguous axes (section 9).
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/experiment
+	$(GO) test -race -run 'TestStatefulFeed' -count=1 ./internal/engine
 
 # Malleability smoke: the -M decorated policies under Contiguous x Faults
 # chaos with the resize-lawfulness audit rules, the work-conservation
-# property under adversarial random resize streams, and a short
+# property under adversarial random resize streams, the delta-feed
+# differential (AutoResize's quiet state warm against cold), and a short
 # interleaved-ops fuzz pass (mirrors CI's chaos-smoke malleable cell).
 malleable-smoke:
 	$(GO) test -race -run 'TestChaosMalleable' -count=1 -v ./internal/experiment
 	$(GO) test -race -run 'TestPropertyResizeWorkConservation' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestStatefulFeed' -count=1 ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
 
 # Full evaluation suite with TSV outputs under results/.

@@ -23,6 +23,12 @@ type DelayedLOS struct {
 	// Lookahead bounds the DP window (default DefaultLookahead).
 	Lookahead int
 
+	// DeltaTracker makes Delayed-LOS Stateful. It settles only on passes
+	// that start nothing and charge no skip: no free capacity, an empty
+	// queue, or a reservation backfill that selects nobody. A Basic_DP
+	// pass never settles, since bumpSkip charges the head once per
+	// instant, so a later instant is never a replay of an earlier one.
+	sched.DeltaTracker
 	scratch Scratch
 }
 
@@ -39,8 +45,12 @@ func (d *DelayedLOS) Heterogeneous() bool { return false }
 
 // Schedule runs one Delayed-LOS cycle (Algorithm 1).
 func (d *DelayedLOS) Schedule(ctx *sched.Context) {
+	if d.CanSkip(ctx) {
+		return
+	}
 	m := ctx.Free()
 	if m <= 0 || ctx.Batch.Empty() {
+		d.Settle(sched.NoHorizon)
 		return
 	}
 	head := ctx.Batch.Head()
@@ -67,6 +77,9 @@ func (d *DelayedLOS) Schedule(ctx *sched.Context) {
 		}
 		window := ctx.Window(m, d.Lookahead)
 		set := ReservationDP(window, m, frec, fret, ctx.Now, &d.scratch)
+		if len(set) == 0 {
+			d.Settle(fret)
+		}
 		startAll(ctx, set)
 	}
 }

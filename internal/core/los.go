@@ -22,6 +22,11 @@ type LOS struct {
 	// Ded enables the dedicated-queue appendage (LOS-D).
 	Ded bool
 
+	// DeltaTracker makes LOS Stateful. LOS settles only on passes that
+	// start nothing: no free capacity, an empty queue, or a reservation
+	// backfill that selects nobody. LOS-D never settles: its dedicated
+	// freeze reads end times beyond the head's reservation.
+	sched.DeltaTracker
 	scratch Scratch
 }
 
@@ -43,11 +48,15 @@ func (l *LOS) Heterogeneous() bool { return l.Ded }
 
 // Schedule runs one LOS cycle.
 func (l *LOS) Schedule(ctx *sched.Context) {
+	if l.CanSkip(ctx) {
+		return
+	}
 	if l.Ded && sched.MoveDueDedicated(ctx, 0) {
 		return
 	}
 	m := ctx.Free()
 	if m <= 0 || ctx.Batch.Empty() {
+		l.settle(sched.NoHorizon)
 		return
 	}
 	var dfz *sched.Freeze
@@ -91,7 +100,18 @@ func (l *LOS) Schedule(ctx *sched.Context) {
 		}
 		window := ctx.Window(m, l.Lookahead)
 		set := ReservationDP(window, m, frec, fret, ctx.Now, &l.scratch)
+		if len(set) == 0 {
+			l.settle(fret)
+		}
 		startAll(ctx, set)
+	}
+}
+
+// settle settles a pass that started nothing with retime horizon h; LOS-D
+// runs every pass in full.
+func (l *LOS) settle(h int64) {
+	if !l.Ded {
+		l.Settle(h)
 	}
 }
 

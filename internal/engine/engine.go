@@ -227,10 +227,10 @@ type Session struct {
 	// nil when fault injection is off.
 	ftrace *fault.Trace
 	// ckpt maps job ID -> pending checkpoint event of the running attempt;
-	// non-nil exactly when ckptH is bound. ckptEvery is the resolved base
+	// used only when ckptH is bound. ckptEvery is the resolved base
 	// (single-group) wall interval between a job's checkpoints; daly jobs
 	// spanning several node groups shorten it per job (ckptIntervalFor).
-	ckpt      map[int]simkit.Handle
+	ckpt      idtab.Table[simkit.Handle]
 	ckptEvery int64
 
 	// loaded latches after Load or Restore; failed latches the first
@@ -338,7 +338,6 @@ func New(cfg Config) (*Session, error) {
 		s.faultH = s.faultEv
 		if ivl := cfg.Faults.ResolvedCheckpointInterval(); ivl > 0 {
 			s.ckptH = s.ckptEv
-			s.ckpt = make(map[int]simkit.Handle)
 			s.ckptEvery = ivl
 		}
 	}
@@ -891,8 +890,13 @@ func (s *Session) applyResize(j *job.Job, newSize int, auto bool) error {
 		}
 		// A fragmented contiguous grow: compact the machine and retry once
 		// (Compact is a no-op during an outage, so the retry may still fail).
-		s.mach.Compact()
+		// A compaction that moved jobs changed which sizes fit even when the
+		// retry fails, so the policy hears of it as a capacity change.
+		moved := s.mach.Compact()
 		if err := s.mach.Resize(j.ID, newSize); err != nil {
+			if moved > 0 && s.st != nil {
+				s.st.CapacityChanged(s.eng.Now())
+			}
 			return err
 		}
 	}

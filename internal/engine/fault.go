@@ -338,27 +338,24 @@ func (s *Session) scheduleFirstCheckpoint(j *job.Job, now int64) {
 	if s.ckptH == nil || j.Class != job.Batch {
 		return
 	}
-	s.ckpt[j.ID] = s.eng.AtArg(now+s.ckptIntervalFor(j), s.ckptH, j)
+	s.ckpt.Put(j.ID, s.eng.AtArg(now+s.ckptIntervalFor(j), s.ckptH, j))
 }
 
 // cancelCheckpoint cancels a job's pending checkpoint event, if any — the
 // job is leaving the machine (completion or kill).
 func (s *Session) cancelCheckpoint(id int) {
-	if s.ckpt == nil {
-		return
-	}
-	if h, ok := s.ckpt[id]; ok {
+	if h, ok := s.ckpt.Get(id); ok {
 		s.eng.Cancel(h)
-		delete(s.ckpt, id)
+		s.ckpt.Delete(id)
 	}
 }
 
 // checkpoint executes one checkpoint of a running job: the cost C is
 // charged to the job's remaining runtime (estimate and actual both — the
 // machine really is occupied that much longer), the restart point moves to
-// this instant, and the next checkpoint is chained.
+// this instant, and the next checkpoint is chained (its handle overwrites
+// the one that just fired).
 func (s *Session) checkpoint(j *job.Job, now int64) {
-	delete(s.ckpt, j.ID)
 	c := s.cfg.Faults.CheckpointCost
 	if c > 0 {
 		oldEnd := j.EndTime
@@ -371,7 +368,7 @@ func (s *Session) checkpoint(j *job.Job, now int64) {
 	}
 	j.CkptAt = now
 	s.collector.CheckpointTaken(c, j.Size)
-	s.ckpt[j.ID] = s.eng.AtArg(now+c+s.ckptIntervalFor(j), s.ckptH, j)
+	s.ckpt.Put(j.ID, s.eng.AtArg(now+c+s.ckptIntervalFor(j), s.ckptH, j))
 }
 
 func max64(a, b int64) int64 {

@@ -322,12 +322,13 @@ func (s *Session) snapEvent(pe simkit.PendingEvent, index map[*job.Job]int) (Eve
 		// table (a heap event's handle is never the zero Handle those
 		// tables return for absent IDs). Static job events are Load
 		// arrivals and carry no handle.
+		ckpt, _ := s.ckpt.Get(arg.ID)
 		switch {
 		case pe.Kind != 0:
 			ev.Kind = evArrive
 		case pe.Handle == s.getCompletion(arg.ID):
 			ev.Kind = evComplete
-		case pe.Handle == s.ckpt[arg.ID]:
+		case pe.Handle == ckpt:
 			ev.Kind = evCkpt
 		default:
 			ev.Kind = evArrive
@@ -530,10 +531,10 @@ func (s *Session) Restore(sn *Snapshot) error {
 			if s.ckptH == nil {
 				return fmt.Errorf("engine: snapshot checkpoint event at t=%d but the config schedules no checkpoints", ev.Time)
 			}
-			if _, dup := s.ckpt[j.ID]; dup {
+			if _, dup := s.ckpt.Get(j.ID); dup {
 				return fmt.Errorf("engine: snapshot has two pending checkpoints for job %d", j.ID)
 			}
-			s.ckpt[j.ID] = s.eng.AtArg(ev.Time, s.ckptH, j)
+			s.ckpt.Put(j.ID, s.eng.AtArg(ev.Time, s.ckptH, j))
 		case evCommand:
 			if ev.Cmd == nil {
 				return fmt.Errorf("engine: snapshot command event at t=%d without a command", ev.Time)

@@ -1,24 +1,37 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"elastisched/internal/core"
 	"elastisched/internal/cwf"
+	"elastisched/internal/fault"
 	"elastisched/internal/job"
 	"elastisched/internal/sched"
 	"elastisched/internal/trace"
 	"elastisched/internal/workload"
 )
 
-// coldPolicy forwards Scheduler only, hiding any Stateful implementation,
-// so the engine never arms the delta feed: the wrapped policy runs a full
-// pass every cycle, exactly like the pre-Stateful implementation.
+// coldPolicy forwards Scheduler and sched.Malleable only, hiding any
+// Stateful implementation, so the engine never arms the delta feed: the
+// wrapped policy runs a full pass every cycle, exactly like the
+// pre-Stateful implementation, and an AutoResize wrap rescans for
+// proposals every cycle. A policy without proposals answers none, which
+// the engine cannot tell from a rigid policy.
 type coldPolicy struct{ s sched.Scheduler }
 
 func (c coldPolicy) Name() string                { return c.s.Name() }
 func (c coldPolicy) Heterogeneous() bool         { return c.s.Heterogeneous() }
 func (c coldPolicy) Schedule(ctx *sched.Context) { c.s.Schedule(ctx) }
+
+func (c coldPolicy) ProposeResizes(ctx *sched.Context) []sched.Resize {
+	if m, ok := c.s.(sched.Malleable); ok {
+		return m.ProposeResizes(ctx)
+	}
+	return nil
+}
 
 // TestStatefulFeedIsBehaviourNeutral pins the sched.Stateful contract: a
 // policy fed engine deltas (settled skips, the delta-maintained base
@@ -77,6 +90,122 @@ func TestStatefulFeedIsBehaviourNeutral(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStatefulFeedChaosMatrix extends the behaviour-neutrality check to
+// every source of deltas at once: node-group faults under each checkpoint
+// policy (a checkpoint retimes its job by the checkpoint cost), scheduler
+// resizes, ECC extend/reduce and grow/shrink commands, and contiguous
+// placement. Each cell runs a policy warm (delta feed armed: settled skips
+// with their retime horizons, AutoResize's quiet state) and cold, and
+// requires identical spans and identical Results, cycle and event counts
+// included.
+func TestStatefulFeedChaosMatrix(t *testing.T) {
+	var policies []func() sched.Scheduler
+	for _, mk := range []func() sched.Scheduler{
+		func() sched.Scheduler { return &sched.EASY{} },
+		func() sched.Scheduler { return &sched.EASY{Ded: true} },
+		func() sched.Scheduler { return &sched.Conservative{} },
+		func() sched.Scheduler { return &sched.ConservativeD{} },
+		func() sched.Scheduler { return core.NewLOS(false) },
+		func() sched.Scheduler { return core.NewLOS(true) },
+		func() sched.Scheduler { return core.NewDelayedLOS(3) },
+	} {
+		policies = append(policies, mk, func() sched.Scheduler { return sched.NewAutoResize(mk()) })
+	}
+	faults := []struct {
+		name string
+		cfg  *FaultConfig // nil: no fault injection
+	}{
+		{"no-faults", nil},
+		{"ckpt-none", &FaultConfig{}},
+		{"periodic", &FaultConfig{Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 900, CheckpointCost: 300}},
+		{"daly", &FaultConfig{Checkpoint: fault.CheckpointDaly, CheckpointCost: 300}},
+		{"on-resize", &FaultConfig{Checkpoint: fault.CheckpointOnResize, CheckpointCost: 300}},
+	}
+	cells := 0
+	for _, malleable := range []bool{false, true} {
+		for _, contiguous := range []bool{false, true} {
+			for fi, fc := range faults {
+				if fc.cfg != nil && fc.cfg.Checkpoint == fault.CheckpointOnResize && !malleable {
+					continue
+				}
+				for pi, newPolicy := range policies {
+					for _, seed := range []int64{int64(1 + fi + 5*pi), int64(101 + fi + 5*pi)} {
+						w := chaosMatrixWorkload(t, seed, newPolicy().Heterogeneous(), malleable)
+						cfg := Config{
+							M: 320, Unit: 32, ProcessECC: true, Paranoid: true,
+							Malleable: malleable, Contiguous: contiguous, ResizeOverhead: 5,
+						}
+						if fc.cfg != nil {
+							f := *fc.cfg
+							f.MTBF, f.MTTR, f.Seed = 30000, 2000, seed
+							f.Retry = fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 20}
+							cfg.Faults = &f
+						}
+						name := fmt.Sprintf("%s malleable=%v contiguous=%v %s seed %d",
+							newPolicy().Name(), malleable, contiguous, fc.name, seed)
+						requireWarmMatchesCold(t, name, w, cfg, newPolicy)
+						cells++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cells warm and cold", cells)
+}
+
+// requireWarmMatchesCold runs one cell with the delta feed armed and cold,
+// and fails on the first differing span or Result field.
+func requireWarmMatchesCold(t *testing.T, name string, w *cwf.Workload, cfg Config, newPolicy func() sched.Scheduler) {
+	t.Helper()
+	run := func(s sched.Scheduler) ([]trace.Span, *Result) {
+		rec := trace.NewRecorder(cfg.M, cfg.Unit)
+		cfg.Scheduler, cfg.Observer = s, rec
+		r, err := Run(w, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return rec.Spans(), r
+	}
+	warmSpans, warm := run(newPolicy())
+	coldSpans, cold := run(coldPolicy{s: newPolicy()})
+	if len(warmSpans) != len(coldSpans) {
+		t.Fatalf("%s: %d spans with delta feed vs %d cold", name, len(warmSpans), len(coldSpans))
+	}
+	for i := range warmSpans {
+		if !reflect.DeepEqual(warmSpans[i], coldSpans[i]) {
+			t.Fatalf("%s: span %d diverges: with feed %+v, cold %+v", name, i, warmSpans[i], coldSpans[i])
+		}
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("%s: results diverge:\nwith feed %+v\ncold      %+v", name, warm, cold)
+	}
+}
+
+// chaosMatrixWorkload is a short, loaded trace with ECC extend/reduce
+// commands (grow/shrink too on odd seeds), dedicated jobs for the
+// heterogeneous policies, and malleable bounds when resizing is on.
+func chaosMatrixWorkload(t *testing.T, seed int64, hetero, malleable bool) *cwf.Workload {
+	t.Helper()
+	p := workload.DefaultParams()
+	p.Seed = seed
+	p.N = 150
+	p.TargetLoad = 1.0
+	p.PE, p.PR = 0.2, 0.1
+	p.MaxECCPerJob = 2
+	p.SizeECC = seed%2 == 1
+	if hetero {
+		p.PD = 0.3
+	}
+	if malleable {
+		p.PM = 0.7
+	}
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // fullWalkCons is the exhaustive conservative reference: every cycle it

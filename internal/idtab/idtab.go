@@ -115,13 +115,20 @@ func (t *Table[V]) Delete(id int) bool {
 }
 
 // grow doubles the slot array (8 slots at first) and re-indexes every
-// entry.
+// entry. The entry list is regrown with it, to the n/2 entries the new
+// slot array indexes before the next doubling, so Put's append never
+// reallocates on its own: a table costs two allocations per doubling.
 func (t *Table[V]) grow() {
 	n := 2 * len(t.slots)
 	if n == 0 {
 		n = 8
 	}
 	t.slots = make([]int32, n)
+	if cap(t.ents) < n/2 {
+		ents := make([]entry[V], len(t.ents), n/2)
+		copy(ents, t.ents)
+		t.ents = ents
+	}
 	t.shift = 64
 	for ; n > 1; n >>= 1 {
 		t.shift--

@@ -135,3 +135,19 @@ func TestSteadyCycleDoesNotAllocate(t *testing.T) {
 		t.Errorf("Len %d, want %d", tab.Len(), live)
 	}
 }
+
+// TestGrowthAllocatesTwicePerDoubling pins the growth cost: filling a
+// fresh table allocates the slot array and the entry list once per
+// doubling and nothing in between. 100 entries need 256 slots: six
+// doublings from 8, twelve allocations.
+func TestGrowthAllocatesTwicePerDoubling(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		var tab Table[int]
+		for id := 0; id < 100; id++ {
+			tab.Put(id, id)
+		}
+	})
+	if allocs != 12 {
+		t.Errorf("filling 100 entries allocated %.0f times, want 12", allocs)
+	}
+}

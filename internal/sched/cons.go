@@ -29,7 +29,7 @@ import "elastisched/internal/job"
 // Every delta other than a start unsettles the policy; base, which the
 // deltas patch in place, is the only state carried into the next pass.
 type consCore struct {
-	deltaTracker
+	DeltaTracker
 	base      Profile // running jobs only, delta-maintained
 	baseValid bool    // base reflects the current running set
 	cur       Profile // per-pass scratch: base + this pass's reservations
@@ -37,7 +37,7 @@ type consCore struct {
 
 // ResetDeltas implements Stateful; the rebuild-on-restore rule lives here.
 func (c *consCore) ResetDeltas() {
-	c.deltaTracker.ResetDeltas()
+	c.DeltaTracker.ResetDeltas()
 	c.baseValid = false
 }
 
@@ -115,7 +115,7 @@ func (c *consCore) CapacityChanged(now int64) {
 // when infeasible, mirroring the unavoidable delay of Algorithm 2 lines
 // 24-30).
 func (c *consCore) pass(ctx *Context, pinDedicated bool) {
-	if c.canSkip(ctx) {
+	if c.CanSkip(ctx) {
 		return
 	}
 	prof := c.cycleProfile(ctx)
@@ -184,7 +184,7 @@ func (c *consCore) pass(ctx *Context, pinDedicated bool) {
 		}
 	}
 	if clean {
-		c.settle()
+		c.Settle(EveryRetime)
 	} else {
 		c.settled = false
 	}

@@ -17,12 +17,13 @@ type EASY struct {
 	// Ded enables the dedicated-queue appendage (EASY-D).
 	Ded bool
 
-	// deltaTracker makes EASY Stateful: its only cross-cycle state is the
-	// settled flag, which lets the engine's fixed-point verification pass
-	// (and any cycle whose deltas were all absorbed) return in O(1). EASY
-	// needs no persistent profile — its shadow reservation is a single
-	// (time, capacity) pair recomputed in O(active) when a pass does run.
-	deltaTracker
+	// DeltaTracker makes EASY Stateful: its only cross-cycle state is the
+	// settled flag and its retime horizon, which let the engine's
+	// fixed-point verification pass (and any cycle whose deltas were all
+	// absorbed) return in O(1). EASY needs no persistent profile — its
+	// shadow reservation is a single (time, capacity) pair recomputed in
+	// O(active) when a pass does run.
+	DeltaTracker
 }
 
 // Name implements Scheduler.
@@ -46,8 +47,14 @@ func (e *EASY) Heterogeneous() bool { return e.Ded }
 // engine's same-instant verification cycle can move later, admitting a
 // candidate this pass rejected (observable with EASY-D, where a backfill
 // can flip the dedicated freeze from the on-time to the drain branch).
+//
+// The settled pass's retime horizon is the head's shadow time: a retime
+// strictly on one side of it moves neither the shadow nor its extra
+// capacity (see DeltaTracker.Settle). An empty queue or a full machine
+// reads no end time at all. EASY-D's dedicated freeze reads end times
+// beyond the shadow, so EASY-D settles against every retime.
 func (e *EASY) Schedule(ctx *Context) {
-	if e.canSkip(ctx) {
+	if e.CanSkip(ctx) {
 		return
 	}
 	if e.Ded {
@@ -70,7 +77,7 @@ func (e *EASY) Schedule(ctx *Context) {
 		h := ctx.Batch.Head()
 		if h == nil {
 			if clean && !started {
-				e.settle()
+				e.settleAt(NoHorizon)
 			}
 			return
 		}
@@ -115,8 +122,20 @@ func (e *EASY) Schedule(ctx *Context) {
 		i--
 	}
 	if clean && !started {
-		e.settle()
+		h := sfz.Time
+		if ctx.Free() <= 0 {
+			h = NoHorizon
+		}
+		e.settleAt(h)
 	}
+}
+
+// settleAt settles a clean pass with retime horizon h; EASY-D ignores h.
+func (e *EASY) settleAt(h int64) {
+	if e.Ded {
+		h = EveryRetime
+	}
+	e.Settle(h)
 }
 
 // shadowFor computes the head job's reservation: the earliest time enough

@@ -58,8 +58,20 @@ type Malleable interface {
 // decorator forwards the Stateful delta feed and the Snapshotter state
 // contract to the inner policy when it implements them, so CONS-M keeps
 // CONS's incremental profile and restore behaviour.
+//
+// The decorator also reads the feed itself. Both rules depend only on the
+// queues, free and in-service capacity, and the running jobs' sizes,
+// bounds and health — never on end times or the clock. So once a cycle
+// that made no progress yields no proposal, the decorator goes quiet: it
+// returns nil without rescanning until a forwarded delta other than
+// JobRetimed arrives, or a cycle makes progress (moving a due dedicated
+// job sends no delta). Without a live feed it never goes quiet.
 type AutoResize struct {
 	Inner Scheduler
+
+	// live is set once the engine arms the delta feed (ResetDeltas); quiet
+	// marks the fixed point described above.
+	live, quiet bool
 
 	// scratch for candidate collection and proposal assembly, retained
 	// across cycles so the hot path stays allocation-free. Both backing
@@ -116,14 +128,18 @@ func quantMax(j *job.Job, unit int) int {
 // scratch reused by the next call: the engine consumes proposals before
 // re-invoking the policy, and callers must not retain it.
 func (a *AutoResize) ProposeResizes(ctx *Context) []Resize {
+	if a.quiet && !ctx.Progress {
+		return nil
+	}
 	a.clearScratch()
+	var out []Resize
 	if head := ctx.Batch.Head(); head != nil {
-		return a.shrinkToAdmit(ctx, head)
+		out = a.shrinkToAdmit(ctx, head)
+	} else if ctx.Dedicated.Len() == 0 {
+		out = a.expandIdle(ctx)
 	}
-	if ctx.Dedicated.Len() == 0 {
-		return a.expandIdle(ctx)
-	}
-	return nil
+	a.quiet = a.live && !ctx.Progress && len(out) == 0
+	return out
 }
 
 // clearScratch drops the job pointers the scratch backing arrays retained
@@ -269,6 +285,7 @@ func sortByID(jobs []*job.Job) {
 // which the previous workload's jobs must be collectable.
 func (a *AutoResize) ResetDeltas() {
 	a.clearScratch()
+	a.live, a.quiet = true, false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.ResetDeltas()
 	}
@@ -276,6 +293,7 @@ func (a *AutoResize) ResetDeltas() {
 
 // JobArrived implements Stateful by forwarding.
 func (a *AutoResize) JobArrived(j *job.Job, now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobArrived(j, now)
 	}
@@ -283,6 +301,7 @@ func (a *AutoResize) JobArrived(j *job.Job, now int64) {
 
 // JobStarted implements Stateful by forwarding.
 func (a *AutoResize) JobStarted(j *job.Job, now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobStarted(j, now)
 	}
@@ -290,12 +309,14 @@ func (a *AutoResize) JobStarted(j *job.Job, now int64) {
 
 // JobFinished implements Stateful by forwarding.
 func (a *AutoResize) JobFinished(j *job.Job, now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobFinished(j, now)
 	}
 }
 
-// JobRetimed implements Stateful by forwarding.
+// JobRetimed implements Stateful by forwarding. A retime leaves the
+// decorator quiet: neither resize rule reads end times.
 func (a *AutoResize) JobRetimed(j *job.Job, oldEnd, now int64) {
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobRetimed(j, oldEnd, now)
@@ -304,6 +325,7 @@ func (a *AutoResize) JobRetimed(j *job.Job, oldEnd, now int64) {
 
 // JobResized implements Stateful by forwarding.
 func (a *AutoResize) JobResized(j *job.Job, oldSize int, now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobResized(j, oldSize, now)
 	}
@@ -311,6 +333,7 @@ func (a *AutoResize) JobResized(j *job.Job, oldSize int, now int64) {
 
 // QueueChanged implements Stateful by forwarding.
 func (a *AutoResize) QueueChanged() {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.QueueChanged()
 	}
@@ -318,6 +341,7 @@ func (a *AutoResize) QueueChanged() {
 
 // JobKilled implements Stateful by forwarding.
 func (a *AutoResize) JobKilled(j *job.Job, now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.JobKilled(j, now)
 	}
@@ -325,6 +349,7 @@ func (a *AutoResize) JobKilled(j *job.Job, now int64) {
 
 // CapacityChanged implements Stateful by forwarding.
 func (a *AutoResize) CapacityChanged(now int64) {
+	a.quiet = false
 	if s, ok := a.Inner.(Stateful); ok {
 		s.CapacityChanged(now)
 	}

@@ -72,3 +72,51 @@ func TestProposeResizesScratchCleared(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoResizeQuietState: with the feed armed, a cycle that made no
+// progress and proposed nothing makes the decorator quiet. A retime keeps
+// it quiet (neither rule reads end times); any other delta, or a cycle
+// with progress, makes it rescan. Without a feed it never goes quiet.
+func TestAutoResizeQuietState(t *testing.T) {
+	h := newHarness(t, 320, 32)
+	j := h.addRunning(100, 64, 1000)
+	j.MinProcs, j.MaxProcs = 32, 64
+	h.addBatch(1, 64, 500) // fits: no deficit, nothing to shrink
+
+	cold := NewAutoResize(&EASY{})
+	if cold.ProposeResizes(h.ctx()); cold.quiet {
+		t.Fatal("quiet without a delta feed")
+	}
+
+	a := NewAutoResize(&EASY{})
+	a.ResetDeltas()
+	ctx := h.ctx()
+	if got := a.ProposeResizes(ctx); len(got) != 0 || !a.quiet {
+		t.Fatalf("proposals %v, quiet %v; want none and quiet", got, a.quiet)
+	}
+	a.JobRetimed(j, j.EndTime, h.now)
+	if !a.quiet {
+		t.Fatal("a retime ended the quiet state")
+	}
+	ctx.Progress = true
+	if a.ProposeResizes(ctx); a.quiet {
+		t.Fatal("quiet after a cycle with progress")
+	}
+	ctx.Progress = false
+	a.ProposeResizes(ctx)
+	for name, delta := range map[string]func(){
+		"JobArrived":      func() { a.JobArrived(j, h.now) },
+		"JobStarted":      func() { a.JobStarted(j, h.now) },
+		"JobFinished":     func() { a.JobFinished(j, h.now) },
+		"JobResized":      func() { a.JobResized(j, 32, h.now) },
+		"QueueChanged":    func() { a.QueueChanged() },
+		"JobKilled":       func() { a.JobKilled(j, h.now) },
+		"CapacityChanged": func() { a.CapacityChanged(h.now) },
+	} {
+		a.quiet = true
+		delta()
+		if a.quiet {
+			t.Errorf("%s left the decorator quiet", name)
+		}
+	}
+}
