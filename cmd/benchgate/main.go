@@ -119,8 +119,11 @@ var ratioGates = []struct {
 // The Faults/EASY cell is the fault-path counterpart: outage sampling,
 // kill/requeue, and the periodic checkpoint chain all sit on the event
 // hot loop, so that cell regressing means the fault pipeline got
-// slower, not the scheduler. Only enforced when -bench and -pkgs keep
-// their defaults; a filtered invocation legitimately compares a subset.
+// slower, not the scheduler. The Simulate500Reset cells run through one
+// reused session, as sweep workers do: their alloc gate fails if a change
+// brings back per-run buffers that Session.Reset now reuses. Only
+// enforced when -bench and -pkgs keep their defaults; a filtered
+// invocation legitimately compares a subset.
 var requiredGates = []string{
 	"elastisched/internal/engine.BenchmarkSimulate500/FCFS",
 	"elastisched/internal/engine.BenchmarkSimulate500/EASY",
@@ -129,6 +132,9 @@ var requiredGates = []string{
 	"elastisched/internal/engine.BenchmarkSimulate500/Delayed-LOS",
 	"elastisched/internal/engine.BenchmarkSimulate500/Hybrid-LOS",
 	"elastisched/internal/engine.BenchmarkSimulate500Faults/EASY",
+	"elastisched/internal/engine.BenchmarkSimulate500Reset/EASY",
+	"elastisched/internal/engine.BenchmarkSimulate500Reset/LOS",
+	"elastisched/internal/engine.BenchmarkSimulate500Reset/Delayed-LOS",
 }
 
 func main() {

@@ -17,8 +17,10 @@ package cwf
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,11 +151,25 @@ func (w *Workload) SizeCommandCount() int {
 // submitted size outside [MinProcs, MaxProcs] are rejected up front — for
 // unbounded jobs out-of-range elasticity stays a simulate-time concern (the
 // engine clamps against the machine), preserving prior behaviour.
+//
+// When job IDs strictly increase, as every generated workload's do, the
+// commands' jobs are found by binary search and Validate allocates
+// nothing; otherwise a map indexes the jobs. Both paths report the same
+// first error.
 func (w *Workload) Validate(m int) error {
-	ids := make(map[int]*job.Job, len(w.Jobs))
-	for _, j := range w.Jobs {
+	var ids map[int]*job.Job // nil while IDs strictly increase
+	for i, j := range w.Jobs {
 		if err := j.Validate(m); err != nil {
 			return err
+		}
+		if ids == nil && (i == 0 || j.ID > w.Jobs[i-1].ID) {
+			continue
+		}
+		if ids == nil {
+			ids = make(map[int]*job.Job, len(w.Jobs))
+			for _, p := range w.Jobs[:i] {
+				ids[p.ID] = p
+			}
 		}
 		if ids[j.ID] != nil {
 			return fmt.Errorf("cwf: duplicate submission for job %d", j.ID)
@@ -161,7 +177,14 @@ func (w *Workload) Validate(m int) error {
 		ids[j.ID] = j
 	}
 	for _, c := range w.Commands {
-		j := ids[c.JobID]
+		var j *job.Job
+		if ids != nil {
+			j = ids[c.JobID]
+		} else if k, ok := slices.BinarySearchFunc(w.Jobs, c.JobID, func(j *job.Job, id int) int {
+			return cmp.Compare(j.ID, id)
+		}); ok {
+			j = w.Jobs[k]
+		}
 		if j == nil {
 			return fmt.Errorf("cwf: %v references unknown job", c)
 		}

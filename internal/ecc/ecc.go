@@ -131,6 +131,13 @@ func NewProcessor(maxPerJob int) *Processor {
 	return &Processor{MaxPerJob: maxPerJob, applied: make(map[int]int)}
 }
 
+// Reset returns the processor to the state NewProcessor(maxPerJob) builds,
+// reusing its per-job budget table.
+func (p *Processor) Reset(maxPerJob int) {
+	clear(p.applied)
+	p.MaxPerJob, p.Stats = maxPerJob, Stats{}
+}
+
 // Snapshot is the processor's restorable state: the aggregate statistics
 // and the per-job applied-command counts the MaxPerJob budget is enforced
 // against.

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"elastisched/internal/cwf"
 	"elastisched/internal/fault"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
@@ -11,13 +12,27 @@ import (
 // BenchmarkSimulate500 measures end-to-end simulation throughput of one
 // paper-sized run (500 jobs, Load 0.9) per scheduling policy.
 func BenchmarkSimulate500(b *testing.B) {
+	benchSimulate(b, paper500(), newSessionPerRun, "FCFS", "EASY", "CONS", "CONS-D", "LOS", "Delayed-LOS", "EASY-D", "LOS-D", "Hybrid-LOS")
+}
+
+// BenchmarkSimulate500Reset is the same run through one session that is
+// Reset for every iteration, as each sweep worker runs. Its allocs/op is
+// what a run costs beyond the storage the previous run leaves behind
+// (mostly the policy's own state, new per run); benchgate pins it, so a
+// change that brings back per-run buffers fails the alloc gate.
+func BenchmarkSimulate500Reset(b *testing.B) {
+	benchSimulate(b, paper500(), oneSessionReset, "EASY", "LOS", "Delayed-LOS")
+}
+
+// paper500 is the paper-sized workload of the Simulate500 family.
+func paper500() workload.Params {
 	p := workload.DefaultParams()
 	p.N = 500
 	p.PS = 0.5
 	p.PE = 0.2
 	p.PR = 0.1
 	p.TargetLoad = 0.9
-	benchSimulate(b, p, "FCFS", "EASY", "CONS", "CONS-D", "LOS", "Delayed-LOS", "EASY-D", "LOS-D", "Hybrid-LOS")
+	return p
 }
 
 // BenchmarkSimulateOverload measures the conservative policies in the
@@ -30,13 +45,34 @@ func BenchmarkSimulateOverload(b *testing.B) {
 	p.PE = 0.2
 	p.PR = 0.1
 	p.TargetLoad = 1.4
-	benchSimulate(b, p, "CONS", "CONS-D")
+	benchSimulate(b, p, newSessionPerRun, "CONS", "CONS-D")
+}
+
+// runner executes one whole run. newRunner returns one per sub-benchmark.
+type runner func(*cwf.Workload, Config) (*Result, error)
+
+// newSessionPerRun runs every iteration through Run: New, Load, Run,
+// Result on a new session.
+func newSessionPerRun() runner { return Run }
+
+// oneSessionReset runs every iteration on one session, through Reset.
+func oneSessionReset() runner {
+	var s Session
+	return func(w *cwf.Workload, cfg Config) (*Result, error) {
+		if err := s.Reset(cfg, w); err != nil {
+			return nil, err
+		}
+		if err := s.Run(); err != nil {
+			return nil, err
+		}
+		return s.Result()
+	}
 }
 
 // benchSimulate runs one simulation per iteration for each named policy on
 // an M=320/32 machine: batch-only policies replay the trace p generates,
 // heterogeneous ones the same parameters with P_D = 0.3.
-func benchSimulate(b *testing.B, p workload.Params, names ...string) {
+func benchSimulate(b *testing.B, p workload.Params, newRunner func() runner, names ...string) {
 	batch, err := workload.Generate(p)
 	if err != nil {
 		b.Fatal(err)
@@ -52,19 +88,25 @@ func benchSimulate(b *testing.B, p workload.Params, names ...string) {
 			if freshScheduler(name).Heterogeneous() {
 				w = hetero
 			}
+			run := newRunner()
+			config := func() Config {
+				return Config{M: 320, Unit: 32, Scheduler: freshScheduler(name), ProcessECC: true}
+			}
+			// A warm-up run outside the timer: a reused session's first run
+			// allocates the storage every later run reuses.
+			r, err := run(w, config())
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := Run(w, Config{
-					M: 320, Unit: 32, Scheduler: freshScheduler(name), ProcessECC: true,
-				})
-				if err != nil {
+				if _, err := run(w, config()); err != nil {
 					b.Fatal(err)
 				}
-				if i == 0 {
-					b.ReportMetric(float64(r.Events), "events")
-					b.ReportMetric(float64(r.Cycles), "cycles")
-				}
 			}
+			b.ReportMetric(float64(r.Events), "events")
+			b.ReportMetric(float64(r.Cycles), "cycles")
 		})
 	}
 }

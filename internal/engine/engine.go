@@ -9,8 +9,9 @@
 // one instant, to a deadline, or to completion, Inject/InjectCommand admit
 // work online, Snapshot/Restore capture and reinstate the complete
 // simulation state, and Result reports the measured outcome. Run (the
-// package function) composes them into the one-shot execution the
-// experiment sweeps use.
+// package function) composes them into a one-shot execution; Reset readies
+// a used session for the next run, reusing its storage, which is how the
+// experiment sweeps run.
 //
 // This is the role the GridSim + ALEA pair plays in the paper's Java
 // framework (Figure 3).
@@ -19,6 +20,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -161,8 +163,9 @@ type Result struct {
 	PeakFragmentedWaste int
 }
 
-// Session is a live, incrementally driven simulation. The zero value is
-// not usable; use New, then Load (or Restore, or Inject) to admit work.
+// Session is a live, incrementally driven simulation. Use New, then Load
+// (or Restore, or Inject) to admit work; or Reset, which also readies a
+// zero Session and lets one Session serve run after run.
 //
 // A Session is single-goroutine: it must not be shared without external
 // synchronization. Snapshots are only taken between steps — every public
@@ -217,17 +220,19 @@ type Session struct {
 	// applies proposals after every Schedule call.
 	malleable sched.Malleable
 	// arriveH/completeH/commandH/faultH/ckptH are the shared event
-	// callbacks, bound once so the hot paths schedule through simkit.AtArg
-	// without allocating a closure per event. ckptH is bound only under a
-	// timer-driven checkpoint policy (periodic or daly). Load's arrivals and
-	// commands and the fault trace are static events instead (staticEv);
-	// faultH serves only fault events reinstated by Restore.
+	// callbacks and startFn the scheduler context's start callback, bound
+	// once per Session so the hot paths schedule through simkit.AtArg
+	// without allocating a closure per event. Load's arrivals and commands
+	// and the fault trace are static events instead (staticEv); faultH
+	// serves only fault events reinstated by Restore.
 	arriveH, completeH, commandH, faultH, ckptH simkit.ArgHandler
+	startFn                                     func(*job.Job) bool
 	// ftrace is the resolved fault trace (scripted or sampled at Load);
 	// nil when fault injection is off.
 	ftrace *fault.Trace
 	// ckpt maps job ID -> pending checkpoint event of the running attempt;
-	// used only when ckptH is bound. ckptEvery is the resolved base
+	// used only under a timer-driven checkpoint policy (periodic or daly),
+	// the ones with a nonzero ckptEvery. ckptEvery is the resolved base
 	// (single-group) wall interval between a job's checkpoints; daly jobs
 	// spanning several node groups shorten it per job (ckptIntervalFor).
 	ckpt      idtab.Table[simkit.Handle]
@@ -277,44 +282,117 @@ func (s *Session) getCompletion(id int) simkit.Handle {
 
 // New builds an empty session for the configuration: machine and queues
 // ready, clock at zero, no work admitted. It validates the configuration
-// (scheduler present, coherent machine geometry) up front.
+// (scheduler present, coherent machine geometry) up front. It is Reset on
+// a zero Session.
 func New(cfg Config) (*Session, error) {
+	s := new(Session)
+	if err := s.Reset(cfg, nil); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset readies the session for a new run: afterwards it is exactly what
+// New(cfg) followed by Load(w) would have built, or New(cfg) alone when w
+// is nil. Reset works on any session, finished, failed or mid-run, and on
+// the zero Session. Unlike New it keeps what the previous run allocated
+// and reuses it: the job clone slab and the job and command lists, the
+// event kernel's arena, heap and static source, the three queues, the
+// completion and checkpoint tables, the metrics collector, the ECC
+// processor, and the machine when M, Unit, Contiguous and Migrate all
+// match the previous run's (otherwise a new machine is built).
+//
+// Aliasing contract: everything the previous run lent out of that storage
+// is invalid after Reset, as a WaitingBatch view already is after the next
+// step. That covers the *job.Job pointers handed to observers (they may
+// now name the new run's jobs), WaitingBatch and ActiveJobs views, and
+// Samples views. Result values never alias session storage, and a
+// Snapshot shares nothing with the session, so both stay valid.
+//
+// A configuration error leaves the session untouched. A workload error
+// latches, as a livelock does, until the next Reset.
+func (s *Session) Reset(cfg Config, w *cwf.Workload) error {
 	if cfg.Scheduler == nil {
-		return nil, errors.New("engine: no scheduler configured")
+		return errors.New("engine: no scheduler configured")
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Unit <= 0 {
 		cfg.Unit = 1
 	}
+	clear(s.jobs) // drop the pointers to injected jobs
+	prev := *s
+	*s = Session{
+		cfg:        cfg,
+		eng:        prev.eng,
+		batch:      prev.batch,
+		ded:        prev.ded,
+		active:     prev.active,
+		jobs:       prev.jobs[:0],
+		clones:     prev.clones[:0],
+		cmds:       prev.cmds[:0],
+		completion: prev.completion,
+		ckpt:       prev.ckpt,
+		collector:  prev.collector,
+		arriveH:    prev.arriveH,
+		completeH:  prev.completeH,
+		commandH:   prev.commandH,
+		faultH:     prev.faultH,
+		ckptH:      prev.ckptH,
+		startFn:    prev.startFn,
+	}
+	if s.eng == nil {
+		// A zero Session: allocate the run state and bind the callbacks
+		// once, so the hot paths schedule through simkit.AtArg without a
+		// closure per event and later resets allocate none of this again.
+		s.eng = simkit.New()
+		s.eng.OnStatic(s.staticEv)
+		s.batch = job.NewBatchQueue()
+		s.ded = job.NewDedicatedQueue()
+		s.active = job.NewActiveList()
+		s.collector = metrics.NewCollector(cfg.M)
+		s.arriveH, s.completeH, s.commandH = s.arriveEv, s.completeEv, s.commandEv
+		s.faultH, s.ckptH = s.faultEv, s.ckptEv
+		s.startFn = s.start
+	} else {
+		s.eng.Reset()
+		s.batch.Reset()
+		s.ded.Reset()
+		s.active.Reset()
+		s.completion.Reset()
+		s.ckpt.Reset()
+	}
+	s.collector.Reset(cfg.M, 0)
 
-	newMachine := machine.New
-	if cfg.Contiguous {
-		newMachine = machine.NewContiguous
-	}
-	mach := newMachine(cfg.M, cfg.Unit)
-	if cfg.Contiguous && cfg.Migrate {
-		mach.EnableMigration()
-	}
-	s := &Session{
-		cfg:       cfg,
-		eng:       simkit.New(),
-		mach:      mach,
-		batch:     job.NewBatchQueue(),
-		ded:       job.NewDedicatedQueue(),
-		active:    job.NewActiveList(),
-		collector: metrics.NewCollector(cfg.M),
+	if prev.mach != nil && prev.cfg.M == cfg.M && prev.cfg.Unit == cfg.Unit &&
+		prev.cfg.Contiguous == cfg.Contiguous && prev.cfg.Migrate == cfg.Migrate {
+		s.mach = prev.mach
+		s.mach.Reset()
+	} else {
+		newMachine := machine.New
+		if cfg.Contiguous {
+			newMachine = machine.NewContiguous
+		}
+		s.mach = newMachine(cfg.M, cfg.Unit)
+		if cfg.Contiguous && cfg.Migrate {
+			s.mach.EnableMigration()
+		}
 	}
 	if cfg.ProcessECC {
-		s.proc = ecc.NewProcessor(cfg.MaxECCPerJob)
+		s.proc = prev.proc
+		if s.proc == nil {
+			s.proc = ecc.NewProcessor(cfg.MaxECCPerJob)
+		} else {
+			s.proc.Reset(cfg.MaxECCPerJob)
+		}
 	}
 	s.ctx = sched.Context{
 		Machine:   s.mach,
 		Batch:     s.batch,
 		Dedicated: s.ded,
 		Active:    s.active,
-		StartFn:   s.start,
+		StartFn:   s.startFn,
 	}
 	if st, ok := cfg.Scheduler.(sched.Stateful); ok {
 		s.st = st
@@ -328,20 +406,19 @@ func New(cfg Config) (*Session, error) {
 			s.malleable = m
 		}
 	}
-	s.arriveH = s.arriveEv
-	s.completeH = s.completeEv
-	s.commandH = s.commandEv
-	s.eng.OnStatic(s.staticEv)
 	if cfg.Faults != nil {
-		// Bound lazily: fault-free runs never dispatch a fault event, and a
-		// fault snapshot only restores into a fault-enabled config.
-		s.faultH = s.faultEv
 		if ivl := cfg.Faults.ResolvedCheckpointInterval(); ivl > 0 {
-			s.ckptH = s.ckptEv
 			s.ckptEvery = ivl
 		}
 	}
-	return s, nil
+	if w == nil {
+		return nil
+	}
+	if err := s.Load(w); err != nil {
+		s.failed = err
+		return err
+	}
+	return nil
 }
 
 // quantizeBounds rounds a malleable job's processor bounds onto the
@@ -386,13 +463,13 @@ func (s *Session) Load(w *cwf.Workload) error {
 		return fmt.Errorf("engine: workload has dedicated jobs but %s is batch-only", s.cfg.Scheduler.Name())
 	}
 
-	s.collector = metrics.NewCollectorSized(s.cfg.M, len(w.Jobs))
+	s.collector.Reset(s.cfg.M, len(w.Jobs))
 
 	// Clone jobs (quantizing sizes to the machine unit) and register the
 	// arrival and command streams as static events indexing the clones and
-	// the command copy.
-	s.clones = make([]job.Job, len(w.Jobs))
-	s.jobs = make([]*job.Job, 0, len(w.Jobs))
+	// the command copy. All three fill storage a Reset session reuses.
+	s.clones = slices.Grow(s.clones[:0], len(w.Jobs))[:len(w.Jobs)]
+	s.jobs = slices.Grow(s.jobs, len(w.Jobs))
 	s.eng.GrowStatic(len(w.Jobs) + len(w.Commands))
 	for i, orig := range w.Jobs {
 		s.clones[i] = *orig
@@ -406,8 +483,7 @@ func (s *Session) Load(w *cwf.Workload) error {
 		s.jobs = append(s.jobs, j)
 		s.eng.AtStatic(j.Arrival, arriveK, i)
 	}
-	s.cmds = make([]cwf.Command, len(w.Commands))
-	copy(s.cmds, w.Commands)
+	s.cmds = append(s.cmds[:0], w.Commands...)
 	for i := range s.cmds {
 		s.eng.AtStatic(s.cmds[i].Issue, commandK, i)
 	}

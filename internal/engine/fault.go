@@ -335,7 +335,7 @@ func (s *Session) ckptIntervalFor(j *job.Job) int64 {
 
 // scheduleFirstCheckpoint opens a dispatched batch job's checkpoint chain.
 func (s *Session) scheduleFirstCheckpoint(j *job.Job, now int64) {
-	if s.ckptH == nil || j.Class != job.Batch {
+	if s.ckptEvery == 0 || j.Class != job.Batch {
 		return
 	}
 	s.ckpt.Put(j.ID, s.eng.AtArg(now+s.ckptIntervalFor(j), s.ckptH, j))

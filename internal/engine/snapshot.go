@@ -528,7 +528,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 			if j.State != job.Running {
 				return fmt.Errorf("engine: snapshot checkpoint for job %d in state %v", j.ID, j.State)
 			}
-			if s.ckptH == nil {
+			if s.ckptEvery == 0 {
 				return fmt.Errorf("engine: snapshot checkpoint event at t=%d but the config schedules no checkpoints", ev.Time)
 			}
 			if _, dup := s.ckpt.Get(j.ID); dup {

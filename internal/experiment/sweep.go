@@ -172,6 +172,18 @@ func (s *Sweep) runConfig(pi int, a Algorithm, seed int64) engine.Config {
 	return cfg
 }
 
+// runSession is engine.Run on a reused session: Reset (New + Load), Run,
+// Result.
+func runSession(sess *engine.Session, w *cwf.Workload, cfg engine.Config) (*engine.Result, error) {
+	if err := sess.Reset(cfg, w); err != nil {
+		return nil, err
+	}
+	if err := sess.Run(); err != nil {
+		return nil, err
+	}
+	return sess.Result()
+}
+
 // Run executes the sweep on up to workers goroutines (0 = GOMAXPROCS).
 // The work unit is one (algorithm, point, seed) run; workloads are
 // generated once per (point, seed) and shared across algorithms. Every run
@@ -216,6 +228,11 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 
 	worker := func() {
 		defer wg.Done()
+		// One session per worker, reset for every run: each run reuses the
+		// buffers the previous one finished with instead of allocating its
+		// own. The scheduler is still new per run, so no policy state
+		// crosses runs, and the session dies with the worker.
+		var sess engine.Session
 		for t := range tasks {
 			out := slot(t.ai, t.pi, t.si)
 			params := s.Points[t.pi].Params
@@ -239,7 +256,7 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 			a := s.Algorithms[t.ai]
 			cfg := s.runConfig(t.pi, a, seeds[t.si])
 			cfg.Scheduler = a.New(s.Points[t.pi])
-			r, err := engine.Run(w, cfg)
+			r, err := runSession(&sess, w, cfg)
 			if err != nil {
 				out.err = err
 				failed.Store(true)

@@ -30,6 +30,14 @@ type Table[V any] struct {
 	shift uint    // 64 - log2(len(slots))
 }
 
+// Reset removes every entry but keeps the table's storage, so refilling it
+// to its former size allocates nothing.
+func (t *Table[V]) Reset() {
+	clear(t.ents) // drop the values' references
+	t.ents = t.ents[:0]
+	clear(t.slots)
+}
+
 // Len returns the number of entries.
 func (t *Table[V]) Len() int { return len(t.ents) }
 

@@ -151,3 +151,34 @@ func TestGrowthAllocatesTwicePerDoubling(t *testing.T) {
 		t.Errorf("filling 100 entries allocated %.0f times, want 12", allocs)
 	}
 }
+
+// TestResetKeepsStorage checks that Reset empties the table and that
+// refilling it to its former size allocates nothing.
+func TestResetKeepsStorage(t *testing.T) {
+	var tab Table[int]
+	fill := func() {
+		for id := 0; id < 100; id++ {
+			tab.Put(7*id, id)
+		}
+	}
+	fill()
+	allocs := testing.AllocsPerRun(100, func() {
+		tab.Reset()
+		if tab.Len() != 0 {
+			t.Fatalf("Len %d after Reset", tab.Len())
+		}
+		if _, ok := tab.Get(7); ok {
+			t.Fatal("entry survived Reset")
+		}
+		fill()
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and refill allocated %.0f times, want 0", allocs)
+	}
+	if err := tab.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tab.Get(7 * 42); !ok || v != 42 {
+		t.Errorf("Get after refill = %d, %v", v, ok)
+	}
+}

@@ -420,3 +420,57 @@ func TestValidateNegativeActual(t *testing.T) {
 		t.Error("negative actual runtime accepted")
 	}
 }
+
+// TestDedicatedQueueSteadyCycleAllocatesNothing pins the dead-prefix
+// reclaim: PopHead must not leak the front slot, so a queue that holds a
+// bounded number of jobs while they stream through reuses one array.
+func TestDedicatedQueueSteadyCycleAllocatesNothing(t *testing.T) {
+	q := NewDedicatedQueue()
+	jobs := make([]*Job, 64)
+	for i := range jobs {
+		jobs[i] = dedJob(i, 32, 1, int64(i), int64(i))
+	}
+	next := 0
+	cycle := func() {
+		// Keep four jobs queued: push one, pop the head.
+		for q.Len() < 4 {
+			q.Push(jobs[next%len(jobs)])
+			next++
+		}
+		if q.PopHead() == nil {
+			t.Fatal("PopHead on a non-empty queue returned nil")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // warm up: grow the array to its steady size
+	}
+	// A leaked slot costs a reallocation only every few cycles, and
+	// AllocsPerRun rounds its average down, so each run is 1000 cycles.
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+	}); allocs != 0 {
+		t.Errorf("1000 steady push/pop cycles allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestDedicatedQueuePopHeadClearsSlot checks that a popped job is not
+// pinned by the queue's backing array.
+func TestDedicatedQueuePopHeadClearsSlot(t *testing.T) {
+	q := NewDedicatedQueue()
+	a, b := dedJob(1, 32, 1, 0, 100), dedJob(2, 32, 1, 0, 200)
+	q.Push(a)
+	q.Push(b)
+	q.PopHead()
+	if q.jobs[0] != nil {
+		t.Error("PopHead left the popped job in the backing array")
+	}
+	if q.Head() != b || q.Len() != 1 || q.TotalAtHeadStart() != 32 {
+		t.Errorf("after PopHead: head %v, len %d", q.Head(), q.Len())
+	}
+	q.Reset()
+	if !q.Empty() || q.jobs[:cap(q.jobs)][1] != nil {
+		t.Error("Reset left jobs behind")
+	}
+}

@@ -5,6 +5,44 @@ import (
 	"sort"
 )
 
+// The three queues keep their live jobs in a window jobs[head:] of one
+// backing array. The helpers below maintain such a window; each returns
+// the updated slice and head.
+
+// reclaim slides the live window to the front of a full backing array
+// that has a dead prefix, so the next append reuses the array instead of
+// growing it. Vacated slots are nil'd so they do not pin finished jobs.
+func reclaim(jobs []*Job, head int) ([]*Job, int) {
+	if len(jobs) < cap(jobs) || head == 0 {
+		return jobs, head
+	}
+	n := copy(jobs, jobs[head:])
+	clear(jobs[n:])
+	return jobs[:n], 0
+}
+
+// removeAt deletes jobs[i], preserving order. Removing the head only
+// advances it (O(1)); an emptied window restarts at the array's front.
+func removeAt(jobs []*Job, head, i int) ([]*Job, int) {
+	if i == head {
+		jobs[i] = nil
+		head++
+		if head == len(jobs) {
+			return jobs[:0], 0
+		}
+		return jobs, head
+	}
+	copy(jobs[i:], jobs[i+1:])
+	jobs[len(jobs)-1] = nil
+	return jobs[:len(jobs)-1], head
+}
+
+// resetWindow empties a window, keeping its backing array.
+func resetWindow(jobs []*Job) ([]*Job, int) {
+	clear(jobs)
+	return jobs[:0], 0
+}
+
 // BatchQueue is W^b: the FIFO queue of waiting batch jobs, ordered by
 // arrival time, except that Move_Dedicated_Head_To_Batch_Head may push a
 // rigid (formerly dedicated) job to the front.
@@ -45,15 +83,7 @@ func (q *BatchQueue) Jobs() []*Job { return q.jobs[q.head:] }
 
 // Push appends an arriving job to the tail (FIFO on arrival).
 func (q *BatchQueue) Push(j *Job) {
-	if len(q.jobs) == cap(q.jobs) && q.head > 0 {
-		// Reclaim the dead prefix instead of growing the array.
-		n := copy(q.jobs, q.jobs[q.head:])
-		for i := n; i < len(q.jobs); i++ {
-			q.jobs[i] = nil
-		}
-		q.jobs = q.jobs[:n]
-		q.head = 0
-	}
+	q.jobs, q.head = reclaim(q.jobs, q.head)
 	q.jobs = append(q.jobs, j)
 }
 
@@ -75,21 +105,15 @@ func (q *BatchQueue) PushFront(j *Job) {
 func (q *BatchQueue) Remove(j *Job) {
 	for i := q.head; i < len(q.jobs); i++ {
 		if q.jobs[i] == j {
-			if i == q.head {
-				q.jobs[i] = nil
-				q.head++
-				if q.head == len(q.jobs) {
-					q.jobs = q.jobs[:0]
-					q.head = 0
-				}
-				return
-			}
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
+			q.jobs, q.head = removeAt(q.jobs, q.head, i)
 			return
 		}
 	}
 	panic(fmt.Sprintf("job: remove of job %d not in batch queue", j.ID))
 }
+
+// Reset empties the queue, keeping its backing array.
+func (q *BatchQueue) Reset() { q.jobs, q.head = resetWindow(q.jobs) }
 
 // Find returns the queued job with the given ID, or nil.
 func (q *BatchQueue) Find(id int) *Job {
@@ -103,34 +127,43 @@ func (q *BatchQueue) Find(id int) *Job {
 
 // DedicatedQueue is W^d: waiting dedicated jobs kept sorted by increasing
 // requested start time (stable on ties, by arrival then ID).
+//
+// Like BatchQueue, it keeps its live jobs in jobs[head:]: PopHead — how
+// every dedicated job leaves the queue when its start time comes — just
+// advances head, and Push reclaims the dead prefix when the backing array
+// fills, so a steady push/pop cycle reuses one array.
 type DedicatedQueue struct {
 	jobs []*Job
+	head int
 }
 
 // NewDedicatedQueue returns an empty list.
 func NewDedicatedQueue() *DedicatedQueue { return &DedicatedQueue{} }
 
 // Len returns D, the number of waiting dedicated jobs.
-func (q *DedicatedQueue) Len() int { return len(q.jobs) }
+func (q *DedicatedQueue) Len() int { return len(q.jobs) - q.head }
 
 // Empty reports whether the list has no jobs.
-func (q *DedicatedQueue) Empty() bool { return len(q.jobs) == 0 }
+func (q *DedicatedQueue) Empty() bool { return q.Len() == 0 }
 
 // Head returns w_1^d, the dedicated job with the earliest requested start.
 func (q *DedicatedQueue) Head() *Job {
-	if len(q.jobs) == 0 {
+	if q.Empty() {
 		return nil
 	}
-	return q.jobs[0]
+	return q.jobs[q.head]
 }
 
-// Jobs returns the backing slice in sorted order (read-only for callers).
-func (q *DedicatedQueue) Jobs() []*Job { return q.jobs }
+// Jobs returns the live jobs in sorted order (read-only for callers). It
+// is valid only until the next queue mutation.
+func (q *DedicatedQueue) Jobs() []*Job { return q.jobs[q.head:] }
 
 // Push inserts a job keeping the start-time order.
 func (q *DedicatedQueue) Push(j *Job) {
-	i := sort.Search(len(q.jobs), func(i int) bool {
-		a := q.jobs[i]
+	q.jobs, q.head = reclaim(q.jobs, q.head)
+	live := q.jobs[q.head:]
+	i := q.head + sort.Search(len(live), func(i int) bool {
+		a := live[i]
 		if a.ReqStart != j.ReqStart {
 			return a.ReqStart > j.ReqStart
 		}
@@ -146,19 +179,19 @@ func (q *DedicatedQueue) Push(j *Job) {
 
 // PopHead removes and returns the earliest dedicated job, or nil.
 func (q *DedicatedQueue) PopHead() *Job {
-	if len(q.jobs) == 0 {
+	if q.Empty() {
 		return nil
 	}
-	j := q.jobs[0]
-	q.jobs = q.jobs[1:]
+	j := q.jobs[q.head]
+	q.jobs, q.head = removeAt(q.jobs, q.head, q.head)
 	return j
 }
 
 // Remove deletes job j; panics if absent.
 func (q *DedicatedQueue) Remove(j *Job) {
-	for i, x := range q.jobs {
-		if x == j {
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
+	for i := q.head; i < len(q.jobs); i++ {
+		if q.jobs[i] == j {
+			q.jobs, q.head = removeAt(q.jobs, q.head, i)
 			return
 		}
 	}
@@ -167,7 +200,7 @@ func (q *DedicatedQueue) Remove(j *Job) {
 
 // Find returns the waiting dedicated job with the given ID, or nil.
 func (q *DedicatedQueue) Find(id int) *Job {
-	for _, j := range q.jobs {
+	for _, j := range q.Jobs() {
 		if j.ID == id {
 			return j
 		}
@@ -175,16 +208,19 @@ func (q *DedicatedQueue) Find(id int) *Job {
 	return nil
 }
 
+// Reset empties the queue, keeping its backing array.
+func (q *DedicatedQueue) Reset() { q.jobs, q.head = resetWindow(q.jobs) }
+
 // TotalAtHeadStart returns tot_start_num: the summed size of every waiting
 // dedicated job whose requested start equals the head's requested start
 // (Algorithm 2, line 16).
 func (q *DedicatedQueue) TotalAtHeadStart() int {
-	if len(q.jobs) == 0 {
+	if q.Empty() {
 		return 0
 	}
-	start := q.jobs[0].ReqStart
+	start := q.Head().ReqStart
 	total := 0
-	for _, j := range q.jobs {
+	for _, j := range q.Jobs() {
 		if j.ReqStart != start {
 			break
 		}
@@ -241,14 +277,7 @@ func (a *ActiveList) UsedProcessors() int {
 
 // Insert adds a running job keeping kill-by order.
 func (a *ActiveList) Insert(j *Job) {
-	if len(a.jobs) == cap(a.jobs) && a.head > 0 {
-		n := copy(a.jobs, a.jobs[a.head:])
-		for i := n; i < len(a.jobs); i++ {
-			a.jobs[i] = nil
-		}
-		a.jobs = a.jobs[:n]
-		a.head = 0
-	}
+	a.jobs, a.head = reclaim(a.jobs, a.head)
 	live := a.jobs[a.head:]
 	i := sort.Search(len(live), func(i int) bool {
 		x := live[i]
@@ -266,21 +295,15 @@ func (a *ActiveList) Insert(j *Job) {
 func (a *ActiveList) Remove(j *Job) {
 	for i := a.head; i < len(a.jobs); i++ {
 		if a.jobs[i] == j {
-			if i == a.head {
-				a.jobs[i] = nil
-				a.head++
-				if a.head == len(a.jobs) {
-					a.jobs = a.jobs[:0]
-					a.head = 0
-				}
-				return
-			}
-			a.jobs = append(a.jobs[:i], a.jobs[i+1:]...)
+			a.jobs, a.head = removeAt(a.jobs, a.head, i)
 			return
 		}
 	}
 	panic(fmt.Sprintf("job: remove of job %d not in active list", j.ID))
 }
+
+// Reset empties the list, keeping its backing array.
+func (a *ActiveList) Reset() { a.jobs, a.head = resetWindow(a.jobs) }
 
 // Find returns the running job with the given ID, or nil.
 func (a *ActiveList) Find(id int) *Job {

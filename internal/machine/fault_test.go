@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // checked wraps CheckInvariants as a test helper.
 func checked(t *testing.T, m *Machine) {
@@ -234,5 +237,46 @@ func TestFromSnapshotRejectsCorruptHealth(t *testing.T) {
 	bad.FreeStack = []int{0, 1} // stack includes the down group 0
 	if _, err := FromSnapshot(bad); err == nil {
 		t.Fatal("free stack over down group accepted")
+	}
+}
+
+// TestResetMatchesNew checks that Reset undoes allocations, failures,
+// migrations and a scrambled free stack: the machine snapshots exactly as
+// a new one and hands out the same groups.
+func TestResetMatchesNew(t *testing.T) {
+	for _, contiguous := range []bool{false, true} {
+		newMachine := New
+		if contiguous {
+			newMachine = NewContiguous
+		}
+		m := newMachine(320, 32)
+		m.EnableMigration()
+		for id := 1; id <= 4; id++ {
+			if err := m.Alloc(id, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Release(2); err != nil {
+			t.Fatal(err)
+		}
+		m.Compact()
+		if _, _, err := m.FailGroups([]int{0, 9}); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		checked(t, m)
+		fresh := newMachine(320, 32)
+		fresh.EnableMigration()
+		if got, want := m.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("contiguous=%v: reset machine %+v, new machine %+v", contiguous, got, want)
+		}
+		for _, mm := range []*Machine{m, fresh} {
+			if err := mm.Alloc(7, 96); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := m.OwnedGroups(7), fresh.OwnedGroups(7); !reflect.DeepEqual(got, want) {
+			t.Errorf("contiguous=%v: reset machine allocated %v, new machine %v", contiguous, got, want)
+		}
 	}
 }

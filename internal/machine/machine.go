@@ -144,6 +144,30 @@ func NewContiguous(total, unit int) *Machine {
 	return m
 }
 
+// Reset frees and repairs every group and zeroes the migration count,
+// leaving the machine as New or NewContiguous built it (migration setting
+// included, which Reset keeps) while reusing its storage. The scatter free
+// stack is rebuilt in New's order, so groups are handed out exactly as on
+// a new machine.
+func (m *Machine) Reset() {
+	for i := 0; i < m.owner.Len(); i++ {
+		_, idx := m.owner.At(i)
+		m.idxPool = append(m.idxPool, idx)
+	}
+	m.owner.Reset()
+	for i := range m.groups {
+		m.groups[i] = -1
+	}
+	clear(m.health)
+	m.free = m.total
+	m.downProcs, m.drainingProcs, m.migrations = 0, 0, 0
+	if m.contiguous {
+		m.buildIndex()
+	} else {
+		m.rebuildFreeStack()
+	}
+}
+
 // buildIndex (re)builds the free-run segment tree from the group and
 // health maps.
 func (m *Machine) buildIndex() {

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"elastisched/internal/job"
 )
@@ -79,14 +80,17 @@ func NewCollector(m int) *Collector {
 	return &Collector{m: m}
 }
 
-// NewCollectorSized returns a collector presized for a run of n jobs, so the
-// per-job series and the busy step function grow without reallocation.
-func NewCollectorSized(m, n int) *Collector {
-	return &Collector{
+// Reset clears every accumulator, leaving the collector as NewCollector(m)
+// builds it, and presizes it for a run of n jobs, so the per-job series
+// and the busy step function grow without reallocation. It reuses the
+// series' storage: Samples views taken before the Reset are invalid after
+// it.
+func (c *Collector) Reset(m, n int) {
+	*c = Collector{
 		m:         m,
-		waits:     make([]float64, 0, n),
-		perJob:    make([]JobPoint, 0, n),
-		busySteps: make([]BusyStep, 0, 2*n),
+		waits:     slices.Grow(c.waits[:0], n),
+		perJob:    slices.Grow(c.perJob[:0], n),
+		busySteps: slices.Grow(c.busySteps[:0], 2*n),
 	}
 }
 

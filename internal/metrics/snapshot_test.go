@@ -52,7 +52,8 @@ func TestSnapshotRoundTripBitIdenticalSummary(t *testing.T) {
 	}
 	const snapAt = 12
 
-	orig := NewCollectorSized(320, 6)
+	orig := NewCollector(320)
+	orig.Reset(320, 6) // presized, as a loaded session's collector is
 	for _, ev := range script[:snapAt] {
 		ev(orig)
 	}

@@ -140,6 +140,24 @@ func New() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to the state New leaves it in, clock and
+// sequence counter at zero and nothing pending, but keeps the capacity of
+// its event arena, heap and static source, and its static handler. Every
+// pending event is dropped and every outstanding Handle goes stale, so a
+// Cancel through one is a no-op.
+func (e *Engine) Reset() {
+	for _, en := range e.queue {
+		e.recycle(en.id)
+	}
+	*e = Engine{
+		queue:    e.queue[:0],
+		chunks:   e.chunks,
+		freeIDs:  e.freeIDs,
+		src:      e.src[:0],
+		onStatic: e.onStatic,
+	}
+}
+
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -393,3 +393,47 @@ func TestPropertyCancelSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesNew checks that a reset engine with pending heap and
+// static events behaves as a new one: nothing pending, clock and counters
+// at zero, handles from before the reset stale, and a replayed schedule
+// dispatched in the same order.
+func TestResetMatchesNew(t *testing.T) {
+	var got []int
+	record := func(_ Time, arg any) { got = append(got, arg.(int)) }
+	schedule := func(e *Engine) Handle {
+		e.OnStatic(func(_ Time, k StaticKind, idx int) { got = append(got, 100*int(k)+idx) })
+		for i := 0; i < 300; i++ {
+			e.AtStatic(Time(i%7), 1, i)
+			e.AtArg(Time(i%5), record, i)
+		}
+		return e.AtArg(3, record, -1)
+	}
+	fresh := New()
+	schedule(fresh)
+	fresh.Run()
+	want := got
+
+	e := New()
+	h := schedule(e)
+	e.RunUntil(2)
+	e.Cancel(e.AtArg(4, record, -2))
+	e.Reset()
+	if e.Pending() != 0 || e.Now() != 0 || e.Dispatched() != 0 {
+		t.Fatalf("after Reset: pending %d, now %d, dispatched %d", e.Pending(), e.Now(), e.Dispatched())
+	}
+	if h.Scheduled() || e.Cancel(h) {
+		t.Fatal("a handle from before Reset is still live")
+	}
+	got = nil
+	schedule(e)
+	e.Run()
+	if len(got) != len(want) {
+		t.Fatalf("reset engine dispatched %d events, new engine %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: reset engine dispatched %d, new engine %d", i, got[i], want[i])
+		}
+	}
+}
