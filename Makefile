@@ -87,15 +87,17 @@ malleable-smoke:
 	$(GO) test -race -run 'TestStatefulFeed' -count=1 ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
 
-# Full evaluation suite with TSV outputs under results/.
+# Full evaluation suite with TSV outputs under results/ and the markdown
+# reproduction report in REPORT.md.
 repro:
-	$(GO) run ./cmd/expsuite -out results
+	$(GO) run ./cmd/expsuite -out results -md REPORT.md
 
-# Regenerate results/ and fail if any committed figure changed or a new
-# file appeared: every TSV, SVG and table must stay byte-identical.
+# Regenerate results/ and REPORT.md and fail if any committed figure or
+# report changed or a new file appeared: every TSV, SVG and table must
+# stay byte-identical.
 repro-check: repro
-	git diff --exit-code -- results
-	test -z "$$(git status --porcelain -- results)"
+	git diff --exit-code -- results REPORT.md
+	test -z "$$(git status --porcelain -- results REPORT.md)"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -269,7 +269,13 @@ func Simulate(w *Workload, algorithm string, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SimulateWith(w, algo.New(experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}), algo.ECC, opt)
+	return SimulateWith(w, algo.New(opt.point()), algo.ECC, opt)
+}
+
+// point carries the policy parameters of Options to the algorithm
+// registry's constructors.
+func (opt Options) point() experiment.Point {
+	return experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 }
 
 // engineConfig translates Options into one run's engine configuration:
@@ -352,7 +358,6 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 	if err != nil {
 		return nil, err
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 	return dispatch.Run(w, dispatch.Config{
 		Clusters:     sh.Clusters,
 		Workers:      sh.Workers,
@@ -361,7 +366,7 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 		Steal:        sh.Steal,
 		Affinity:     sh.Affinity,
 		Engine:       engineConfig(opt, nil, algo.ECC),
-		NewScheduler: func() Scheduler { return algo.New(pt) },
+		NewScheduler: func() Scheduler { return algo.New(opt.point()) },
 	})
 }
 
@@ -375,8 +380,7 @@ func NewSession(algorithm string, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
-	return engine.New(engineConfig(opt, algo.New(pt), algo.ECC))
+	return engine.New(engineConfig(opt, algo.New(opt.point()), algo.ECC))
 }
 
 // ResumeSession reads a snapshot written by (*SessionSnapshot).Encode and
@@ -410,7 +414,7 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Scheduler = algo.New(experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead})
+	cfg.Scheduler = algo.New(opt.point())
 	cfg.Paranoid = opt.Paranoid
 	if opt.Trace != nil {
 		cfg.Observer = opt.Trace

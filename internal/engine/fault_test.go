@@ -462,6 +462,99 @@ func TestRestoreRejectsFaultMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreMismatchTyped changes each snapshot setting once and expects
+// Restore to refuse with ErrSnapshotMismatch, while the snapshot's own
+// Config (with any scheduler) still restores.
+func TestRestoreMismatchTyped(t *testing.T) {
+	periodic := Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, Contiguous: true,
+		ProcessECC: true, MaxECCPerJob: 2, Malleable: true, ResizeOverhead: 20,
+		Faults: &FaultConfig{Trace: ftrace(fail(50, 0), repair(60, 0)), Retry: fault.RetryPolicy{Backoff: 30},
+			Checkpoint: fault.CheckpointPeriodic, CheckpointInterval: 500, CheckpointCost: 30}}
+	daly := periodic
+	daly.Faults = &FaultConfig{MTBF: 40000, MTTR: 2000, Seed: 11, Retry: fault.RetryPolicy{Backoff: 30},
+		Checkpoint: fault.CheckpointDaly, CheckpointCost: 30}
+	snap := func(cfg Config) *Snapshot {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(wl(batch(1, 64, 100, 0), batch(2, 128, 300, 10))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(20); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn
+	}
+	restore := func(t *testing.T, cfg Config, sn *Snapshot) error {
+		t.Helper()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Restore(sn)
+	}
+
+	cases := []struct {
+		name   string
+		base   Config
+		change func(c *Config, f *FaultConfig)
+	}{
+		{"M", periodic, func(c *Config, _ *FaultConfig) { c.M = 640 }},
+		{"Unit", periodic, func(c *Config, _ *FaultConfig) { c.Unit = 64 }},
+		{"Contiguous", periodic, func(c *Config, _ *FaultConfig) { c.Contiguous = false }},
+		{"Migrate", periodic, func(c *Config, _ *FaultConfig) { c.Migrate = true }},
+		{"ProcessECC", periodic, func(c *Config, _ *FaultConfig) { c.ProcessECC = false }},
+		{"MaxECCPerJob", periodic, func(c *Config, _ *FaultConfig) { c.MaxECCPerJob = 3 }},
+		{"faults off", periodic, func(c *Config, _ *FaultConfig) { c.Faults = nil }},
+		{"Retry", periodic, func(_ *Config, f *FaultConfig) { f.Retry.MaxRetries = 5 }},
+		{"Checkpoint", periodic, func(_ *Config, f *FaultConfig) {
+			f.Checkpoint, f.CheckpointInterval = fault.CheckpointOnResize, 0
+		}},
+		{"CheckpointInterval", periodic, func(_ *Config, f *FaultConfig) { f.CheckpointInterval = 600 }},
+		{"CheckpointCost", periodic, func(_ *Config, f *FaultConfig) { f.CheckpointCost = 40 }},
+		// Only the captured MTBF differs: 40000.5 resolves to the same daly
+		// interval as 40000 (checked below).
+		{"CheckpointMTBF", daly, func(_ *Config, f *FaultConfig) { f.MTBF = 40000.5 }},
+		{"Malleable", periodic, func(c *Config, _ *FaultConfig) { c.Malleable = false }},
+		{"ResizeOverhead", periodic, func(c *Config, _ *FaultConfig) { c.ResizeOverhead = 30 }},
+	}
+	if fault.DalyInterval(40000.5, 30) != fault.DalyInterval(40000, 30) {
+		t.Fatal("the CheckpointMTBF case moves the resolved interval too")
+	}
+	snaps := map[*FaultConfig]*Snapshot{periodic.Faults: snap(periodic), daly.Faults: snap(daly)}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := snaps[tc.base.Faults]
+			cfg := tc.base
+			f := *cfg.Faults
+			cfg.Faults = &f
+			tc.change(&cfg, &f)
+			if err := restore(t, cfg, sn); !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("Restore = %v, want ErrSnapshotMismatch", err)
+			}
+		})
+	}
+	for base, sn := range snaps {
+		if err := restore(t, Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}, Contiguous: true,
+			ProcessECC: true, MaxECCPerJob: 2, Malleable: true, ResizeOverhead: 20, Faults: base}, sn); err != nil {
+			t.Errorf("%v: restore under the capturing config: %v", base.Checkpoint, err)
+		}
+		cfg, err := sn.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Scheduler = sched.FCFS{}
+		if err := restore(t, cfg, sn); err != nil {
+			t.Errorf("%v: restore under the snapshot's own Config: %v", base.Checkpoint, err)
+		}
+	}
+}
+
 func TestKilledJobStateAndRetryCount(t *testing.T) {
 	// Direct session access: verify the victim's bookkeeping fields.
 	w := wl(batch(1, 320, 100, 0))

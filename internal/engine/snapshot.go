@@ -2,8 +2,10 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"reflect"
 
 	"elastisched/internal/cwf"
 	"elastisched/internal/ecc"
@@ -62,7 +64,46 @@ type Snapshot struct {
 	Version   int    `json:"version"`
 	Scheduler string `json:"scheduler"`
 
-	// Machine geometry and feature flags the restoring Config must match.
+	// Settings are the Config fields the restoring Config must match,
+	// encoded inline.
+	Settings
+
+	Now        int64  `json:"now"`
+	Dispatched uint64 `json:"dispatched"`
+	Cycles     uint64 `json:"cycles"`
+
+	DroppedECC  int `json:"dropped_ecc,omitempty"`
+	FragRejects int `json:"frag_rejects,omitempty"`
+	PeakWaste   int `json:"peak_waste,omitempty"`
+
+	// Jobs holds every job the session owns, in admission order, with all
+	// mutable fields (state, skip counts, ECC-adjusted requirements) as of
+	// the capture instant. Queue membership and events reference jobs by
+	// index into this slice.
+	Jobs []job.Job `json:"jobs"`
+	// Batch/Dedicated/Active list queue membership as Jobs indices in exact
+	// queue order.
+	Batch     []int `json:"batch,omitempty"`
+	Dedicated []int `json:"dedicated,omitempty"`
+	Active    []int `json:"active,omitempty"`
+
+	Events []EventSnap `json:"events,omitempty"`
+
+	Machine machine.Snapshot `json:"machine"`
+	Metrics metrics.Snapshot `json:"metrics"`
+	ECC     *ecc.Snapshot    `json:"ecc,omitempty"`
+
+	// SchedState is the policy's opaque sched.Snapshotter encoding; empty
+	// for stateless policies.
+	SchedState []byte `json:"sched_state,omitempty"`
+}
+
+// Settings is the part of a Config a snapshot pins: machine geometry,
+// feature flags and fault knobs. settingsOf is its one encoder and
+// Snapshot.Config its one decoder; Restore refuses a session whose
+// Config encodes differently.
+type Settings struct {
+	// Machine geometry and feature flags.
 	M            int  `json:"m"`
 	Unit         int  `json:"unit"`
 	Contiguous   bool `json:"contiguous,omitempty"`
@@ -98,68 +139,43 @@ type Snapshot struct {
 	// semantics mid-run.
 	Malleable      bool  `json:"malleable,omitempty"`
 	ResizeOverhead int64 `json:"resize_overhead,omitempty"`
-
-	Now        int64  `json:"now"`
-	Dispatched uint64 `json:"dispatched"`
-	Cycles     uint64 `json:"cycles"`
-
-	DroppedECC  int `json:"dropped_ecc,omitempty"`
-	FragRejects int `json:"frag_rejects,omitempty"`
-	PeakWaste   int `json:"peak_waste,omitempty"`
-
-	// Jobs holds every job the session owns, in admission order, with all
-	// mutable fields (state, skip counts, ECC-adjusted requirements) as of
-	// the capture instant. Queue membership and events reference jobs by
-	// index into this slice.
-	Jobs []job.Job `json:"jobs"`
-	// Batch/Dedicated/Active list queue membership as Jobs indices in exact
-	// queue order.
-	Batch     []int `json:"batch,omitempty"`
-	Dedicated []int `json:"dedicated,omitempty"`
-	Active    []int `json:"active,omitempty"`
-
-	Events []EventSnap `json:"events,omitempty"`
-
-	Machine machine.Snapshot `json:"machine"`
-	Metrics metrics.Snapshot `json:"metrics"`
-	ECC     *ecc.Snapshot    `json:"ecc,omitempty"`
-
-	// SchedState is the policy's opaque sched.Snapshotter encoding; empty
-	// for stateless policies.
-	SchedState []byte `json:"sched_state,omitempty"`
 }
 
-// wireCheckpoint maps a fault config's checkpoint knobs to their snapshot
-// wire form: the policy verbatim plus its resolved base interval (the
-// configured one for periodic, the derived sqrt(2·MTBF·C) for daly, 0
-// otherwise). Pinning daly's base interval lets the mismatch check catch
-// a restoring config whose MTBF or cost would re-derive different
-// per-job intervals.
-func wireCheckpoint(fc *FaultConfig) (fault.CheckpointPolicy, int64) {
-	return fc.Checkpoint, fc.ResolvedCheckpointInterval()
-}
+// ErrSnapshotMismatch rejects restoring a snapshot into a session whose
+// Config encodes to different Settings.
+var ErrSnapshotMismatch = errors.New("engine: snapshot settings differ from config")
 
-// checkpointMismatch reports whether the snapshot's captured checkpoint
-// knobs differ from the restoring fault config's (both in wire form, so
-// intervals compare resolved).
-func (sn *Snapshot) checkpointMismatch(fc *FaultConfig) bool {
-	policy, err := fault.ParseCheckpointPolicy(sn.Checkpoint)
-	if err != nil {
-		return true
+// settingsOf encodes a Config's settings. Checkpoint policy none is the
+// zero value and stays off the wire; any other policy is captured with
+// its resolved base interval (the configured one for periodic, the
+// derived sqrt(2·MTBF·C) for daly, 0 for on-resize), and daly with the
+// MTBF it derives per-job intervals from. Pinning daly's base interval
+// makes a restoring config whose MTBF or cost would re-derive different
+// per-job intervals encode differently.
+func settingsOf(cfg Config) Settings {
+	st := Settings{
+		M:              cfg.M,
+		Unit:           cfg.Unit,
+		Contiguous:     cfg.Contiguous,
+		Migrate:        cfg.Migrate,
+		ProcessECC:     cfg.ProcessECC,
+		MaxECCPerJob:   cfg.MaxECCPerJob,
+		Malleable:      cfg.Malleable,
+		ResizeOverhead: cfg.ResizeOverhead,
 	}
-	cfgPolicy, cfgIvl := wireCheckpoint(fc)
-	return policy != cfgPolicy ||
-		sn.CheckpointInterval != cfgIvl ||
-		sn.CheckpointCost != fc.CheckpointCost ||
-		(policy == fault.CheckpointDaly && sn.CheckpointMTBF != fc.MTBF)
-}
-
-// orNone renders the empty on-the-wire checkpoint policy as "none".
-func orNone(p string) string {
-	if p == "" {
-		return "none"
+	if fc := cfg.Faults; fc != nil {
+		retry := fc.Retry
+		st.Retry = &retry
+		if fc.Checkpoint != fault.CheckpointNone {
+			st.Checkpoint = fc.Checkpoint.String()
+			st.CheckpointInterval = fc.ResolvedCheckpointInterval()
+			st.CheckpointCost = fc.CheckpointCost
+			if fc.Checkpoint == fault.CheckpointDaly {
+				st.CheckpointMTBF = fc.MTBF
+			}
+		}
 	}
-	return p
+	return st
 }
 
 // Encode writes the snapshot as JSON.
@@ -189,40 +205,17 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 		return nil, s.failed
 	}
 	sn := &Snapshot{
-		Version:        SnapshotVersion,
-		Scheduler:      s.cfg.Scheduler.Name(),
-		M:              s.cfg.M,
-		Unit:           s.cfg.Unit,
-		Contiguous:     s.cfg.Contiguous,
-		Migrate:        s.cfg.Migrate,
-		ProcessECC:     s.cfg.ProcessECC,
-		MaxECCPerJob:   s.cfg.MaxECCPerJob,
-		Malleable:      s.cfg.Malleable,
-		ResizeOverhead: s.cfg.ResizeOverhead,
-		Now:            s.eng.Now(),
-		Dispatched:     s.eng.Dispatched(),
-		Cycles:         s.cycles,
-		DroppedECC:     s.dropped,
-		FragRejects:    s.fragRejects,
-		PeakWaste:      s.peakWaste,
-		Machine:        s.mach.Snapshot(),
-		Metrics:        s.collector.Snapshot(),
-	}
-	if s.cfg.Faults != nil {
-		p := s.cfg.Faults.Retry
-		sn.Retry = &p
-		// Policy none is the zero value and stays off the wire; daly is
-		// captured verbatim with its resolved base interval plus the MTBF
-		// it derives per-job intervals from (see the field comments).
-		if s.cfg.Faults.Checkpoint != fault.CheckpointNone {
-			policy, ivl := wireCheckpoint(s.cfg.Faults)
-			sn.Checkpoint = policy.String()
-			sn.CheckpointInterval = ivl
-			sn.CheckpointCost = s.cfg.Faults.CheckpointCost
-			if policy == fault.CheckpointDaly {
-				sn.CheckpointMTBF = s.cfg.Faults.MTBF
-			}
-		}
+		Version:     SnapshotVersion,
+		Scheduler:   s.cfg.Scheduler.Name(),
+		Settings:    settingsOf(s.cfg),
+		Now:         s.eng.Now(),
+		Dispatched:  s.eng.Dispatched(),
+		Cycles:      s.cycles,
+		DroppedECC:  s.dropped,
+		FragRejects: s.fragRejects,
+		PeakWaste:   s.peakWaste,
+		Machine:     s.mach.Snapshot(),
+		Metrics:     s.collector.Snapshot(),
 	}
 	index := make(map[*job.Job]int, len(s.jobs))
 	sn.Jobs = make([]job.Job, len(s.jobs))
@@ -339,7 +332,7 @@ func (s *Session) snapEvent(pe simkit.PendingEvent, index map[*job.Job]int) (Eve
 	return ev, nil
 }
 
-// Config inverts the mapping Snapshot applies: it returns the engine
+// Config inverts settingsOf: it returns the engine
 // configuration the snapshot restores into — geometry, feature flags and
 // fault knobs. Scheduler, Paranoid and Observer are not part of a snapshot;
 // the caller sets them before New.
@@ -386,7 +379,8 @@ func (sn *Snapshot) Config() (Config, error) {
 
 // Restore reinstates a captured snapshot into this session, which must be
 // fresh (no Load, no injections, no steps). The session's Config must
-// match the snapshot's geometry and feature flags. The configured
+// encode to the snapshot's Settings, or Restore fails with
+// ErrSnapshotMismatch. The configured
 // scheduler need not be the captured one — restoring under a different
 // policy is the supported policy-swap resume — but when it is the same
 // policy and the snapshot carries policy state, that state is reinstated
@@ -402,28 +396,13 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if sn.Version != SnapshotVersion {
 		return fmt.Errorf("engine: snapshot version %d, want %d", sn.Version, SnapshotVersion)
 	}
-	switch {
-	case sn.M != s.cfg.M || sn.Unit != s.cfg.Unit:
-		return fmt.Errorf("engine: snapshot machine %d/%d, config %d/%d", sn.M, sn.Unit, s.cfg.M, s.cfg.Unit)
-	case sn.Contiguous != s.cfg.Contiguous || sn.Migrate != s.cfg.Migrate:
-		return fmt.Errorf("engine: snapshot allocation mode (contiguous=%v migrate=%v) differs from config (contiguous=%v migrate=%v)",
-			sn.Contiguous, sn.Migrate, s.cfg.Contiguous, s.cfg.Migrate)
-	case sn.ProcessECC != s.cfg.ProcessECC || sn.MaxECCPerJob != s.cfg.MaxECCPerJob:
-		return fmt.Errorf("engine: snapshot ECC processing (%v/%d) differs from config (%v/%d)",
-			sn.ProcessECC, sn.MaxECCPerJob, s.cfg.ProcessECC, s.cfg.MaxECCPerJob)
-	case (sn.Retry != nil) != (s.cfg.Faults != nil):
-		return fmt.Errorf("engine: snapshot fault injection (%v) differs from config (%v)",
-			sn.Retry != nil, s.cfg.Faults != nil)
-	case sn.Retry != nil && *sn.Retry != s.cfg.Faults.Retry:
-		return fmt.Errorf("engine: snapshot retry policy %+v differs from config %+v", *sn.Retry, s.cfg.Faults.Retry)
-	case sn.Retry != nil && sn.checkpointMismatch(s.cfg.Faults):
-		return fmt.Errorf("engine: snapshot checkpointing (%s/%d/%d) differs from config (%s/%d/%d)",
-			orNone(sn.Checkpoint), sn.CheckpointInterval, sn.CheckpointCost,
-			s.cfg.Faults.Checkpoint, s.cfg.Faults.ResolvedCheckpointInterval(), s.cfg.Faults.CheckpointCost)
-	case sn.Malleable != s.cfg.Malleable || sn.ResizeOverhead != s.cfg.ResizeOverhead:
-		return fmt.Errorf("engine: snapshot malleability (%v/%d) differs from config (%v/%d)",
-			sn.Malleable, sn.ResizeOverhead, s.cfg.Malleable, s.cfg.ResizeOverhead)
-	case sn.Metrics.M != s.cfg.M:
+	if want := settingsOf(s.cfg); !reflect.DeepEqual(sn.Settings, want) {
+		// Settings hold only plain values, which always marshal.
+		got, _ := json.Marshal(sn.Settings)
+		cfg, _ := json.Marshal(want)
+		return fmt.Errorf("%w: snapshot %s, config %s", ErrSnapshotMismatch, got, cfg)
+	}
+	if sn.Metrics.M != s.cfg.M {
 		return fmt.Errorf("engine: snapshot metrics for machine %d, config %d", sn.Metrics.M, s.cfg.M)
 	}
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -171,6 +172,34 @@ func TestReportTableAndTSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "sweep\tx\talgorithm") {
 		t.Errorf("TSV header wrong: %s", lines[0])
+	}
+}
+
+// TestTSVLayoutsMatchCommittedHeaders checks that each panel picks the TSV
+// layout its committed series was written in: standard for a fault-free
+// panel, fault for a fault-only one, checkpoint for a checkpointed one.
+func TestTSVLayoutsMatchCommittedHeaders(t *testing.T) {
+	panels := make(map[string]*Sweep)
+	for _, e := range All() {
+		for _, p := range e.Panels {
+			panels[p.ID] = p
+		}
+	}
+	for _, id := range []string{"fig7", "robust-rigid", "checkpoint-mtbf20000"} {
+		p, ok := panels[id]
+		if !ok {
+			t.Fatalf("no panel %s", id)
+		}
+		data, err := os.ReadFile("../../results/" + id + ".tsv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := strings.Cut(string(data), "\n")
+		// With no algorithms the TSV is its header line alone.
+		r := &Result{Sweep: &Sweep{ID: p.ID, Points: p.Points}}
+		if got := strings.TrimSuffix(r.TSV(), "\n"); got != want {
+			t.Errorf("%s header:\n got  %q\n want %q", id, got, want)
+		}
 	}
 }
 
@@ -508,12 +537,18 @@ func TestImprovementsAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imps := r.Improvements(MetricWait)
-	if len(imps) != 2 { // EASY>Delayed-LOS and Delayed-LOS>EASY
-		t.Fatalf("got %d pairs: %v", len(imps), imps)
-	}
-	if _, ok := imps["Delayed-LOS>EASY"]; !ok {
-		t.Errorf("missing pair: %v", imps)
+	// Every ordered pair of the sweep's algorithms has a max improvement,
+	// and an algorithm never improves on itself.
+	for _, target := range r.Sweep.Algorithms {
+		for _, base := range r.Sweep.Algorithms {
+			v, err := r.MaxImprovement(target.Name, base.Name, MetricWait)
+			if err != nil {
+				t.Fatalf("%s>%s: %v", target.Name, base.Name, err)
+			}
+			if target.Name == base.Name && v != 0 {
+				t.Errorf("%s improves on itself by %g%%", target.Name, v)
+			}
+		}
 	}
 }
 

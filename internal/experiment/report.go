@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"elastisched/internal/fault"
@@ -57,188 +58,236 @@ func (r *Result) Series(m Metric) []plot.Series {
 	return out
 }
 
-// Table renders the sweep as fixed-width rows: one row per point, one
-// column group per metric per algorithm.
-func (r *Result) Table(ms ...Metric) string {
-	if len(ms) == 0 {
-		ms = Metrics()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", r.Sweep.ID, r.Sweep.Title)
-	// Header.
-	fmt.Fprintf(&b, "%-10s", r.Sweep.XLabel)
-	for _, m := range ms {
-		for _, a := range r.Sweep.Algorithms {
-			fmt.Fprintf(&b, " %16s", a.Name+"/"+m.Name)
-		}
-	}
-	b.WriteByte('\n')
-	for pi, pt := range r.Sweep.Points {
-		fmt.Fprintf(&b, "%-10.3g", pt.X)
-		for _, m := range ms {
-			for ai := range r.Sweep.Algorithms {
-				fmt.Fprintf(&b, " %16.4f", m.Get(r.Cells[ai][pi].Summary))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+// style is one way to print a labelled table of numbers: the formats of
+// the corner cell, of each column header, of each row label and of each
+// value cell. A markdown style also rules the header off.
+type style struct {
+	corner, head, label, cell string
+	markdown                  bool
 }
 
-// Markdown renders the sweep as a GitHub-flavored markdown table: one row
-// per point, metric columns grouped per algorithm.
-func (r *Result) Markdown(ms ...Metric) string {
-	if len(ms) == 0 {
-		ms = Metrics()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "#### %s — %s\n\n", r.Sweep.ID, r.Sweep.Title)
-	b.WriteString("| " + r.Sweep.XLabel + " |")
-	for _, m := range ms {
-		for _, a := range r.Sweep.Algorithms {
-			fmt.Fprintf(&b, " %s %s |", a.Name, m.Name)
-		}
-	}
-	b.WriteString("\n|---|")
-	for range ms {
-		for range r.Sweep.Algorithms {
-			b.WriteString("---|")
-		}
-	}
-	b.WriteByte('\n')
-	for pi, pt := range r.Sweep.Points {
-		fmt.Fprintf(&b, "| %.3g |", pt.X)
-		for _, m := range ms {
-			for ai := range r.Sweep.Algorithms {
-				fmt.Fprintf(&b, " %.4f |", m.Get(r.Cells[ai][pi].Summary))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// The report styles: the sweep grids (Table, Markdown), the improvement
+// matrices (ImprovementTable, ImprovementMarkdown) and the significance
+// matrix (SignificanceTable).
+var (
+	textGrid   = style{corner: "%-10s", head: " %16s", label: "%-10.3g", cell: " %16.4f"}
+	mdGrid     = style{corner: "| %s |", head: " %s |", label: "| %.3g |", cell: " %.4f |", markdown: true}
+	textImprov = style{corner: "%-22s", head: " %14s", label: "%-22s", cell: " %14.2f"}
+	mdImprov   = style{corner: "| %s |", head: " %s |", label: "| %s |", cell: " %.2f |", markdown: true}
+	textSig    = style{corner: "%-26s", head: " %14s", label: "%-26s", cell: " %14.4f"}
+)
 
-// ImprovementMarkdown renders a paper-style improvement table as markdown.
-func (r *Result) ImprovementMarkdown(name, target string, baselines []string) (string, error) {
+// render writes title, a header row (corner, then heads) and one row per
+// label with val(row, column) in each cell.
+func (st style) render(title, corner string, heads []string, labels []any,
+	val func(row, col int) (float64, error)) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "**%s** — maximum %% improvement of %s:\n\n", name, target)
-	b.WriteString("| Performance Metric |")
-	for _, base := range baselines {
-		fmt.Fprintf(&b, " %s (%%) |", base)
-	}
-	b.WriteString("\n|---|")
-	for range baselines {
-		b.WriteString("---|")
+	b.WriteString(title)
+	fmt.Fprintf(&b, st.corner, corner)
+	for _, h := range heads {
+		fmt.Fprintf(&b, st.head, h)
 	}
 	b.WriteByte('\n')
-	rows := []struct {
-		label string
-		m     Metric
-	}{
-		{"Utilization", MetricUtil},
-		{"Job waiting time", MetricWait},
-		{"Slowdown", MetricSlow},
+	if st.markdown {
+		b.WriteString("|" + strings.Repeat("---|", len(heads)+1) + "\n")
 	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "| %s |", row.label)
-		for _, base := range baselines {
-			v, err := r.MaxImprovement(target, base, row.m)
+	for row, l := range labels {
+		fmt.Fprintf(&b, st.label, l)
+		for col := range heads {
+			v, err := val(row, col)
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&b, " %.2f |", v)
+			fmt.Fprintf(&b, st.cell, v)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
 }
 
-// TSV renders machine-readable results: one line per (point, algorithm).
+// grid renders the sweep as one row per point and one column per
+// (metric, algorithm) pair, metric-major, headed "<algorithm><join><metric>".
+func (r *Result) grid(st style, title, join string, ms []Metric) string {
+	if len(ms) == 0 {
+		ms = Metrics()
+	}
+	algos := r.Sweep.Algorithms
+	var heads []string
+	for _, m := range ms {
+		for _, a := range algos {
+			heads = append(heads, a.Name+join+m.Name)
+		}
+	}
+	labels := make([]any, len(r.Sweep.Points))
+	for pi, pt := range r.Sweep.Points {
+		labels[pi] = pt.X
+	}
+	// A grid's cells read summaries and cannot fail.
+	out, _ := st.render(fmt.Sprintf(title, r.Sweep.ID, r.Sweep.Title), r.Sweep.XLabel, heads, labels,
+		func(pi, col int) (float64, error) {
+			return ms[col/len(algos)].Get(r.Cells[col%len(algos)][pi].Summary), nil
+		})
+	return out
+}
+
+// Table renders the sweep as fixed-width rows: one row per point, one
+// column group per metric per algorithm.
+func (r *Result) Table(ms ...Metric) string { return r.grid(textGrid, "%s — %s\n", "/", ms) }
+
+// Markdown renders the sweep as a GitHub-flavored markdown table: one row
+// per point, metric columns grouped per algorithm.
+func (r *Result) Markdown(ms ...Metric) string {
+	return r.grid(mdGrid, "#### %s — %s\n\n", " ", ms)
+}
+
+// improvementLabels name the rows of the paper's improvement tables, one
+// per Metrics entry.
+var improvementLabels = []any{"Utilization", "Job waiting time", "Slowdown"}
+
+// matrix renders one row per Metrics entry and one column per baseline:
+// each column is headed by head applied to the baseline's name, each cell
+// holds val(target, baseline, metric). Nil labels name the rows by the
+// metrics' Labels.
+func matrix(st style, title string, labels []any, head, target string, baselines []string,
+	val func(target, baseline string, m Metric) (float64, error)) (string, error) {
+	ms := Metrics()
+	if labels == nil {
+		for _, m := range ms {
+			labels = append(labels, m.Label)
+		}
+	}
+	heads := make([]string, len(baselines))
+	for i, base := range baselines {
+		heads[i] = fmt.Sprintf(head, base)
+	}
+	return st.render(title, "Performance Metric", heads, labels, func(row, col int) (float64, error) {
+		return val(target, baselines[col], ms[row])
+	})
+}
+
+// ImprovementTable renders a paper-style improvement table (e.g. Table IV:
+// maximum % improvement of Delayed-LOS over LOS and EASY).
+func (r *Result) ImprovementTable(name, target string, baselines []string) (string, error) {
+	title := fmt.Sprintf("%s: maximum %% improvement of %s (from %s)\n", name, target, r.Sweep.ID)
+	return matrix(textImprov, title, improvementLabels, "%s (%%)", target, baselines, r.MaxImprovement)
+}
+
+// ImprovementMarkdown renders a paper-style improvement table as markdown.
+func (r *Result) ImprovementMarkdown(name, target string, baselines []string) (string, error) {
+	title := fmt.Sprintf("**%s** — maximum %% improvement of %s:\n\n", name, target)
+	return matrix(mdImprov, title, improvementLabels, "%s (%%)", target, baselines, r.MaxImprovement)
+}
+
+// column is one TSV field after the sweep, x and algorithm keys: its
+// header name, its format verb and the value it prints for a cell.
+type column struct {
+	name, verb string
+	get        func(Cell) any
+}
+
+// Column groups shared between the TSV layouts.
+var (
+	headlineCols = []column{
+		{"util", "%.6f", func(c Cell) any { return c.Summary.Utilization }},
+		{"wait", "%.3f", func(c Cell) any { return c.Summary.MeanWait }},
+		{"run", "%.3f", func(c Cell) any { return c.Summary.MeanRun }},
+		{"slowdown", "%.5f", func(c Cell) any { return c.Summary.Slowdown }},
+	}
+	faultCols = []column{
+		{"killed", "%d", func(c Cell) any { return c.Summary.KilledJobs }},
+		{"retried", "%d", func(c Cell) any { return c.Summary.RetriedJobs }},
+		{"dropped", "%d", func(c Cell) any { return c.Summary.DroppedJobs }},
+		{"lost_work", "%.1f", func(c Cell) any { return c.Summary.LostWorkSeconds }},
+		{"down_procsec", "%.1f", func(c Cell) any { return c.Summary.DownProcSeconds }},
+	}
+	resizeCols = []column{
+		{"resizes", "%d", func(c Cell) any { return c.Summary.SchedulerResizes }},
+		{"shrunk_procsec", "%.1f", func(c Cell) any { return c.Summary.ShrunkProcSeconds }},
+		{"reconfig_sec", "%.1f", func(c Cell) any { return c.Summary.ReconfigOverheadSeconds }},
+	}
+	loadCols = []column{
+		{"realized_load", "%.4f", func(c Cell) any { return c.RealizedLoad }},
+		{"runs", "%d", func(c Cell) any { return c.Runs }},
+	}
+)
+
+// layout is one TSV column list and the metrics its panel plots as SVG.
+type layout struct {
+	cols []column
+	svg  []Metric
+}
+
+// The TSV layouts. Each stays byte-stable for the committed series
+// written in it: fault-free panels (the paper's figures), fault-injected
+// panels (robustness accounting and malleability counters) and
+// checkpointed panels (the fault layout plus the checkpoint-economics
+// decomposition, plotted next to the wait curve).
+var (
+	standardLayout = layout{
+		cols: slices.Concat(headlineCols, []column{
+			{"bounded_slow", "%.5f", func(c Cell) any { return c.Summary.MeanBoundedSlow }},
+			{"p95wait", "%.3f", func(c Cell) any { return c.Summary.P95Wait }},
+			{"ded_ontime", "%.4f", func(c Cell) any { return c.Summary.DedicatedOnTime }},
+			{"steady_util", "%.6f", func(c Cell) any { return c.Summary.SteadyUtilization }},
+			{"steady_wait", "%.3f", func(c Cell) any { return c.Summary.SteadyMeanWait }},
+		}, loadCols),
+		svg: []Metric{MetricUtil, MetricWait},
+	}
+	faultLayout = layout{
+		cols: slices.Concat(headlineCols, faultCols, resizeCols, loadCols),
+		svg:  standardLayout.svg,
+	}
+	checkpointLayout = layout{
+		cols: slices.Concat(headlineCols, faultCols, []column{
+			{"checkpoints", "%d", func(c Cell) any { return c.Summary.CheckpointsTaken }},
+			{"ckpt_overhead", "%.1f", func(c Cell) any { return c.Summary.CheckpointOverheadSeconds }},
+		}, resizeCols, loadCols),
+		svg: []Metric{MetricUtil, MetricWait, MetricLostWork, MetricFaultCost},
+	}
+)
+
+// layout picks the sweep's TSV layout from its points: checkpointed if
+// any point checkpoints, else fault-injected if any point injects
+// failures, else standard.
+func (r *Result) layout() layout {
+	l := standardLayout
+	for _, pt := range r.Sweep.Points {
+		switch {
+		case pt.Faults == nil:
+		case pt.Faults.Checkpoint != fault.CheckpointNone:
+			return checkpointLayout
+		default:
+			l = faultLayout
+		}
+	}
+	return l
+}
+
+// TSV renders machine-readable results, one line per (point, algorithm),
+// in the layout the sweep's points call for.
 func (r *Result) TSV() string {
+	cols := r.layout().cols
 	var b strings.Builder
-	b.WriteString("sweep\tx\talgorithm\tutil\twait\trun\tslowdown\tbounded_slow\tp95wait\tded_ontime\tsteady_util\tsteady_wait\trealized_load\truns\n")
+	b.WriteString("sweep\tx\talgorithm")
+	for _, col := range cols {
+		b.WriteString("\t" + col.name)
+	}
+	b.WriteByte('\n')
 	for pi, pt := range r.Sweep.Points {
 		for ai, a := range r.Sweep.Algorithms {
-			c := r.Cells[ai][pi]
-			s := c.Summary
-			fmt.Fprintf(&b, "%s\t%g\t%s\t%.6f\t%.3f\t%.3f\t%.5f\t%.5f\t%.3f\t%.4f\t%.6f\t%.3f\t%.4f\t%d\n",
-				r.Sweep.ID, pt.X, a.Name, s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown,
-				s.MeanBoundedSlow, s.P95Wait, s.DedicatedOnTime, s.SteadyUtilization, s.SteadyMeanWait,
-				c.RealizedLoad, c.Runs)
+			fmt.Fprintf(&b, "%s\t%g\t%s", r.Sweep.ID, pt.X, a.Name)
+			for _, col := range cols {
+				fmt.Fprintf(&b, "\t"+col.verb, col.get(r.Cells[ai][pi]))
+			}
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()
 }
 
-// HasFaults reports whether any point of the sweep injects failures —
-// the signal for writing the fault-aware TSV layout instead of the
-// standard one (which stays byte-stable for the committed figure series).
-func (r *Result) HasFaults() bool {
-	for _, pt := range r.Sweep.Points {
-		if pt.Faults != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// FaultTSV renders the machine-readable series for fault-injected sweeps:
-// the headline metrics plus the robustness accounting — kills, retries,
-// drops, destroyed work, out-of-service capacity — and the malleability
-// counters (scheduler resizes, ceded proc-seconds, reconfiguration cost).
-func (r *Result) FaultTSV() string {
-	var b strings.Builder
-	b.WriteString("sweep\tx\talgorithm\tutil\twait\trun\tslowdown\tkilled\tretried\tdropped\t" +
-		"lost_work\tdown_procsec\tresizes\tshrunk_procsec\treconfig_sec\trealized_load\truns\n")
-	for pi, pt := range r.Sweep.Points {
-		for ai, a := range r.Sweep.Algorithms {
-			c := r.Cells[ai][pi]
-			s := c.Summary
-			fmt.Fprintf(&b, "%s\t%g\t%s\t%.6f\t%.3f\t%.3f\t%.5f\t%d\t%d\t%d\t%.1f\t%.1f\t%d\t%.1f\t%.1f\t%.4f\t%d\n",
-				r.Sweep.ID, pt.X, a.Name, s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown,
-				s.KilledJobs, s.RetriedJobs, s.DroppedJobs, s.LostWorkSeconds, s.DownProcSeconds,
-				s.SchedulerResizes, s.ShrunkProcSeconds, s.ReconfigOverheadSeconds,
-				c.RealizedLoad, c.Runs)
-		}
-	}
-	return b.String()
-}
-
-// HasCheckpoints reports whether any point of the sweep checkpoints —
-// the signal for writing the checkpoint-economics TSV layout. Committed
-// fault-series files keep the FaultTSV layout byte-stable, so checkpoint
-// sweeps get their own.
-func (r *Result) HasCheckpoints() bool {
-	for _, pt := range r.Sweep.Points {
-		if pt.Faults != nil && pt.Faults.Checkpoint != fault.CheckpointNone {
-			return true
-		}
-	}
-	return false
-}
-
-// CheckpointTSV renders the machine-readable series for checkpointed
-// sweeps: the fault layout plus the checkpoint-economics decomposition —
-// checkpoints taken, the overhead charged for them, and the (now
-// since-checkpoint) lost work they bound.
-func (r *Result) CheckpointTSV() string {
-	var b strings.Builder
-	b.WriteString("sweep\tx\talgorithm\tutil\twait\trun\tslowdown\tkilled\tretried\tdropped\t" +
-		"lost_work\tdown_procsec\tcheckpoints\tckpt_overhead\tresizes\tshrunk_procsec\treconfig_sec\trealized_load\truns\n")
-	for pi, pt := range r.Sweep.Points {
-		for ai, a := range r.Sweep.Algorithms {
-			c := r.Cells[ai][pi]
-			s := c.Summary
-			fmt.Fprintf(&b, "%s\t%g\t%s\t%.6f\t%.3f\t%.3f\t%.5f\t%d\t%d\t%d\t%.1f\t%.1f\t%d\t%.1f\t%d\t%.1f\t%.1f\t%.4f\t%d\n",
-				r.Sweep.ID, pt.X, a.Name, s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown,
-				s.KilledJobs, s.RetriedJobs, s.DroppedJobs, s.LostWorkSeconds, s.DownProcSeconds,
-				s.CheckpointsTaken, s.CheckpointOverheadSeconds,
-				s.SchedulerResizes, s.ShrunkProcSeconds, s.ReconfigOverheadSeconds,
-				c.RealizedLoad, c.Runs)
-		}
-	}
-	return b.String()
-}
+// SVGMetrics lists the metrics the sweep's figures plot as SVG, which
+// depend on its TSV layout.
+func (r *Result) SVGMetrics() []Metric { return r.layout().svg }
 
 // Plot renders the ASCII chart of a metric across all algorithms.
 func (r *Result) Plot(m Metric, width, height int) string {
@@ -284,56 +333,6 @@ func (r *Result) MaxImprovement(target, baseline string, m Metric) (float64, err
 		}
 	}
 	return best, nil
-}
-
-// ImprovementTable renders a paper-style improvement table (e.g. Table IV:
-// maximum % improvement of Delayed-LOS over LOS and EASY).
-func (r *Result) ImprovementTable(name, target string, baselines []string) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: maximum %% improvement of %s (from %s)\n", name, target, r.Sweep.ID)
-	fmt.Fprintf(&b, "%-22s", "Performance Metric")
-	for _, base := range baselines {
-		fmt.Fprintf(&b, " %14s", base+" (%)")
-	}
-	b.WriteByte('\n')
-	rows := []struct {
-		label string
-		m     Metric
-	}{
-		{"Utilization", MetricUtil},
-		{"Job waiting time", MetricWait},
-		{"Slowdown", MetricSlow},
-	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-22s", row.label)
-		for _, base := range baselines {
-			v, err := r.MaxImprovement(target, base, row.m)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, " %14.2f", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
-}
-
-// Improvements computes every pairwise max improvement for a metric,
-// useful in tests asserting orderings.
-func (r *Result) Improvements(m Metric) map[string]float64 {
-	out := make(map[string]float64)
-	for _, t := range r.Sweep.Algorithms {
-		for _, base := range r.Sweep.Algorithms {
-			if t.Name == base.Name {
-				continue
-			}
-			v, err := r.MaxImprovement(t.Name, base.Name, m)
-			if err == nil {
-				out[t.Name+">"+base.Name] = v
-			}
-		}
-	}
-	return out
 }
 
 // Summary returns the aggregated summary of one (algorithm, point) cell.
@@ -392,24 +391,7 @@ func perSeedValues(c Cell, m Metric) []float64 {
 // SignificanceTable reports paired-t p-values of the target against each
 // baseline for the three headline metrics.
 func (r *Result) SignificanceTable(target string, baselines []string) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "paired t-test p-values for %s (over %d point x seed pairs)\n",
+	title := fmt.Sprintf("paired t-test p-values for %s (over %d point x seed pairs)\n",
 		target, len(r.Sweep.Points)*len(r.Sweep.Seeds))
-	fmt.Fprintf(&b, "%-26s", "Performance Metric")
-	for _, base := range baselines {
-		fmt.Fprintf(&b, " %14s", "vs "+base)
-	}
-	b.WriteByte('\n')
-	for _, m := range Metrics() {
-		fmt.Fprintf(&b, "%-26s", m.Label)
-		for _, base := range baselines {
-			p, err := r.PairedP(target, base, m)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, " %14.4f", p)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return matrix(textSig, title, nil, "vs %s", target, baselines, r.PairedP)
 }
