@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro repro-check examples clean
+.PHONY: all build vet test race cover bench bench-json bench-gate fuzz scale-smoke chaos malleable-smoke repro repro-check lock-check examples clean
 
 all: build vet test
 
@@ -98,6 +98,14 @@ repro:
 repro-check: repro
 	git diff --exit-code -- results REPORT.md
 	test -z "$$(git status --porcelain -- results REPORT.md)"
+
+# Behaviour lock: every cell of testdata/behaviour.lock (registry policies
+# and their -M variants over faults, checkpoints, malleable and contiguous
+# axes; sharded routes and stealing at two worker counts; a snapshot round
+# trip) must hash exactly as recorded. Regenerating it takes an explicit
+# `go test -run TestBehaviourLock -update .`.
+lock-check:
+	$(GO) test -run '^TestBehaviourLock$$' -count=1 .
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -312,9 +312,6 @@ type ShardedOptions struct {
 	// Clusters is the number of parallel cluster simulations (the global
 	// machine is Clusters × M processors). Must be at least 1.
 	Clusters int
-	// Workers bounds the goroutines stepping clusters; 0 means GOMAXPROCS.
-	// The result is byte-identical for any worker count.
-	Workers int
 	// Route names the routing policy splitting submissions over clusters:
 	// "roundrobin" (the default for ""), "least-work", "best-fit", or
 	// "feedback", which needs Epoch > 0. See RoutePolicies. Any policy but
@@ -351,8 +348,9 @@ type ShardedResult = dispatch.Result
 // default; least-work and best-fit are load- and size-aware). opt
 // configures each cluster exactly as Simulate would (M is the per-cluster
 // machine size; Trace is rejected: placement events from parallel clusters
-// have no deterministic interleaving). Results are deterministic for a
-// given workload, cluster count and policy, independent of sh.Workers.
+// have no deterministic interleaving). Clusters step on GOMAXPROCS
+// workers; results are deterministic for a given workload, cluster count
+// and policy, independent of the worker count.
 func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptions) (*ShardedResult, error) {
 	algo, err := experiment.ByName(algorithm)
 	if err != nil {
@@ -360,7 +358,6 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 	}
 	return dispatch.Run(w, dispatch.Config{
 		Clusters:     sh.Clusters,
-		Workers:      sh.Workers,
 		Route:        sh.Route,
 		Epoch:        sh.Epoch,
 		Steal:        sh.Steal,

@@ -71,7 +71,7 @@ func (d *DelayedLOS) Schedule(ctx *sched.Context) {
 
 	default:
 		// Lines 12-20: head does not fit; reserve and backfill.
-		fret, frec, ok := headShadow(ctx, head)
+		fret, frec, ok := sched.HeadShadow(ctx, head)
 		if !ok {
 			return
 		}

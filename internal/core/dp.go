@@ -177,7 +177,7 @@ func quantum(cands []*job.Job, caps ...int) int {
 // BasicDP is the paper's Basic_DP: choose the subset of waiting jobs that
 // maximizes current utilization, i.e. a 0/1 knapsack over the candidate
 // window with weight = value = job size and capacity m. Candidates must
-// already fit individually (size <= m); WaitingWindow guarantees that.
+// already fit individually (size <= m); Context.Window guarantees that.
 //
 // The traceback prefers including earlier-queued jobs: the head job is
 // selected whenever *some* maximum-utilization subset contains it, which is

@@ -66,7 +66,7 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 			}
 			total += j.Size
 		}
-		// m always admits each candidate individually (the WaitingWindow
+		// m always admits each candidate individually (the Context.Window
 		// invariant) but usually not the whole window.
 		m := maxSize + r.Intn(total+1)
 
@@ -156,7 +156,7 @@ func FuzzDPEquivalence(f *testing.F) {
 			}
 			cands = append(cands, &job.Job{ID: i + 1, Size: size, Dur: dur, ReqStart: -1})
 		}
-		// Candidates must fit individually, per the WaitingWindow invariant.
+		// Candidates must fit individually, per the Context.Window invariant.
 		m := maxSize + int(mRaw)%512
 		frec := int(frecRaw)
 		now := int64(nowRaw)

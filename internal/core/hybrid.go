@@ -92,7 +92,7 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 			// Deviation: the paper's unconditional activation is unsound
 			// when the head does not fit; bound its wait with its own
 			// reservation as Delayed-LOS does.
-			fret, frec, ok := headShadow(ctx, head)
+			fret, frec, ok := sched.HeadShadow(ctx, head)
 			if !ok {
 				return
 			}

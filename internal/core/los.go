@@ -91,7 +91,7 @@ func (l *LOS) Schedule(ctx *sched.Context) {
 		// Head does not fit: reserve for it (or, in LOS-D with pending
 		// dedicated jobs, let the dedicated freeze take precedence) and
 		// backfill with Reservation_DP.
-		fret, frec, ok := headShadow(ctx, head)
+		fret, frec, ok := sched.HeadShadow(ctx, head)
 		if dfz != nil {
 			fret, frec, ok = dfz.Time, dfz.Capacity, true
 		}
@@ -113,23 +113,6 @@ func (l *LOS) settle(h int64) {
 	if !l.Ded {
 		l.Settle(h)
 	}
-}
-
-// headShadow computes the reservation for a head job that does not fit:
-// walking the active list in residual order, find the first prefix whose
-// release makes the head fit (Algorithm 1 lines 13-15). fret is that job's
-// kill-by time; frec is the spare capacity left there after the head is
-// placed. ok is false only if the head could never fit (prevented by
-// workload validation).
-func headShadow(ctx *sched.Context, head *job.Job) (fret int64, frec int, ok bool) {
-	cum := ctx.Free()
-	for _, a := range ctx.Active.Jobs() {
-		cum += a.Size
-		if head.Size <= cum {
-			return a.EndTime, cum - head.Size, true
-		}
-	}
-	return 0, 0, false
 }
 
 // startAll dispatches every selected job. set may alias the scheduler's

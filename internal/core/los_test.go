@@ -134,26 +134,20 @@ func TestLOSEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestHeadShadowComputation(t *testing.T) {
-	// free 64; running: 96 ends 100, 128 ends 200, 32 ends 300.
-	// head 256: cum 64+96=160 <256; +128=288 >=256 at t=200:
-	// fret 200, frec 288-256=32.
+func TestLOSHeadNeverFitsDuringOutage(t *testing.T) {
+	// Two of ten groups are down, so the in-service machine (256) is
+	// smaller than the 288 head: the head has no reservation, and LOS
+	// returns without packing the 32 behind it.
 	h := testkit.New(320, 32)
-	h.AddRunning(1, 96, 100)
-	h.AddRunning(2, 128, 200)
-	h.AddRunning(3, 32, 300)
-	head := h.AddBatch(4, 256, 1000)
-	fret, frec, ok := headShadow(h.Ctx(), head)
-	if !ok || fret != 200 || frec != 32 {
-		t.Errorf("headShadow = (%d, %d, %v), want (200, 32, true)", fret, frec, ok)
+	if _, _, err := h.Mach.FailGroups([]int{8, 9}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestHeadShadowImpossible(t *testing.T) {
-	h := testkit.New(320, 32)
-	head := h.AddBatch(1, 352, 1000) // larger than machine
-	if _, _, ok := headShadow(h.Ctx(), head); ok {
-		t.Error("impossible head got a shadow")
+	h.AddRunning(1, 64, 100)
+	h.AddBatch(2, 288, 1000)
+	h.AddBatch(3, 32, 10)
+	h.Cycle(NewLOS(false))
+	if len(h.Started) != 0 {
+		t.Errorf("started %v past a head that can never fit", h.StartedIDs())
 	}
 }
 

@@ -53,7 +53,7 @@ func (l *LOSPlus) Schedule(ctx *sched.Context) {
 		startAll(ctx, BasicDP(window, m, &l.scratch))
 		return
 	}
-	fret, frec, ok := headShadow(ctx, head)
+	fret, frec, ok := sched.HeadShadow(ctx, head)
 	if !ok {
 		return
 	}

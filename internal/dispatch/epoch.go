@@ -175,24 +175,20 @@ func split(w *cwf.Workload, clusters, m, affinity int, r Router) ([]*cwf.Workloa
 }
 
 // openSessions creates one empty session per cluster, fed by Inject at the
-// barriers, and arms its fault stream over the horizon Load would sample:
-// the cluster's own part of a static split, the global span under feedback
+// barriers, and arms its fault stream over the span Load would sample: the
+// cluster's own part of a static split, the whole workload under feedback
 // routing (parts nil, homes unknown up front).
 func (e *epochRun) openSessions(w *cwf.Workload, parts []*cwf.Workload) error {
 	for c := range e.sessions {
-		jobs := w.Jobs
+		part := w
 		if parts != nil {
-			jobs = parts[c].Jobs
-		}
-		var horizon int64
-		for _, j := range jobs {
-			horizon = max(horizon, j.Arrival+j.Dur)
+			part = parts[c]
 		}
 		s, err := engine.New(e.cfg.clusterEngine(c))
 		if err != nil {
 			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 		}
-		if err := s.ArmFaults(horizon); err != nil {
+		if err := s.ArmFaults(part); err != nil {
 			return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 		}
 		e.sessions[c] = s

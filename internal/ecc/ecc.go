@@ -115,7 +115,10 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
-// Processor applies ECCs in FCFS order.
+// Processor applies ECCs in FCFS order. Size commands on a malleable job
+// clamp to its MinProcs and MaxProcs as the engine admitted them —
+// multiples of the allocation unit with MinProcs <= Size <= MaxProcs — and
+// keep that invariant; the processor never re-quantizes the bounds.
 type Processor struct {
 	// MaxPerJob caps how many commands a single job may consume; 0 means
 	// unlimited. The paper: "A maximum count on number of ECCs can be
@@ -237,31 +240,6 @@ func (p *Processor) applyWaiting(c cwf.Command, j *job.Job, t Target) Outcome {
 	}
 }
 
-// boundFloor and boundCeil are a malleable job's processor bounds on the
-// allocation grid (MinProcs rounded up, MaxProcs rounded down, reconciled
-// so floor <= ceil). They return (0, 0) for rigid jobs — no bounds apply.
-func boundFloor(j *job.Job, unit int) int {
-	if j.MaxProcs <= 0 {
-		return 0
-	}
-	lo := ((j.MinProcs + unit - 1) / unit) * unit
-	if lo < unit {
-		lo = unit
-	}
-	return lo
-}
-
-func boundCeil(j *job.Job, unit int) int {
-	if j.MaxProcs <= 0 {
-		return 0
-	}
-	hi := (j.MaxProcs / unit) * unit
-	if lo := boundFloor(j, unit); hi < lo {
-		hi = lo
-	}
-	return hi
-}
-
 func (p *Processor) resizeWaiting(j *job.Job, want int, t Target) Outcome {
 	unit := t.MachineUnit()
 	out := Applied
@@ -274,15 +252,15 @@ func (p *Processor) resizeWaiting(j *job.Job, want int, t Target) Outcome {
 		size = t.MachineTotal()
 		out = Clamped
 	}
-	if j.MaxProcs > 0 {
+	if j.Malleable() {
 		// A bounded job's size never leaves its malleable window, queued or
 		// running: the scheduler's resize planning relies on the bounds.
-		if lo := boundFloor(j, unit); size < lo {
-			size = lo
+		if size < j.MinProcs {
+			size = j.MinProcs
 			out = Clamped
 		}
-		if hi := boundCeil(j, unit); size > hi {
-			size = hi
+		if size > j.MaxProcs {
+			size = j.MaxProcs
 			out = Clamped
 		}
 	}
@@ -329,8 +307,8 @@ func (p *Processor) applyRunning(c cwf.Command, j *job.Job, t Target) Outcome {
 		if want > t.MachineTotal() {
 			want = t.MachineTotal()
 		}
-		if hi := boundCeil(j, unit); hi > 0 && want > hi {
-			want = hi
+		if j.Malleable() && want > j.MaxProcs {
+			want = j.MaxProcs
 		}
 		if want == j.Size {
 			return Clamped
@@ -349,8 +327,8 @@ func (p *Processor) applyRunning(c cwf.Command, j *job.Job, t Target) Outcome {
 			want = unit
 			out = Clamped
 		}
-		if lo := boundFloor(j, unit); want < lo {
-			want = lo
+		if j.Malleable() && want < j.MinProcs {
+			want = j.MinProcs
 			out = Clamped
 		}
 		if want >= j.Size {

@@ -421,24 +421,26 @@ func (s *Session) Reset(cfg Config, w *cwf.Workload) error {
 	return nil
 }
 
-// quantizeBounds rounds a malleable job's processor bounds onto the
-// allocation grid — MinProcs up, MaxProcs down — then reconciles them with
-// the (already quantized) size, which may itself have been rounded past a
-// bound. Validate guaranteed MinProcs <= Size <= MaxProcs in raw units;
-// the same holds in quantized units afterwards.
-func (s *Session) quantizeBounds(j *job.Job) {
-	if j.MaxProcs <= 0 {
-		return
+// quantize puts an admitted clone on the allocation grid: its size rounds
+// up to the unit, and a malleable job's bounds round inward — MinProcs up,
+// MaxProcs down — reconciled with the rounded size, which may itself have
+// passed a bound. Validate guaranteed MinProcs <= Size <= MaxProcs in raw
+// units; afterwards it holds on the grid, and every resize path (ECC,
+// AutoResize, the fault shrink) keeps it. This is the only place bounds
+// are quantized: everything downstream reads MinProcs and MaxProcs as
+// admitted.
+func (s *Session) quantize(j *job.Job) error {
+	q, err := s.mach.Quantize(j.Size)
+	if err != nil {
+		return fmt.Errorf("engine: job %d: %v", j.ID, err)
 	}
-	unit := s.mach.Unit()
-	j.MinProcs = ((j.MinProcs + unit - 1) / unit) * unit
-	j.MaxProcs = (j.MaxProcs / unit) * unit
-	if j.MinProcs > j.Size {
-		j.MinProcs = j.Size
+	j.Size = q
+	if j.MaxProcs > 0 {
+		unit := s.mach.Unit()
+		j.MinProcs = min((j.MinProcs+unit-1)/unit*unit, q)
+		j.MaxProcs = max(j.MaxProcs/unit*unit, q)
 	}
-	if j.MaxProcs < j.Size {
-		j.MaxProcs = j.Size
-	}
+	return nil
 }
 
 // pristine reports whether the session has neither admitted work nor
@@ -474,12 +476,9 @@ func (s *Session) Load(w *cwf.Workload) error {
 	for i, orig := range w.Jobs {
 		s.clones[i] = *orig
 		j := &s.clones[i]
-		q, err := s.mach.Quantize(j.Size)
-		if err != nil {
-			return fmt.Errorf("engine: job %d: %v", j.ID, err)
+		if err := s.quantize(j); err != nil {
+			return err
 		}
-		j.Size = q
-		s.quantizeBounds(j)
 		s.jobs = append(s.jobs, j)
 		s.eng.AtStatic(j.Arrival, arriveK, i)
 	}
@@ -488,14 +487,7 @@ func (s *Session) Load(w *cwf.Workload) error {
 		s.eng.AtStatic(s.cmds[i].Issue, commandK, i)
 	}
 	if s.cfg.Faults != nil {
-		// Default sampling horizon: the workload's span under estimates.
-		var horizon int64
-		for _, j := range s.jobs {
-			if end := j.Arrival + j.Dur; end > horizon {
-				horizon = end
-			}
-		}
-		if err := s.loadFaults(horizon); err != nil {
+		if err := s.loadFaults(w); err != nil {
 			return err
 		}
 	}
@@ -543,12 +535,9 @@ func (s *Session) admit(j *job.Job, at int64, verb string) (*job.Job, error) {
 	}
 	clone := new(job.Job)
 	*clone = *j
-	q, err := s.mach.Quantize(clone.Size)
-	if err != nil {
-		return nil, fmt.Errorf("engine: job %d: %v", clone.ID, err)
+	if err := s.quantize(clone); err != nil {
+		return nil, err
 	}
-	clone.Size = q
-	s.quantizeBounds(clone)
 	s.jobs = append(s.jobs, clone)
 	s.ids[clone.ID] = true
 	s.eng.AtArg(at, s.arriveH, clone)
@@ -754,10 +743,37 @@ func (s *Session) checkInvariants() error {
 			return fmt.Errorf("engine: batch queue not FIFO at %d", k)
 		}
 	}
+	unit := s.mach.Unit()
 	for _, j := range act {
 		if j.State != job.Running {
 			return fmt.Errorf("engine: job %d in active list with state %v", j.ID, j.State)
 		}
+		if err := checkBounds(j, unit); err != nil {
+			return err
+		}
+	}
+	for _, j := range batch {
+		if err := checkBounds(j, unit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ErrOffGridBounds reports a malleable job whose size or bounds break the
+// rule admission establishes and every resize path keeps: MinProcs <= Size
+// <= MaxProcs, all positive multiples of the allocation unit.
+var ErrOffGridBounds = errors.New("engine: malleable job off its admitted bounds")
+
+// checkBounds checks j against the admitted-bounds rule; rigid jobs pass.
+func checkBounds(j *job.Job, unit int) error {
+	if !j.Malleable() {
+		return nil
+	}
+	if j.MinProcs <= 0 || j.MinProcs > j.Size || j.Size > j.MaxProcs ||
+		j.MinProcs%unit != 0 || j.Size%unit != 0 || j.MaxProcs%unit != 0 {
+		return fmt.Errorf("%w: job %d has size %d, bounds [%d, %d], unit %d",
+			ErrOffGridBounds, j.ID, j.Size, j.MinProcs, j.MaxProcs, unit)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"elastisched/internal/cwf"
 	"elastisched/internal/job"
 	"elastisched/internal/metrics"
 )
@@ -105,11 +106,11 @@ func (s *Session) AbsorbAt(j *job.Job, at int64) error {
 
 // ArmFaults resolves and schedules the session's fault trace for a session
 // that is fed by Inject instead of Load (the epoch dispatcher's path; Load
-// arms its own). horizon bounds the sampled trace exactly as Load's
-// workload span would; it is ignored for scripted traces and when
-// Config.Faults carries its own Horizon. Must be called before any event
-// has been dispatched, and at most once.
-func (s *Session) ArmFaults(horizon int64) error {
+// arms its own). part is the workload the session will be fed: a sampled
+// trace covers its span exactly as Load's would; a scripted trace ignores
+// it. Must be called before any event has been dispatched, and at most
+// once.
+func (s *Session) ArmFaults(part *cwf.Workload) error {
 	if s.cfg.Faults == nil {
 		return nil
 	}
@@ -119,5 +120,5 @@ func (s *Session) ArmFaults(horizon int64) error {
 	if s.eng.Dispatched() > 0 {
 		return errors.New("engine: ArmFaults after events were dispatched")
 	}
-	return s.loadFaults(horizon)
+	return s.loadFaults(part)
 }

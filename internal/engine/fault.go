@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"math"
 
+	"elastisched/internal/cwf"
 	"elastisched/internal/fault"
 	"elastisched/internal/job"
 )
 
 // FaultConfig attaches the failure model to a run: a fault trace (scripted,
-// or sampled from MTBF/MTTR at Load) and the retry policy for killed batch
-// jobs. Faults operate at node-group granularity — the machine's allocation
-// quantum is also its failure domain.
+// or sampled from MTBF/MTTR at Load over the workload's span) and the
+// retry policy for killed batch jobs. Faults operate at node-group
+// granularity — the machine's allocation quantum is also its failure
+// domain.
 type FaultConfig struct {
 	// Trace is a scripted fault scenario. When nil, a trace is sampled at
 	// Load from the renewal model below. Sessions read the trace while they
@@ -21,13 +23,13 @@ type FaultConfig struct {
 
 	// MTBF and MTTR parameterize the sampled model (per node group, sim
 	// seconds). Used only when Trace is nil; MTBF must then be positive.
+	// Sampled failures land in [0, span), span being the workload's
+	// latest arrival plus estimate; a scripted Trace sets any other
+	// horizon.
 	MTBF float64
 	MTTR float64
 	// Seed selects the random stream of the sampled trace.
 	Seed int64
-	// Horizon bounds sampled failures to [0, Horizon). Zero means "the
-	// loaded workload's span" (last arrival + that job's estimate).
-	Horizon int64
 
 	// Retry governs batch jobs killed by a failure. Dedicated victims are
 	// always dropped. The zero value requeues immediately, full restart,
@@ -86,9 +88,6 @@ func (fc *FaultConfig) validate() error {
 	} else if fc.MTBF != 0 || fc.MTTR != 0 {
 		return errors.New("engine: fault config has both a scripted trace and MTBF/MTTR generation parameters")
 	}
-	if fc.Horizon < 0 {
-		return fmt.Errorf("engine: fault config: %w (got %d)", fault.ErrNonPositiveSpan, fc.Horizon)
-	}
 	if err := fc.Retry.Validate(); err != nil {
 		return fmt.Errorf("engine: fault config: %w", err)
 	}
@@ -103,17 +102,19 @@ func (fc *FaultConfig) validate() error {
 // injection is off or no workload has been loaded.
 func (s *Session) FaultTrace() *fault.Trace { return s.ftrace }
 
-// loadFaults resolves the session's fault trace (sampling one if the
-// configuration asks for it), validates it against the machine geometry,
-// and registers its events as static events indexing the trace, which the
-// session then only reads. Called by Load and ArmFaults only: a restored
-// session gets its pending fault events from the snapshot instead.
-func (s *Session) loadFaults(horizon int64) error {
+// loadFaults resolves the session's fault trace, validates it against the
+// machine geometry, and registers its events as static events indexing the
+// trace, which the session then only reads. Unless the configuration
+// scripts a trace, one is sampled over w's span: the latest arrival plus
+// estimate. Called by Load and ArmFaults only: a restored session gets its
+// pending fault events from the snapshot instead.
+func (s *Session) loadFaults(w *cwf.Workload) error {
 	fc := s.cfg.Faults
 	t := fc.Trace
 	if t == nil {
-		if fc.Horizon > 0 {
-			horizon = fc.Horizon
+		var horizon int64
+		for _, j := range w.Jobs {
+			horizon = max(horizon, j.Arrival+j.Dur)
 		}
 		if horizon <= 0 {
 			// Empty workload: nothing to fail.

@@ -196,7 +196,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"NaN MTBF", &FaultConfig{MTBF: math.NaN()}, nil, fault.ErrNonPositiveMTBF},
 		{"negative MTTR", &FaultConfig{MTBF: 100, MTTR: -1}, nil, fault.ErrNegativeMTTR},
 		{"NaN MTTR", &FaultConfig{MTBF: 100, MTTR: math.NaN()}, nil, fault.ErrNegativeMTTR},
-		{"negative horizon", &FaultConfig{MTBF: 100, Horizon: -1}, nil, fault.ErrNonPositiveSpan},
 		{"negative retries", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{MaxRetries: -1}}, nil, fault.ErrNegativeRetries},
 		{"negative backoff", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Backoff: -1}}, nil, fault.ErrNegativeBackoff},
 		{"unknown retry mode", &FaultConfig{MTBF: 100, Retry: fault.RetryPolicy{Mode: 9}}, nil, fault.ErrUnknownRetryMode},

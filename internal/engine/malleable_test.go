@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elastisched/internal/cwf"
+	"elastisched/internal/fault"
 	"elastisched/internal/job"
 	"elastisched/internal/sched"
 	"elastisched/internal/trace"
@@ -149,6 +150,12 @@ func FuzzMalleableOps(f *testing.F) {
 	f.Add([]byte{0, 3, 50, 5, 1, 2, 6, 3, 9, 4, 0, 7, 80, 0, 1, 1, 4, 2, 20})
 	f.Add([]byte{3, 200, 0, 9, 100, 10, 4, 1, 0, 2, 30, 2, 7})
 	f.Add([]byte{0, 1, 1, 0, 4, 0, 2, 2, 3, 255, 1, 3, 1, 4, 4})
+	// A scripted trace past the seed workload's span, so faults keep
+	// firing while injected jobs run.
+	ft, err := fault.Generate(fault.GenParams{Groups: 10, MTBF: 20_000, MTTR: 800, Horizon: 200_000, Seed: 11})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -160,9 +167,7 @@ func FuzzMalleableOps(f *testing.F) {
 				ProcessECC: true,
 				Malleable:  true, ResizeOverhead: 2,
 				Paranoid: true,
-				Faults: &FaultConfig{
-					MTBF: 20_000, MTTR: 800, Seed: 11, Horizon: 200_000,
-				},
+				Faults:   &FaultConfig{Trace: ft},
 			}
 		}
 		s, err := New(cfg())

@@ -417,6 +417,11 @@ func (s *Session) Restore(sn *Snapshot) error {
 		if clones[i].Class == job.Dedicated && clones[i].State != job.Finished {
 			hetero = true
 		}
+		// Snapshot files come from outside the program, and nothing past
+		// admission re-quantizes bounds.
+		if err := checkBounds(jobs[i], s.mach.Unit()); err != nil {
+			return fmt.Errorf("engine: restoring snapshot: %w", err)
+		}
 	}
 	if hetero && !s.cfg.Scheduler.Heterogeneous() {
 		return fmt.Errorf("engine: snapshot has live dedicated jobs but %s is batch-only", s.cfg.Scheduler.Name())

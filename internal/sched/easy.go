@@ -138,11 +138,11 @@ func (e *EASY) settleAt(h int64) {
 	e.Settle(h)
 }
 
-// shadowFor computes the head job's reservation: the earliest time enough
-// running jobs have drained for it to fit, plus the extra capacity left at
-// that time. If the head is blocked only by the dedicated freeze (it fits
-// the machine now), its start is pushed to the freeze end; the reservation
-// then protects the dedicated demand plus the head.
+// shadowFor computes the head job's reservation: HeadShadow's earliest
+// time enough running jobs have drained for it to fit, plus the extra
+// capacity left at that time. If the head is blocked only by the dedicated
+// freeze (it fits the machine now), its start is pushed to the freeze end;
+// the reservation then protects the dedicated demand plus the head.
 func (e *EASY) shadowFor(ctx *Context, head *job.Job, dfz *Freeze) Freeze {
 	free := ctx.Free()
 	if head.Size <= free {
@@ -157,14 +157,10 @@ func (e *EASY) shadowFor(ctx *Context, head *job.Job, dfz *Freeze) Freeze {
 		}
 		return Freeze{Time: t, Capacity: extra}
 	}
-	cum := free
-	for _, a := range ctx.Active.Jobs() {
-		cum += a.Size
-		if head.Size <= cum {
-			return Freeze{Time: a.EndTime, Capacity: cum - head.Size}
-		}
+	if fret, frec, ok := HeadShadow(ctx, head); ok {
+		return Freeze{Time: fret, Capacity: frec}
 	}
-	// Head exceeds the machine even when idle; validation prevents this,
-	// but stay safe: no backfilling past it.
+	// The head outsizes the in-service machine (an outage took the
+	// capacity it needs): no backfilling past it.
 	return Freeze{Time: ctx.Now, Capacity: 0}
 }

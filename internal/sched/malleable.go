@@ -27,7 +27,7 @@ type Resize struct {
 //
 // Policies only see proposals for jobs with malleable bounds
 // (job.Malleable()); the engine rejects proposals outside the job's
-// quantized [MinProcs, MaxProcs] window, for dedicated jobs, and for
+// admitted [MinProcs, MaxProcs] window, for dedicated jobs, and for
 // jobs holding failed or draining node groups.
 type Malleable interface {
 	Scheduler
@@ -53,6 +53,10 @@ type Malleable interface {
 // decorator fixed-point safe: after a successful shrink the head fits (the
 // deficit is gone), and after an expansion round every malleable job is at
 // its feasible maximum.
+//
+// Both rules read MinProcs and MaxProcs as the engine admitted them:
+// multiples of the allocation unit with MinProcs <= Size <= MaxProcs, an
+// invariant every resize path keeps. The decorator never re-quantizes.
 //
 // Scheduling itself is delegated to the wrapped policy unchanged. The
 // decorator forwards the Stateful delta feed and the Snapshotter state
@@ -100,27 +104,6 @@ func (a *AutoResize) Schedule(ctx *Context) { a.Inner.Schedule(ctx) }
 // scheduler's.
 func healthy(ctx *Context, j *job.Job) bool {
 	return ctx.Machine.AllUp(j.ID)
-}
-
-// quantMin returns the job's minimum allocation rounded up to a whole
-// number of node groups (never below one group).
-func quantMin(j *job.Job, unit int) int {
-	min := ((j.MinProcs + unit - 1) / unit) * unit
-	if min < unit {
-		min = unit
-	}
-	return min
-}
-
-// quantMax returns the job's maximum allocation rounded down to a whole
-// number of node groups, floored at the job's current size (bounds are
-// validated at load time, so this only guards degenerate hand-built jobs).
-func quantMax(j *job.Job, unit int) int {
-	max := (j.MaxProcs / unit) * unit
-	if max < j.Size {
-		max = j.Size
-	}
-	return max
 }
 
 // ProposeResizes implements Malleable with the shrink-to-admit /
@@ -174,7 +157,7 @@ func (a *AutoResize) shrinkToAdmit(ctx *Context, head *job.Job) []Resize {
 		if j.Class != job.Batch || !j.Malleable() {
 			continue
 		}
-		if r := j.Size - quantMin(j, unit); r > 0 && healthy(ctx, j) {
+		if r := j.Size - j.MinProcs; r > 0 && healthy(ctx, j) {
 			cand = append(cand, j)
 			reserve += r
 		}
@@ -185,14 +168,14 @@ func (a *AutoResize) shrinkToAdmit(ctx *Context, head *job.Job) []Resize {
 	}
 
 	// Largest shrinkable reserve first, ties by job ID: fewest victims.
-	sortByReserve(cand, unit)
+	sortByReserve(cand)
 
 	out := a.out[:0]
 	for _, j := range cand {
 		if deficit <= 0 {
 			break
 		}
-		take := j.Size - quantMin(j, unit)
+		take := j.Size - j.MinProcs
 		if take > deficit {
 			// Only give up what the head still needs, in whole groups.
 			take = ((deficit + unit - 1) / unit) * unit
@@ -218,7 +201,7 @@ func (a *AutoResize) expandIdle(ctx *Context) []Resize {
 		if j.Class != job.Batch || !j.Malleable() {
 			continue
 		}
-		if j.Size < quantMax(j, unit) && healthy(ctx, j) {
+		if j.Size < j.MaxProcs && healthy(ctx, j) {
 			cand = append(cand, j)
 		}
 	}
@@ -233,7 +216,7 @@ func (a *AutoResize) expandIdle(ctx *Context) []Resize {
 		if free < unit {
 			break
 		}
-		grow := quantMax(j, unit) - j.Size
+		grow := j.MaxProcs - j.Size
 		if grow > free {
 			grow = (free / unit) * unit
 		}
@@ -249,13 +232,13 @@ func (a *AutoResize) expandIdle(ctx *Context) []Resize {
 
 // sortByReserve orders jobs by shrinkable reserve descending, ties by ID
 // ascending. Insertion sort: candidate sets are a handful of jobs.
-func sortByReserve(jobs []*job.Job, unit int) {
+func sortByReserve(jobs []*job.Job) {
 	for i := 1; i < len(jobs); i++ {
 		j := jobs[i]
-		rj := j.Size - quantMin(j, unit)
+		rj := j.Size - j.MinProcs
 		k := i - 1
 		for k >= 0 {
-			rk := jobs[k].Size - quantMin(jobs[k], unit)
+			rk := jobs[k].Size - jobs[k].MinProcs
 			if rk > rj || (rk == rj && jobs[k].ID < j.ID) {
 				break
 			}

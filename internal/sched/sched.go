@@ -225,29 +225,31 @@ func DedicatedFreeze(ctx *Context) (fz Freeze, onTime bool) {
 	return fz, false
 }
 
-// WaitingWindow returns the first `lookahead` batch-queued jobs whose size
-// fits within capacity m, in queue order. lookahead <= 0 means no limit.
-// This is the candidate set handed to the dynamic programs; limiting it to
-// 50 jobs is the LOS paper's complexity containment.
-func WaitingWindow(q *job.BatchQueue, m, lookahead int) []*job.Job {
-	jobs := q.Jobs()
-	out := make([]*job.Job, 0, minInt(len(jobs), 8))
-	for _, j := range jobs {
-		if lookahead > 0 && len(out) >= lookahead {
-			break
-		}
-		if j.Size <= m {
-			out = append(out, j)
+// HeadShadow computes the reservation for a head job that does not fit
+// now — the paper's (fret, frec) of Algorithm 1 lines 13-15, and EASY's
+// shadow time and extra capacity: walking the active list in residual
+// order, it finds the first prefix whose release makes the head fit. fret
+// is that job's kill-by time; frec is the spare capacity left there after
+// the head is placed. ok is false when the head could never fit, which
+// happens only while an outage leaves the in-service machine smaller than
+// the head.
+func HeadShadow(ctx *Context, head *job.Job) (fret int64, frec int, ok bool) {
+	cum := ctx.Free()
+	for _, a := range ctx.Active.Jobs() {
+		cum += a.Size
+		if head.Size <= cum {
+			return a.EndTime, cum - head.Size, true
 		}
 	}
-	return out
+	return 0, 0, false
 }
 
 // Window returns the DP candidate set at this instant: the first
-// `lookahead` queued jobs that fit capacity m AND are individually
-// placeable on the machine right now (identical to WaitingWindow on
-// scatter machines; on contiguous machines, fragmentation-blocked jobs are
-// excluded so the packing programs do not select unplaceable work).
+// `lookahead` batch-queued jobs, in queue order, that fit capacity m AND
+// are individually placeable on the machine right now (on contiguous
+// machines, fragmentation-blocked jobs are excluded so the packing
+// programs do not select unplaceable work). lookahead <= 0 means no limit;
+// limiting it to 50 jobs is the LOS paper's complexity containment.
 // The returned slice is valid only until the next Window call on this
 // context.
 func (c *Context) Window(m, lookahead int) []*job.Job {
@@ -262,11 +264,4 @@ func (c *Context) Window(m, lookahead int) []*job.Job {
 	}
 	c.win = out
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

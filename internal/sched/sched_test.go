@@ -189,19 +189,65 @@ func TestDedicatedFreezeEmptyPanics(t *testing.T) {
 	DedicatedFreeze(h.ctx())
 }
 
-func TestWaitingWindow(t *testing.T) {
+func TestContextWindow(t *testing.T) {
 	h := newHarness(t, 320, 32)
 	h.addBatch(1, 64, 10)
 	h.addBatch(2, 320, 10) // too big for m=128
 	h.addBatch(3, 96, 10)
 	h.addBatch(4, 128, 10)
-	w := WaitingWindow(h.batch, 128, 0)
+	c := h.ctx()
+	w := c.Window(128, 0)
 	if len(w) != 3 || w[0].ID != 1 || w[1].ID != 3 || w[2].ID != 4 {
 		t.Fatalf("window wrong: %v", w)
 	}
-	w = WaitingWindow(h.batch, 128, 2)
+	w = c.Window(128, 2)
 	if len(w) != 2 || w[1].ID != 3 {
 		t.Fatalf("lookahead cap wrong: %v", w)
+	}
+}
+
+func TestHeadShadowComputation(t *testing.T) {
+	// free 64; running: 96 ends 100, 128 ends 200, 32 ends 300.
+	// head 256: cum 64+96=160 <256; +128=288 >=256 at t=200:
+	// fret 200, frec 288-256=32.
+	h := newHarness(t, 320, 32)
+	h.addRunning(1, 96, 100)
+	h.addRunning(2, 128, 200)
+	h.addRunning(3, 32, 300)
+	head := h.addBatch(4, 256, 1000)
+	fret, frec, ok := HeadShadow(h.ctx(), head)
+	if !ok || fret != 200 || frec != 32 {
+		t.Errorf("HeadShadow = (%d, %d, %v), want (200, 32, true)", fret, frec, ok)
+	}
+}
+
+func TestHeadShadowImpossible(t *testing.T) {
+	h := newHarness(t, 320, 32)
+	head := h.addBatch(1, 352, 1000) // larger than machine
+	if _, _, ok := HeadShadow(h.ctx(), head); ok {
+		t.Error("impossible head got a shadow")
+	}
+}
+
+func TestHeadShadowNeverFitsDuringOutage(t *testing.T) {
+	// Two of ten groups are down, so the in-service machine (256) is
+	// smaller than the 288 head even once every running job drains: the
+	// head has no shadow, and EASY backfills nothing past it — not even a
+	// 32 that fits now and would finish long before any reservation.
+	h := newHarness(t, 320, 32)
+	if _, _, err := h.mach.FailGroups([]int{8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	h.addRunning(1, 64, 100)
+	head := h.addBatch(2, 288, 1000)
+	h.addBatch(3, 32, 10)
+	if _, _, ok := HeadShadow(h.ctx(), head); ok {
+		t.Error("head larger than the in-service machine got a shadow")
+	}
+	c := h.ctx()
+	(&EASY{}).Schedule(c)
+	if c.Starts != 0 {
+		t.Errorf("EASY started %d jobs past a head that can never fit", c.Starts)
 	}
 }
 

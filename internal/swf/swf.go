@@ -91,10 +91,6 @@ type Log struct {
 	Records []Record
 }
 
-// HeaderField returns the value of a "; Name: value" archive header line
-// (case-insensitive on the name), or "" if absent.
-func (l *Log) HeaderField(name string) string { return FieldFromHeader(l.Header, name) }
-
 // MaxNodes returns the machine size declared in the archive header
 // (MaxProcs preferred, falling back to MaxNodes), or 0 when the log does
 // not declare one. Replay tools use it to size the simulated machine.

@@ -179,13 +179,13 @@ func TestParseArchiveSampleFile(t *testing.T) {
 
 func TestHeaderField(t *testing.T) {
 	log, _ := Parse(strings.NewReader(sample))
-	if got := log.HeaderField("MaxNodes"); got != "128" {
-		t.Errorf("HeaderField(MaxNodes) = %q, want 128", got)
+	if got := FieldFromHeader(log.Header, "MaxNodes"); got != "128" {
+		t.Errorf("FieldFromHeader(MaxNodes) = %q, want 128", got)
 	}
-	if got := log.HeaderField("maxnodes"); got != "128" {
+	if got := FieldFromHeader(log.Header, "maxnodes"); got != "128" {
 		t.Errorf("case-insensitive lookup failed: %q", got)
 	}
-	if got := log.HeaderField("Nope"); got != "" {
+	if got := FieldFromHeader(log.Header, "Nope"); got != "" {
 		t.Errorf("absent field = %q", got)
 	}
 }
