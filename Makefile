@@ -42,8 +42,9 @@ bench-gate:
 
 # Short fuzz pass over the trace parsers, the DP packing kernels, the
 # persistent capacity profile, the indexed machine differential, the
-# job-ID table against a map model, and the event kernel's static source
-# against an all-heap reference.
+# job-ID table against a map model, the three job collections' shared
+# live window against plain-slice models, and the event kernel's static
+# source against an all-heap reference.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseLine -fuzztime=10s ./internal/cwf
 	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=10s ./internal/cwf
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzFaultTrace -fuzztime=10s ./internal/fault
 	$(GO) test -run=Fuzz -fuzz=FuzzMachineIndexed -fuzztime=10s ./internal/machine
 	$(GO) test -run=Fuzz -fuzz=FuzzIDTable -fuzztime=10s ./internal/idtab
+	$(GO) test -run=Fuzz -fuzz=FuzzJobWindows -fuzztime=10s ./internal/job
 	$(GO) test -run=Fuzz -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
 	$(GO) test -run=Fuzz -fuzz=FuzzStreamMerge -fuzztime=10s ./internal/simkit
 

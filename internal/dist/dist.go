@@ -130,23 +130,3 @@ func Clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// MeanStd returns the sample mean and standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)-1))
-	return mean, std
-}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"elastisched/internal/stats"
 )
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(1)) }
@@ -30,7 +32,7 @@ func TestUniformBounds(t *testing.T) {
 
 func TestUniformMean(t *testing.T) {
 	xs := sampleN(Uniform{Lo: 0, Hi: 10}, 50000, rng())
-	mean, _ := MeanStd(xs)
+	mean := stats.Mean(xs)
 	if math.Abs(mean-5) > 0.1 {
 		t.Errorf("uniform mean %g, want ~5", mean)
 	}
@@ -38,7 +40,7 @@ func TestUniformMean(t *testing.T) {
 
 func TestExponentialMean(t *testing.T) {
 	xs := sampleN(Exponential{Mean: 42}, 100000, rng())
-	mean, _ := MeanStd(xs)
+	mean := stats.Mean(xs)
 	if math.Abs(mean-42)/42 > 0.03 {
 		t.Errorf("exponential mean %g, want ~42", mean)
 	}
@@ -59,7 +61,7 @@ func TestGammaMomentsLargeShape(t *testing.T) {
 	// component.
 	g := Gamma{Alpha: 312, Beta: 0.03}
 	xs := sampleN(g, 50000, rng())
-	mean, std := MeanStd(xs)
+	mean, std := stats.Mean(xs), stats.StdDev(xs)
 	if math.Abs(mean-9.36)/9.36 > 0.01 {
 		t.Errorf("Gamma(312,.03) mean %g, want ~9.36", mean)
 	}
@@ -73,7 +75,7 @@ func TestGammaMomentsModerateShape(t *testing.T) {
 	// Gamma(4.2, 0.94): the paper's first runtime component.
 	g := Gamma{Alpha: 4.2, Beta: 0.94}
 	xs := sampleN(g, 100000, rng())
-	mean, std := MeanStd(xs)
+	mean, std := stats.Mean(xs), stats.StdDev(xs)
 	if math.Abs(mean-4.2*0.94)/(4.2*0.94) > 0.02 {
 		t.Errorf("Gamma(4.2,.94) mean %g, want ~%g", mean, 4.2*0.94)
 	}
@@ -86,7 +88,7 @@ func TestGammaMomentsModerateShape(t *testing.T) {
 func TestGammaShapeBelowOne(t *testing.T) {
 	g := Gamma{Alpha: 0.5, Beta: 2}
 	xs := sampleN(g, 100000, rng())
-	mean, _ := MeanStd(xs)
+	mean := stats.Mean(xs)
 	if math.Abs(mean-1)/1 > 0.05 {
 		t.Errorf("Gamma(0.5,2) mean %g, want ~1", mean)
 	}
@@ -114,13 +116,13 @@ func TestHyperGammaMixture(t *testing.T) {
 	// P=1 and P=0 collapse to the components.
 	h1 := HyperGamma{First: Gamma{2, 1}, Second: Gamma{100, 1}, P: 1}
 	xs := sampleN(h1, 20000, rng())
-	mean, _ := MeanStd(xs)
+	mean := stats.Mean(xs)
 	if math.Abs(mean-2) > 0.2 {
 		t.Errorf("P=1 mixture mean %g, want ~2", mean)
 	}
 	h0 := HyperGamma{First: Gamma{2, 1}, Second: Gamma{100, 1}, P: 0}
 	xs = sampleN(h0, 20000, rng())
-	mean, _ = MeanStd(xs)
+	mean = stats.Mean(xs)
 	if math.Abs(mean-100)/100 > 0.02 {
 		t.Errorf("P=0 mixture mean %g, want ~100", mean)
 	}
@@ -129,7 +131,7 @@ func TestHyperGammaMixture(t *testing.T) {
 func TestHyperGammaBlend(t *testing.T) {
 	h := HyperGamma{First: Gamma{2, 1}, Second: Gamma{100, 1}, P: 0.5}
 	xs := sampleN(h, 100000, rng())
-	mean, _ := MeanStd(xs)
+	mean := stats.Mean(xs)
 	if math.Abs(mean-51)/51 > 0.05 {
 		t.Errorf("P=.5 mixture mean %g, want ~51", mean)
 	}
@@ -203,25 +205,6 @@ func TestClamp(t *testing.T) {
 		if got := Clamp(c.v, c.lo, c.hi); got != c.want {
 			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", c.v, c.lo, c.hi, got, c.want)
 		}
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 {
-		t.Errorf("mean %g, want 5", mean)
-	}
-	if math.Abs(std-2.138) > 0.01 {
-		t.Errorf("std %g, want ~2.138 (sample std)", std)
-	}
-}
-
-func TestMeanStdDegenerate(t *testing.T) {
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Errorf("MeanStd(nil) = %g, %g", m, s)
-	}
-	if m, s := MeanStd([]float64{3}); m != 3 || s != 0 {
-		t.Errorf("MeanStd([3]) = %g, %g", m, s)
 	}
 }
 

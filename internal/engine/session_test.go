@@ -2,12 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"elastisched/internal/core"
 	"elastisched/internal/cwf"
+	"elastisched/internal/metrics"
 	"elastisched/internal/sched"
 	"elastisched/internal/workload"
 )
@@ -452,6 +455,62 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, want) {
 		t.Errorf("snapshotting perturbed the live session")
+	}
+}
+
+// TestRestoreRejectsInconsistentMetrics hand-edits a snapshot's metrics
+// block so its waits series no longer matches the finished-job count.
+// Restore must refuse it before committing anything, so the same session
+// then takes the unedited snapshot and finishes like the uninterrupted run.
+func TestRestoreRejectsInconsistentMetrics(t *testing.T) {
+	w := sessionWorkload(t, 120, 7)
+	cfg := func() Config { return Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}} }
+	want, err := Run(w, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if ok, err := s.Step(); err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *sn
+	waits := sn.Metrics.Waits
+	if len(waits) == 0 {
+		t.Fatal("no job finished before the snapshot; the edit would be a no-op")
+	}
+	bad.Metrics.Waits = slices.Concat(waits, waits, waits, waits)
+
+	r, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(&bad); !errors.Is(err, metrics.ErrBadSnapshot) {
+		t.Fatalf("Restore of an edited metrics block = %v, want ErrBadSnapshot", err)
+	}
+	if err := r.Restore(sn); err != nil {
+		t.Fatalf("Restore after a refused snapshot: %v", err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored run diverged from uninterrupted run:\n%+v\n%+v", got, want)
 	}
 }
 

@@ -441,12 +441,16 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if mach.Total() != s.cfg.M || mach.Unit() != s.cfg.Unit {
 		return fmt.Errorf("engine: snapshot machine state is %d/%d, config %d/%d", mach.Total(), mach.Unit(), s.cfg.M, s.cfg.Unit)
 	}
+	collector, err := metrics.NewCollectorFromSnapshot(sn.Metrics)
+	if err != nil {
+		return fmt.Errorf("engine: restoring metrics: %w", err)
+	}
 
 	// All validation that can fail is done; commit to the session.
 	s.jobs = jobs
 	s.mach = mach
 	s.ctx.Machine = mach
-	s.collector = metrics.NewCollectorFromSnapshot(sn.Metrics)
+	s.collector = collector
 	if s.cfg.ProcessECC {
 		if sn.ECC != nil {
 			s.proc = ecc.NewProcessorFromSnapshot(*sn.ECC)

@@ -221,7 +221,8 @@ func (r fullWalkCons) Schedule(ctx *sched.Context) {
 		return
 	}
 	M := ctx.M()
-	prof := sched.NewProfile(ctx.Now, M, ctx.Active)
+	prof := new(sched.Profile)
+	prof.Rebuild(ctx.Now, M, ctx.Active)
 	if r.ded {
 		for _, d := range ctx.Dedicated.Jobs() {
 			if d.Size > M {

@@ -421,37 +421,57 @@ func TestValidateNegativeActual(t *testing.T) {
 	}
 }
 
-// TestDedicatedQueueSteadyCycleAllocatesNothing pins the dead-prefix
-// reclaim: PopHead must not leak the front slot, so a queue that holds a
-// bounded number of jobs while they stream through reuses one array.
-func TestDedicatedQueueSteadyCycleAllocatesNothing(t *testing.T) {
-	q := NewDedicatedQueue()
-	jobs := make([]*Job, 64)
-	for i := range jobs {
-		jobs[i] = dedJob(i, 32, 1, int64(i), int64(i))
+// TestQueueSteadyCycleAllocatesNothing pins the dead-prefix reclaim of the
+// shared window for each collection: head removal must not leak the front
+// slot, so a collection that holds a bounded number of jobs while they
+// stream through reuses one array.
+func TestQueueSteadyCycleAllocatesNothing(t *testing.T) {
+	batch, ded, active := NewBatchQueue(), NewDedicatedQueue(), NewActiveList()
+	cases := []struct {
+		name string
+		w    *window
+		add  func(j *Job, seq int)
+		drop func()
+	}{
+		{"batch Push/Remove head", &batch.window,
+			func(j *Job, _ int) { batch.Push(j) },
+			func() { batch.Remove(batch.Head()) }},
+		{"dedicated Push/PopHead", &ded.window,
+			func(j *Job, seq int) { j.ReqStart = int64(seq); ded.Push(j) },
+			func() { ded.PopHead() }},
+		{"active Insert/Remove head", &active.window,
+			func(j *Job, seq int) { j.EndTime = int64(seq); active.Insert(j) },
+			func() { active.Remove(active.Head()) }},
 	}
-	next := 0
-	cycle := func() {
-		// Keep four jobs queued: push one, pop the head.
-		for q.Len() < 4 {
-			q.Push(jobs[next%len(jobs)])
-			next++
-		}
-		if q.PopHead() == nil {
-			t.Fatal("PopHead on a non-empty queue returned nil")
-		}
-	}
-	for i := 0; i < 16; i++ {
-		cycle() // warm up: grow the array to its steady size
-	}
-	// A leaked slot costs a reallocation only every few cycles, and
-	// AllocsPerRun rounds its average down, so each run is 1000 cycles.
-	if allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			cycle()
-		}
-	}); allocs != 0 {
-		t.Errorf("1000 steady push/pop cycles allocate %.0f times, want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := make([]*Job, 64)
+			for i := range jobs {
+				jobs[i] = batchJob(i, 32, 1, int64(i))
+			}
+			next := 0
+			cycle := func() {
+				// Keep four jobs live: add at the tail, drop the head.
+				for tc.w.Len() < 4 {
+					tc.add(jobs[next%len(jobs)], next)
+					next++
+				}
+				tc.drop()
+			}
+			for i := 0; i < 16; i++ {
+				cycle() // warm up: grow the array to its steady size
+			}
+			// A leaked slot grows the array geometrically, so it costs
+			// only a few reallocations in 1000 cycles, and AllocsPerRun
+			// rounds its average down: one measured run catches even one.
+			if allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 1000; i++ {
+					cycle()
+				}
+			}); allocs != 0 {
+				t.Errorf("1000 steady cycles allocate %.0f times, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// GroupHealth returns node group g's state.
+func (m *Machine) GroupHealth(g int) GroupState { return m.health[g] }
+
 // checked wraps CheckInvariants as a test helper.
 func checked(t *testing.T, m *Machine) {
 	t.Helper()

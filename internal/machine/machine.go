@@ -293,9 +293,6 @@ func (m *Machine) DownProcs() int { return m.downProcs }
 // NumGroups returns the number of node groups (total/unit).
 func (m *Machine) NumGroups() int { return len(m.groups) }
 
-// GroupHealth returns node group g's state.
-func (m *Machine) GroupHealth(g int) GroupState { return m.health[g] }
-
 // Utilization returns the instantaneous fraction of busy processors.
 func (m *Machine) Utilization() float64 { return float64(m.Used()) / float64(m.total) }
 
@@ -761,11 +758,6 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// Held returns the size of jobID's current allocation (0 if none).
-func (m *Machine) Held(jobID int) int {
-	return len(m.ownerOf(jobID)) * m.unit
 }
 
 // OwnedGroups returns a copy of the node-group indices jobID holds.

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// Held returns the size of jobID's current allocation (0 if none).
+func (m *Machine) Held(jobID int) int {
+	return len(m.ownerOf(jobID)) * m.unit
+}
+
 func TestNewGeometry(t *testing.T) {
 	m := New(320, 32)
 	if m.Total() != 320 || m.Unit() != 32 || m.Free() != 320 || m.Used() != 0 {

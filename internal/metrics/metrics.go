@@ -8,76 +8,23 @@ package metrics
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"elastisched/internal/job"
+	"elastisched/internal/stats"
 )
 
-// Collector accumulates events during one simulation run.
-type Collector struct {
-	m int
-
-	busy     int
-	lastT    int64
-	area     float64
-	haveT0   bool
-	t0, tEnd int64
-
-	// waits is kept as a full series: the summary reports order statistics
-	// (median, p95, max) that need every sample. The remaining per-job
-	// measures only ever feed arithmetic means, so they accumulate as
-	// streaming sums — same accumulation order as the old per-job slices,
-	// so the float results are bit-identical.
-	waits       []float64
-	runSum      float64
-	slowSum     float64
-	batchSum    float64
-	batchCount  int
-	dedSum      float64
-	dedOnTime   int
-	dedTotal    int
-	jobsStarted int
-	jobsDone    int
-	queued      int
-	maxQueued   int
-
-	// Fault accounting: jobs killed by node-group failures, how they were
-	// dispatched afterwards, the processor-seconds of work the kills
-	// destroyed, and the integral of out-of-service capacity.
-	killed    int
-	retried   int
-	dropped   int
-	lostWork  float64
-	downProcs int
-	downArea  float64
-
-	// Checkpoint accounting: checkpoints taken by running jobs and the
-	// total cost charged for them (the engine's lost-work decomposition:
-	// what kills destroy shrinks to work-since-checkpoint, what
-	// checkpointing costs shows up here).
-	checkpoints  int
-	ckptOverhead float64
-
-	// Malleability accounting: system-initiated resizes applied, the
-	// processor-seconds of planned capacity ceded by shrinks, and the total
-	// reconfiguration overhead charged to resized jobs.
-	schedResizes   int
-	shrunkProcSecs float64
-	reconfigSecs   float64
-
-	// busySteps records the busy-count step function (one entry per change)
-	// so steady-state windows can be evaluated after the fact.
-	busySteps []BusyStep
-	// perJob records (arrival, finish, wait) per completed job for windowed
-	// wait statistics.
-	perJob []JobPoint
-}
+// Collector accumulates events during one simulation run. Its whole
+// accumulator state is one Snapshot record, so a snapshot is a deep copy of
+// it and a restored collector continues from exactly that record.
+type Collector struct{ st Snapshot }
 
 // NewCollector returns a collector for a machine of m processors.
 func NewCollector(m int) *Collector {
-	return &Collector{m: m}
+	return &Collector{Snapshot{M: m}}
 }
 
 // Reset clears every accumulator, leaving the collector as NewCollector(m)
@@ -86,49 +33,49 @@ func NewCollector(m int) *Collector {
 // series' storage: Samples views taken before the Reset are invalid after
 // it.
 func (c *Collector) Reset(m, n int) {
-	*c = Collector{
-		m:         m,
-		waits:     slices.Grow(c.waits[:0], n),
-		perJob:    slices.Grow(c.perJob[:0], n),
-		busySteps: slices.Grow(c.busySteps[:0], 2*n),
+	c.st = Snapshot{
+		M:         m,
+		Waits:     slices.Grow(c.st.Waits[:0], n),
+		PerJob:    slices.Grow(c.st.PerJob[:0], n),
+		BusySteps: slices.Grow(c.st.BusySteps[:0], 2*n),
 	}
 }
 
 // integrate advances the busy-area and down-capacity integrals to time t.
 func (c *Collector) integrate(t int64) {
-	if t > c.lastT {
-		dt := float64(t - c.lastT)
-		c.area += float64(c.busy) * dt
-		if c.downProcs > 0 {
-			c.downArea += float64(c.downProcs) * dt
+	if t > c.st.LastT {
+		dt := float64(t - c.st.LastT)
+		c.st.Area += float64(c.st.Busy) * dt
+		if c.st.DownProcs > 0 {
+			c.st.DownArea += float64(c.st.DownProcs) * dt
 		}
-		c.lastT = t
+		c.st.LastT = t
 	}
 }
 
 // noteBusy appends to the busy step function (coalescing same-instant
 // changes).
 func (c *Collector) noteBusy(t int64) {
-	if n := len(c.busySteps); n > 0 && c.busySteps[n-1].T == t {
-		c.busySteps[n-1].Busy = c.busy
+	if n := len(c.st.BusySteps); n > 0 && c.st.BusySteps[n-1].T == t {
+		c.st.BusySteps[n-1].Busy = c.st.Busy
 		return
 	}
-	c.busySteps = append(c.busySteps, BusyStep{t, c.busy})
+	c.st.BusySteps = append(c.st.BusySteps, BusyStep{t, c.st.Busy})
 }
 
 // JobArrived opens the measurement window at the first arrival and tracks
 // the waiting-queue depth.
 func (c *Collector) JobArrived(j *job.Job, t int64) {
-	if !c.haveT0 || t < c.t0 {
-		if !c.haveT0 {
-			c.lastT = t
+	if !c.st.HaveT0 || t < c.st.T0 {
+		if !c.st.HaveT0 {
+			c.st.LastT = t
 		}
-		c.t0 = t
-		c.haveT0 = true
+		c.st.T0 = t
+		c.st.HaveT0 = true
 	}
-	c.queued++
-	if c.queued > c.maxQueued {
-		c.maxQueued = c.queued
+	c.st.Queued++
+	if c.st.Queued > c.st.MaxQueued {
+		c.st.MaxQueued = c.st.Queued
 	}
 }
 
@@ -138,17 +85,17 @@ func (c *Collector) JobArrived(j *job.Job, t int64) {
 // queue depth moves: the measurement window stays open, and the job's wait
 // is accounted where it eventually starts.
 func (c *Collector) JobWithdrawn() {
-	c.queued--
+	c.st.Queued--
 }
 
 // JobStarted accounts for a dispatch at time t.
 func (c *Collector) JobStarted(j *job.Job, t int64) {
 	c.integrate(t)
-	c.busy += j.Size
-	c.jobsStarted++
-	c.queued--
-	if c.busy > c.m {
-		panic(fmt.Sprintf("metrics: busy %d exceeds machine %d at t=%d", c.busy, c.m, t))
+	c.st.Busy += j.Size
+	c.st.JobsStarted++
+	c.st.Queued--
+	if c.st.Busy > c.st.M {
+		panic(fmt.Sprintf("metrics: busy %d exceeds machine %d at t=%d", c.st.Busy, c.st.M, t))
 	}
 	c.noteBusy(t)
 }
@@ -156,33 +103,33 @@ func (c *Collector) JobStarted(j *job.Job, t int64) {
 // JobFinished accounts for a completion at time t.
 func (c *Collector) JobFinished(j *job.Job, t int64) {
 	c.integrate(t)
-	c.busy -= j.Size
-	if c.busy < 0 {
-		panic(fmt.Sprintf("metrics: negative busy %d at t=%d", c.busy, t))
+	c.st.Busy -= j.Size
+	if c.st.Busy < 0 {
+		panic(fmt.Sprintf("metrics: negative busy %d at t=%d", c.st.Busy, t))
 	}
 	c.noteBusy(t)
-	c.jobsDone++
-	if t > c.tEnd {
-		c.tEnd = t
+	c.st.JobsDone++
+	if t > c.st.TEnd {
+		c.st.TEnd = t
 	}
 
 	w := float64(j.Wait())
-	c.perJob = append(c.perJob, JobPoint{Arrival: j.Arrival, Finish: t, Wait: w})
+	c.st.PerJob = append(c.st.PerJob, JobPoint{Arrival: j.Arrival, Finish: t, Wait: w})
 	r := float64(j.RunTime())
-	c.waits = append(c.waits, w)
-	c.runSum += r
+	c.st.Waits = append(c.st.Waits, w)
+	c.st.RunSum += r
 	// Per-job bounded slowdown with the conventional 10s floor.
 	den := math.Max(r, 10)
-	c.slowSum += (w + math.Max(r, 10)) / den
+	c.st.SlowSum += (w + math.Max(r, 10)) / den
 	if j.Class == job.Dedicated {
-		c.dedTotal++
-		c.dedSum += w
+		c.st.DedTotal++
+		c.st.DedSum += w
 		if j.Wait() == 0 {
-			c.dedOnTime++
+			c.st.DedOnTime++
 		}
 	} else {
-		c.batchSum += w
-		c.batchCount++
+		c.st.BatchSum += w
+		c.st.BatchCount++
 	}
 }
 
@@ -196,19 +143,19 @@ func (c *Collector) JobFinished(j *job.Job, t int64) {
 // work-since-checkpoint.
 func (c *Collector) JobKilled(j *job.Job, t int64, requeued bool, lostFrom int64) {
 	c.integrate(t)
-	c.busy -= j.Size
-	if c.busy < 0 {
-		panic(fmt.Sprintf("metrics: negative busy %d after kill at t=%d", c.busy, t))
+	c.st.Busy -= j.Size
+	if c.st.Busy < 0 {
+		panic(fmt.Sprintf("metrics: negative busy %d after kill at t=%d", c.st.Busy, t))
 	}
 	c.noteBusy(t)
-	c.killed++
+	c.st.Killed++
 	if lost := t - lostFrom; lost > 0 {
-		c.lostWork += float64(lost) * float64(j.Size)
+		c.st.LostWork += float64(lost) * float64(j.Size)
 	}
 	if requeued {
-		c.retried++
+		c.st.Retried++
 	} else {
-		c.dropped++
+		c.st.Dropped++
 	}
 }
 
@@ -218,38 +165,38 @@ func (c *Collector) JobKilled(j *job.Job, t int64, requeued bool, lostFrom int64
 // the job's processors stay occupied for the extra time — so it is
 // directly comparable against LostWorkSeconds in the cost trade.
 func (c *Collector) CheckpointTaken(cost int64, size int) {
-	c.checkpoints++
-	c.ckptOverhead += float64(cost) * float64(size)
+	c.st.Checkpoints++
+	c.st.CkptCost += float64(cost) * float64(size)
 }
 
 // CapacityChanged records the out-of-service processor count after a
 // failure or repair at time t, feeding the down-capacity integral.
 func (c *Collector) CapacityChanged(downProcs int, t int64) {
 	c.integrate(t)
-	c.downProcs = downProcs
+	c.st.DownProcs = downProcs
 }
 
 // SizeChanged accounts for an EP/RP resize of a running job at time t.
 func (c *Collector) SizeChanged(delta int, t int64) {
 	c.integrate(t)
-	c.busy += delta
-	if c.busy < 0 || c.busy > c.m {
-		panic(fmt.Sprintf("metrics: busy %d out of range after resize at t=%d", c.busy, t))
+	c.st.Busy += delta
+	if c.st.Busy < 0 || c.st.Busy > c.st.M {
+		panic(fmt.Sprintf("metrics: busy %d out of range after resize at t=%d", c.st.Busy, t))
 	}
 	c.noteBusy(t)
 }
 
 // SchedulerResized counts one applied system-initiated resize (a scheduler
 // proposal or a fault-path shrink).
-func (c *Collector) SchedulerResized() { c.schedResizes++ }
+func (c *Collector) SchedulerResized() { c.st.SchedResizes++ }
 
 // ProcsShrunk adds the processor-seconds of planned capacity a shrink ceded
 // (the size reduction times the remaining estimated runtime at the shrink).
-func (c *Collector) ProcsShrunk(procSeconds float64) { c.shrunkProcSecs += procSeconds }
+func (c *Collector) ProcsShrunk(procSeconds float64) { c.st.ShrunkProcSecs += procSeconds }
 
 // ResizeOverheadApplied adds the reconfiguration cost charged to one
 // work-conserving resize.
-func (c *Collector) ResizeOverheadApplied(seconds int64) { c.reconfigSecs += float64(seconds) }
+func (c *Collector) ResizeOverheadApplied(seconds int64) { c.st.ReconfigSecs += float64(seconds) }
 
 // BusyStep is one entry of the busy-count step function.
 type BusyStep struct {
@@ -283,87 +230,98 @@ type Samples struct {
 // it is valid until the collector next accounts an event, and callers must
 // not modify it.
 func (c *Collector) Samples() Samples {
-	return Samples{Waits: c.waits, PerJob: c.perJob, BusySteps: c.busySteps}
+	return Samples{Waits: c.st.Waits, PerJob: c.st.PerJob, BusySteps: c.st.BusySteps}
 }
 
 // Snapshot is the collector's complete accumulator state, sufficient to
-// resume metering mid-run. The per-job series keep their accumulation
-// order, so a restored collector's Summary is bit-identical to the
-// uninterrupted run's (float sums depend on order).
+// resume metering mid-run; the Collector keeps its state in exactly this
+// record. The per-job series keep their accumulation order, so a restored
+// collector's Summary is bit-identical to the uninterrupted run's (float
+// sums depend on order).
 type Snapshot struct {
-	M           int        `json:"m"`
-	Busy        int        `json:"busy"`
-	LastT       int64      `json:"last_t"`
-	Area        float64    `json:"area"`
-	HaveT0      bool       `json:"have_t0"`
-	T0          int64      `json:"t0"`
-	TEnd        int64      `json:"t_end"`
-	Waits       []float64  `json:"waits,omitempty"`
-	RunSum      float64    `json:"run_sum"`
-	SlowSum     float64    `json:"slow_sum"`
-	BatchSum    float64    `json:"batch_sum"`
-	BatchCount  int        `json:"batch_count"`
-	DedSum      float64    `json:"ded_sum"`
-	DedOnTime   int        `json:"ded_on_time"`
-	DedTotal    int        `json:"ded_total"`
-	JobsStarted int        `json:"jobs_started"`
-	JobsDone    int        `json:"jobs_done"`
-	Queued      int        `json:"queued"`
-	MaxQueued   int        `json:"max_queued"`
-	Killed      int        `json:"killed,omitempty"`
-	Retried     int        `json:"retried,omitempty"`
-	Dropped     int        `json:"dropped,omitempty"`
-	LostWork    float64    `json:"lost_work,omitempty"`
-	DownProcs   int        `json:"down_procs,omitempty"`
-	DownArea    float64    `json:"down_area,omitempty"`
-	Checkpoints int        `json:"checkpoints,omitempty"`
-	CkptCost    float64    `json:"ckpt_cost,omitempty"`
-	BusySteps   []BusyStep `json:"busy_steps,omitempty"`
-	PerJob      []JobPoint `json:"per_job,omitempty"`
+	M      int     `json:"m"`
+	Busy   int     `json:"busy"`
+	LastT  int64   `json:"last_t"`
+	Area   float64 `json:"area"`
+	HaveT0 bool    `json:"have_t0"`
+	T0     int64   `json:"t0"`
+	TEnd   int64   `json:"t_end"`
+	// Waits is kept as a full series: the summary reports order statistics
+	// (median, p95, max) that need every sample. The remaining per-job
+	// measures only ever feed arithmetic means, so they accumulate as
+	// streaming sums.
+	Waits       []float64 `json:"waits,omitempty"`
+	RunSum      float64   `json:"run_sum"`
+	SlowSum     float64   `json:"slow_sum"`
+	BatchSum    float64   `json:"batch_sum"`
+	BatchCount  int       `json:"batch_count"`
+	DedSum      float64   `json:"ded_sum"`
+	DedOnTime   int       `json:"ded_on_time"`
+	DedTotal    int       `json:"ded_total"`
+	JobsStarted int       `json:"jobs_started"`
+	JobsDone    int       `json:"jobs_done"`
+	Queued      int       `json:"queued"`
+	MaxQueued   int       `json:"max_queued"`
+	// Fault accounting: jobs killed by node-group failures, how they were
+	// dispatched afterwards, the processor-seconds of work the kills
+	// destroyed, and the integral of out-of-service capacity.
+	Killed    int     `json:"killed,omitempty"`
+	Retried   int     `json:"retried,omitempty"`
+	Dropped   int     `json:"dropped,omitempty"`
+	LostWork  float64 `json:"lost_work,omitempty"`
+	DownProcs int     `json:"down_procs,omitempty"`
+	DownArea  float64 `json:"down_area,omitempty"`
+	// Checkpoint accounting: checkpoints taken by running jobs and the
+	// total cost charged for them, in processor-seconds.
+	Checkpoints int     `json:"checkpoints,omitempty"`
+	CkptCost    float64 `json:"ckpt_cost,omitempty"`
+	// BusySteps records the busy-count step function (one entry per
+	// change) so steady-state windows can be evaluated after the fact.
+	BusySteps []BusyStep `json:"busy_steps,omitempty"`
+	// PerJob records (arrival, finish, wait) per completed job for
+	// windowed wait statistics.
+	PerJob []JobPoint `json:"per_job,omitempty"`
 
+	// Malleability accounting: system-initiated resizes applied, the
+	// processor-seconds of planned capacity ceded by shrinks, and the total
+	// reconfiguration overhead charged to resized jobs.
 	SchedResizes   int     `json:"sched_resizes,omitempty"`
 	ShrunkProcSecs float64 `json:"shrunk_proc_secs,omitempty"`
 	ReconfigSecs   float64 `json:"reconfig_secs,omitempty"`
 }
 
+// ErrBadSnapshot marks a metrics snapshot whose per-job series disagree
+// with its counters: JobFinished appends exactly one wait and one per-job
+// record per completion, and the busy step function advances in time, so
+// no captured collector can produce one.
+var ErrBadSnapshot = errors.New("metrics: inconsistent snapshot")
+
 // Snapshot captures the collector state for NewCollectorFromSnapshot.
-func (c *Collector) Snapshot() Snapshot {
-	return Snapshot{
-		M: c.m, Busy: c.busy, LastT: c.lastT, Area: c.area,
-		HaveT0: c.haveT0, T0: c.t0, TEnd: c.tEnd,
-		Waits:  append([]float64(nil), c.waits...),
-		RunSum: c.runSum, SlowSum: c.slowSum, BatchSum: c.batchSum, BatchCount: c.batchCount,
-		DedSum: c.dedSum, DedOnTime: c.dedOnTime, DedTotal: c.dedTotal,
-		JobsStarted: c.jobsStarted, JobsDone: c.jobsDone,
-		Queued: c.queued, MaxQueued: c.maxQueued,
-		Killed: c.killed, Retried: c.retried, Dropped: c.dropped,
-		LostWork: c.lostWork, DownProcs: c.downProcs, DownArea: c.downArea,
-		Checkpoints: c.checkpoints, CkptCost: c.ckptOverhead,
-		SchedResizes: c.schedResizes, ShrunkProcSecs: c.shrunkProcSecs,
-		ReconfigSecs: c.reconfigSecs,
-		BusySteps:    append([]BusyStep(nil), c.busySteps...),
-		PerJob:       append([]JobPoint(nil), c.perJob...),
+func (c *Collector) Snapshot() Snapshot { return c.st.clone() }
+
+// NewCollectorFromSnapshot reconstructs a collector mid-run. It refuses,
+// with an error wrapping ErrBadSnapshot, a snapshot whose Waits or PerJob
+// length differs from JobsDone or whose BusySteps times decrease.
+func NewCollectorFromSnapshot(s Snapshot) (*Collector, error) {
+	if len(s.Waits) != s.JobsDone || len(s.PerJob) != s.JobsDone {
+		return nil, fmt.Errorf("%w: %d waits and %d per-job records for %d finished jobs",
+			ErrBadSnapshot, len(s.Waits), len(s.PerJob), s.JobsDone)
 	}
+	for i := 1; i < len(s.BusySteps); i++ {
+		if s.BusySteps[i].T < s.BusySteps[i-1].T {
+			return nil, fmt.Errorf("%w: busy step %d at t=%d precedes t=%d",
+				ErrBadSnapshot, i, s.BusySteps[i].T, s.BusySteps[i-1].T)
+		}
+	}
+	return &Collector{s.clone()}, nil
 }
 
-// NewCollectorFromSnapshot reconstructs a collector mid-run.
-func NewCollectorFromSnapshot(s Snapshot) *Collector {
-	return &Collector{
-		m: s.M, busy: s.Busy, lastT: s.LastT, area: s.Area,
-		haveT0: s.HaveT0, t0: s.T0, tEnd: s.TEnd,
-		waits:  append([]float64(nil), s.Waits...),
-		runSum: s.RunSum, slowSum: s.SlowSum, batchSum: s.BatchSum, batchCount: s.BatchCount,
-		dedSum: s.DedSum, dedOnTime: s.DedOnTime, dedTotal: s.DedTotal,
-		jobsStarted: s.JobsStarted, jobsDone: s.JobsDone,
-		queued: s.Queued, maxQueued: s.MaxQueued,
-		killed: s.Killed, retried: s.Retried, dropped: s.Dropped,
-		lostWork: s.LostWork, downProcs: s.DownProcs, downArea: s.DownArea,
-		checkpoints: s.Checkpoints, ckptOverhead: s.CkptCost,
-		schedResizes: s.SchedResizes, shrunkProcSecs: s.ShrunkProcSecs,
-		reconfigSecs: s.ReconfigSecs,
-		busySteps:    append([]BusyStep(nil), s.BusySteps...),
-		perJob:       append([]JobPoint(nil), s.PerJob...),
-	}
+// clone returns s with its own copies of the three series.
+func (s Snapshot) clone() Snapshot {
+	s.Waits = append([]float64(nil), s.Waits...)
+	s.BusySteps = append([]BusyStep(nil), s.BusySteps...)
+	s.PerJob = append([]JobPoint(nil), s.PerJob...)
+	return s
 }
 
 // Summary is the digest of one run.
@@ -445,60 +403,60 @@ type Summary struct {
 // Summary finalizes the run. It must be called after the last completion.
 func (c *Collector) Summary() Summary {
 	s := Summary{
-		Jobs:          c.jobsDone,
-		MachineSize:   c.m,
-		WindowStart:   c.t0,
-		WindowEnd:     c.tEnd,
-		JobsStarted:   c.jobsStarted,
-		JobsFinished:  c.jobsDone,
-		DedicatedJobs: c.dedTotal,
+		Jobs:          c.st.JobsDone,
+		MachineSize:   c.st.M,
+		WindowStart:   c.st.T0,
+		WindowEnd:     c.st.TEnd,
+		JobsStarted:   c.st.JobsStarted,
+		JobsFinished:  c.st.JobsDone,
+		DedicatedJobs: c.st.DedTotal,
 
-		KilledJobs:      c.killed,
-		RetriedJobs:     c.retried,
-		DroppedJobs:     c.dropped,
-		LostWorkSeconds: c.lostWork,
+		KilledJobs:      c.st.Killed,
+		RetriedJobs:     c.st.Retried,
+		DroppedJobs:     c.st.Dropped,
+		LostWorkSeconds: c.st.LostWork,
 
-		CheckpointsTaken:          c.checkpoints,
-		CheckpointOverheadSeconds: c.ckptOverhead,
+		CheckpointsTaken:          c.st.Checkpoints,
+		CheckpointOverheadSeconds: c.st.CkptCost,
 
-		SchedulerResizes:        c.schedResizes,
-		ShrunkProcSeconds:       c.shrunkProcSecs,
-		ReconfigOverheadSeconds: c.reconfigSecs,
+		SchedulerResizes:        c.st.SchedResizes,
+		ShrunkProcSeconds:       c.st.ShrunkProcSecs,
+		ReconfigOverheadSeconds: c.st.ReconfigSecs,
 	}
-	c.integrate(c.tEnd)
-	s.DownProcSeconds = c.downArea
-	span := float64(c.tEnd - c.t0)
+	c.integrate(c.st.TEnd)
+	s.DownProcSeconds = c.st.DownArea
+	span := float64(c.st.TEnd - c.st.T0)
 	if span > 0 {
-		s.Utilization = c.area / (span * float64(c.m))
+		s.Utilization = c.st.Area / (span * float64(c.st.M))
 	}
-	s.MeanWait = mean(c.waits)
-	if c.jobsDone > 0 {
-		s.MeanRun = c.runSum / float64(c.jobsDone)
-		s.MeanBoundedSlow = c.slowSum / float64(c.jobsDone)
+	s.MeanWait = stats.Mean(c.st.Waits)
+	if c.st.JobsDone > 0 {
+		s.MeanRun = c.st.RunSum / float64(c.st.JobsDone)
+		s.MeanBoundedSlow = c.st.SlowSum / float64(c.st.JobsDone)
 	}
 	if s.MeanRun > 0 {
 		s.Slowdown = (s.MeanWait + s.MeanRun) / s.MeanRun
 	}
-	if len(c.waits) > 0 {
-		mx := c.waits[0]
-		for _, v := range c.waits[1:] {
+	if len(c.st.Waits) > 0 {
+		mx := c.st.Waits[0]
+		for _, v := range c.st.Waits[1:] {
 			if v > mx {
 				mx = v
 			}
 		}
 		s.MaxWait = mx
 	}
-	if c.batchCount > 0 {
-		s.MeanBatchWait = c.batchSum / float64(c.batchCount)
+	if c.st.BatchCount > 0 {
+		s.MeanBatchWait = c.st.BatchSum / float64(c.st.BatchCount)
 	}
-	if c.dedTotal > 0 {
-		s.MeanDedWait = c.dedSum / float64(c.dedTotal)
+	if c.st.DedTotal > 0 {
+		s.MeanDedWait = c.st.DedSum / float64(c.st.DedTotal)
 	}
-	if c.dedTotal > 0 {
-		s.DedicatedOnTime = float64(c.dedOnTime) / float64(c.dedTotal)
+	if c.st.DedTotal > 0 {
+		s.DedicatedOnTime = float64(c.st.DedOnTime) / float64(c.st.DedTotal)
 	}
 	s.SetOrderStats([]Samples{c.Samples()})
-	s.MaxQueueDepth = c.maxQueued
+	s.MaxQueueDepth = c.st.MaxQueued
 	return s
 }
 
@@ -630,17 +588,6 @@ func windowArea(steps []BusyStep, t0, t1 int64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("util=%.4f wait=%.1fs run=%.1fs slowdown=%.3f jobs=%d",
 		s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown, s.Jobs)
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
 }
 
 // Average combines summaries from repeated seeds into their arithmetic

@@ -266,13 +266,13 @@ func TestWindowUtilization(t *testing.T) {
 	c.JobStarted(j, 0)
 	c.JobFinished(j, 100)
 	// 160 of 320 processors busy over [0, 100]: half the window's capacity.
-	if got := windowArea(c.busySteps, 0, 100); got != 16000 {
+	if got := windowArea(c.st.BusySteps, 0, 100); got != 16000 {
 		t.Errorf("window area = %g, want 16000", got)
 	}
-	if got := windowArea(c.busySteps, 50, 150); got != 8000 {
+	if got := windowArea(c.st.BusySteps, 50, 150); got != 8000 {
 		t.Errorf("half-overlap window area = %g, want 8000", got)
 	}
-	if got := windowArea(c.busySteps, 100, 100); got != 0 {
+	if got := windowArea(c.st.BusySteps, 100, 100); got != 0 {
 		t.Errorf("empty window area = %g, want 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -57,7 +58,10 @@ func TestSnapshotRoundTripBitIdenticalSummary(t *testing.T) {
 	for _, ev := range script[:snapAt] {
 		ev(orig)
 	}
-	restored := NewCollectorFromSnapshot(orig.Snapshot())
+	restored, err := NewCollectorFromSnapshot(orig.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ev := range script[snapAt:] {
 		ev(orig)
 		ev(restored)
@@ -79,7 +83,94 @@ func TestSnapshotCopiesSeries(t *testing.T) {
 	if len(s.Waits) != 0 || s.JobsDone != 0 {
 		t.Errorf("snapshot shares state with the live collector: %+v", s)
 	}
-	if got := NewCollectorFromSnapshot(s); got.jobsDone != 0 || got.busy != 64 {
-		t.Errorf("restored collector state wrong: done=%d busy=%d", got.jobsDone, got.busy)
+	got, err := NewCollectorFromSnapshot(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.st.JobsDone != 0 || got.st.Busy != 64 {
+		t.Errorf("restored collector state wrong: done=%d busy=%d", got.st.JobsDone, got.st.Busy)
+	}
+}
+
+// filledSnapshot returns a snapshot whose every field is non-zero and
+// which passes NewCollectorFromSnapshot's checks: each numeric field holds
+// a distinct value, and each series holds two records.
+func filledSnapshot(t *testing.T) Snapshot {
+	t.Helper()
+	var s Snapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+			for k := 0; k < 2; k++ {
+				e := f.Index(k)
+				if e.Kind() == reflect.Float64 {
+					e.SetFloat(float64(10*i + k + 1))
+					continue
+				}
+				for n := 0; n < e.NumField(); n++ {
+					switch e.Field(n).Kind() {
+					case reflect.Int, reflect.Int64:
+						e.Field(n).SetInt(int64(10*i + k + 1))
+					case reflect.Float64:
+						e.Field(n).SetFloat(float64(10*i+k) + 0.25)
+					}
+				}
+			}
+		}
+		if f.IsZero() {
+			t.Fatalf("filledSnapshot cannot fill field %s of kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	s.JobsDone = len(s.Waits)
+	return s
+}
+
+// TestSnapshotRestoreLossless checks that Snapshot -> NewCollectorFromSnapshot
+// -> Snapshot carries every field of the record, and that neither direction
+// shares a series with the live collector.
+func TestSnapshotRestoreLossless(t *testing.T) {
+	want := filledSnapshot(t)
+	c, err := NewCollectorFromSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := c.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip lost state:\n got %+v\nwant %+v", got, want)
+	}
+	live := c.Samples()
+	for name, s := range map[string]Snapshot{"restored from": want, "taken": got} {
+		if &s.Waits[0] == &live.Waits[0] || &s.PerJob[0] == &live.PerJob[0] || &s.BusySteps[0] == &live.BusySteps[0] {
+			t.Errorf("the collector shares a series with the snapshot it was %s", name)
+		}
+	}
+}
+
+// TestNewCollectorFromSnapshotRejectsInconsistentSeries checks the metrics
+// layer's validator: series lengths must match JobsDone and busy steps
+// must not go back in time.
+func TestNewCollectorFromSnapshotRejectsInconsistentSeries(t *testing.T) {
+	for name, edit := range map[string]func(*Snapshot){
+		"waits too long":    func(s *Snapshot) { s.Waits = append(s.Waits, s.Waits...) },
+		"per-job too short": func(s *Snapshot) { s.PerJob = s.PerJob[:1] },
+		"jobs done edited":  func(s *Snapshot) { s.JobsDone++ },
+		"busy steps reversed": func(s *Snapshot) {
+			s.BusySteps[0].T, s.BusySteps[1].T = s.BusySteps[1].T, s.BusySteps[0].T
+		},
+	} {
+		s := filledSnapshot(t)
+		edit(&s)
+		if _, err := NewCollectorFromSnapshot(s); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }

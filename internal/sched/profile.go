@@ -33,19 +33,12 @@ type Profile struct {
 	free  []int   // free[i] applies on [times[i], times[i+1])
 }
 
-// NewProfile builds the free-capacity profile implied by the running jobs:
-// capacity steps up at each kill-by time.
-func NewProfile(now int64, m int, active *job.ActiveList) *Profile {
-	p := &Profile{}
-	p.Rebuild(now, m, active)
-	return p
-}
-
 // Rebuild resets the profile to the free capacity implied by the running
-// jobs, reusing the existing backing arrays. It is the cold path of the
-// persistent profile: delta-maintained users call it once (and again after
-// restore-from-snapshot), per-cycle users call it instead of NewProfile to
-// avoid reallocating the step arrays.
+// jobs — capacity steps up at each kill-by time — reusing the existing
+// backing arrays; a zero Profile is ready for it. It is the cold path of
+// the persistent profile: delta-maintained users call it once (and again
+// after restore-from-snapshot), per-cycle users call it each cycle so the
+// step arrays are not reallocated.
 func (p *Profile) Rebuild(now int64, m int, active *job.ActiveList) {
 	jobs := active.Jobs()
 	if cap(p.times) < len(jobs)+1 {

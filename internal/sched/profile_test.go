@@ -6,6 +6,14 @@ import (
 	"elastisched/internal/job"
 )
 
+// NewProfile builds the free-capacity profile implied by the running jobs:
+// capacity steps up at each kill-by time.
+func NewProfile(now int64, m int, active *job.ActiveList) *Profile {
+	p := &Profile{}
+	p.Rebuild(now, m, active)
+	return p
+}
+
 func newProfile(t *testing.T, now int64, m int, running ...[2]int64) *Profile {
 	t.Helper()
 	a := job.NewActiveList()

@@ -22,7 +22,7 @@ func TestMoments(t *testing.T) {
 }
 
 func TestMomentsDegenerate(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{3}) != 0 || StdErr(nil) != 0 {
+	if Mean(nil) != 0 || Mean([]float64{3}) != 3 || Variance(nil) != 0 || Variance([]float64{3}) != 0 || StdErr(nil) != 0 {
 		t.Error("degenerate moments not zero")
 	}
 }
