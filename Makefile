@@ -46,16 +46,16 @@ bench-gate:
 # live window against plain-slice models, and the event kernel's static
 # source against an all-heap reference.
 fuzz:
-	$(GO) test -run=Fuzz -fuzz=FuzzParseLine -fuzztime=10s ./internal/cwf
-	$(GO) test -run=Fuzz -fuzz=FuzzParse -fuzztime=10s ./internal/cwf
-	$(GO) test -run=Fuzz -fuzz=FuzzDPEquivalence -fuzztime=10s ./internal/core
-	$(GO) test -run=Fuzz -fuzz=FuzzProfileOps -fuzztime=10s ./internal/sched
-	$(GO) test -run=Fuzz -fuzz=FuzzFaultTrace -fuzztime=10s ./internal/fault
-	$(GO) test -run=Fuzz -fuzz=FuzzMachineIndexed -fuzztime=10s ./internal/machine
-	$(GO) test -run=Fuzz -fuzz=FuzzIDTable -fuzztime=10s ./internal/idtab
-	$(GO) test -run=Fuzz -fuzz=FuzzJobWindows -fuzztime=10s ./internal/job
-	$(GO) test -run=Fuzz -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
-	$(GO) test -run=Fuzz -fuzz=FuzzStreamMerge -fuzztime=10s ./internal/simkit
+	$(GO) test -run=Fuzz -fuzz='^FuzzParseLine$$' -fuzztime=10s ./internal/cwf
+	$(GO) test -run=Fuzz -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/cwf
+	$(GO) test -run=Fuzz -fuzz='^FuzzDPEquivalence$$' -fuzztime=10s ./internal/core
+	$(GO) test -run=Fuzz -fuzz='^FuzzProfileOps$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run=Fuzz -fuzz='^FuzzFaultTrace$$' -fuzztime=10s ./internal/fault
+	$(GO) test -run=Fuzz -fuzz='^FuzzMachineIndexed$$' -fuzztime=10s ./internal/machine
+	$(GO) test -run=Fuzz -fuzz='^FuzzIDTable$$' -fuzztime=10s ./internal/idtab
+	$(GO) test -run=Fuzz -fuzz='^FuzzJobWindows$$' -fuzztime=10s ./internal/job
+	$(GO) test -run=Fuzz -fuzz='^FuzzMalleableOps$$' -fuzztime=10s ./internal/engine
+	$(GO) test -run=Fuzz -fuzz='^FuzzStreamMerge$$' -fuzztime=10s ./internal/simkit
 
 # Scale-out smoke: the whole sharded-dispatch suite (determinism bars,
 # routing and exact-merge properties, the epoch protocol, config errors),
@@ -87,7 +87,7 @@ malleable-smoke:
 	$(GO) test -race -run 'TestChaosMalleable' -count=1 -v ./internal/experiment
 	$(GO) test -race -run 'TestPropertyResizeWorkConservation' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestStatefulFeed' -count=1 ./internal/engine
-	$(GO) test -run=NONE -fuzz=FuzzMalleableOps -fuzztime=10s ./internal/engine
+	$(GO) test -run=NONE -fuzz='^FuzzMalleableOps$$' -fuzztime=10s ./internal/engine
 
 # Full evaluation suite with TSV outputs under results/ and the markdown
 # reproduction report in REPORT.md.

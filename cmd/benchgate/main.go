@@ -41,6 +41,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -121,10 +122,14 @@ var ratioGates = []struct {
 // hot loop, so that cell regressing means the fault pipeline got
 // slower, not the scheduler. The Simulate500Reset cells run through one
 // reused session, as sweep workers do: their alloc gate fails if a change
-// brings back per-run buffers that Session.Reset now reuses. Only
-// enforced when -bench and -pkgs keep their defaults; a filtered
-// invocation legitimately compares a subset.
+// brings back per-run buffers that Session.Reset now reuses. The two cold
+// Reservation_DP cells time the packing kernel itself with the memo
+// defeated: restoring a value-table fill slows them several times over.
+// A cell is only enforced when -bench keeps its default and -pkgs names
+// its package; a filtered invocation legitimately compares a subset.
 var requiredGates = []string{
+	"elastisched/internal/core.BenchmarkReservationDPCold",
+	"elastisched/internal/core.BenchmarkReservationDPUnquantizedCold",
 	"elastisched/internal/engine.BenchmarkSimulate500/FCFS",
 	"elastisched/internal/engine.BenchmarkSimulate500/EASY",
 	"elastisched/internal/engine.BenchmarkSimulate500/CONS",
@@ -240,9 +245,11 @@ func main() {
 			fmt.Printf("benchgate: ratio %.2fx >= %.2fx — %s\n", ratio, g.min, g.claim)
 		}
 	}
-	if *benchRE == "." && strings.Contains(*pkgs, "./internal/engine") {
+	if *benchRE == "." {
 		for _, key := range requiredGates {
-			if comparedKeys[key] {
+			path, _, _ := strings.Cut(key, ".Benchmark")
+			pkg := "./" + strings.TrimPrefix(path, "elastisched/")
+			if comparedKeys[key] || !slices.Contains(strings.Split(*pkgs, ","), pkg) {
 				continue
 			}
 			failed++

@@ -8,13 +8,16 @@
 // hot loop (see DESIGN.md, "Packing-engine performance"): a per-Scratch
 // cycle memo returns the previous selection in O(n) when the DP inputs are
 // unchanged, Reservation_DP collapses to a single knapsack whenever one of
-// its two capacity constraints is slack, DP rows are filled only up to the
-// running suffix weight, and the steady state allocates nothing. The
-// original naive programs are retained in dp_reference_test.go as the oracle
-// for the differential tests.
+// its two capacity constraints is slack, both programs are solved by one
+// kernel over suffix-reachability bitsets (a shift, an OR and a mask per
+// candidate, 64 capacity cells per word), and the steady state allocates
+// nothing. The original naive programs are retained in
+// dp_reference_test.go as the oracle for the differential tests.
 package core
 
 import (
+	"math/bits"
+
 	"elastisched/internal/job"
 )
 
@@ -34,8 +37,8 @@ const DefaultLookahead = 50
 // a selection across calls must copy it. All in-tree callers consume the
 // selection before scheduling again.
 type Scratch struct {
-	buf    []int32    // DP value table
-	ints   []int      // per-candidate weights and suffix weight sums
+	bits   []uint64   // pack's capacity mask and n+1 reachability planes
+	ints   []int      // per-candidate weights on both capacity axes
 	sel    []*job.Job // materialized selection handed to the caller
 	selIdx []int32    // selection as indices into the candidate window
 
@@ -53,10 +56,6 @@ const (
 	memoBasic int64 = 1 + iota
 	memoReservation
 )
-
-// MemoStats reports cycle-memo hits and misses over the Scratch's
-// lifetime, for diagnostics and benchmarks.
-func (s *Scratch) MemoStats() (hits, misses uint64) { return s.hits, s.misses }
 
 // memoLookup fingerprints the DP inputs that determine a selection and
 // reports whether they match the previous solve on this Scratch. The key
@@ -115,21 +114,10 @@ func (s *Scratch) selectAll(n int) {
 	}
 }
 
-// growRaw returns an n-element DP buffer WITHOUT zeroing: every DP fill
-// writes each cell it later reads (reads beyond a row's clamp are
-// redirected into the filled region), so only the base-case cell needs
-// initialization.
-func (s *Scratch) growRaw(n int) []int32 {
-	if cap(s.buf) < n {
-		s.buf = make([]int32, n)
-	}
-	return s.buf[:n]
-}
-
 // intsBuf returns an n-element integer scratch buffer (uninitialized).
 func (s *Scratch) intsBuf(n int) []int {
 	if cap(s.ints) < n {
-		s.ints = make([]int, n)
+		s.ints = make([]int, max(n, 2*cap(s.ints)))
 	}
 	return s.ints[:n]
 }
@@ -202,73 +190,14 @@ func BasicDP(cands []*job.Job, m int, s *Scratch) []*job.Job {
 		s.selectAll(n)
 	} else {
 		g := quantum(cands, m)
-		bufs := s.intsBuf(2*n + 1)
-		w := bufs[:n]
+		w := s.intsBuf(n)
 		for i, j := range cands {
 			w[i] = j.Size / g
 		}
-		s.selIdx = s.knapsack1D(w, w, bufs[n:2*n+1], m/g, s.selIdx)
+		s.selIdx = s.pack(w, nil, m/g, 0, s.selIdx)
 	}
 	s.memoStore()
 	return s.selection(cands)
-}
-
-// knapsack1D solves a 0/1 knapsack (weights w, values v, capacity C) over
-// the window and appends the selected indices to sel. suf is an n+1
-// scratch buffer for the running suffix weights; each DP row is filled
-// only up to min(C, suffix weight) — beyond it the row is constant, so
-// reads clamp into the filled region. The traceback prefers including
-// earlier-queued jobs, matching the reference implementation exactly.
-func (s *Scratch) knapsack1D(w, v, suf []int, C int, sel []int32) []int32 {
-	n := len(w)
-	suf[n] = 0
-	for i := n - 1; i >= 0; i-- {
-		suf[i] = suf[i+1] + w[i]
-	}
-	stride := C + 1
-	dp := s.growRaw((n + 1) * stride)
-	dp[n*stride] = 0 // base row is always read at its clamp, cell 0
-	for i := n - 1; i >= 0; i-- {
-		row := dp[i*stride:]
-		next := dp[(i+1)*stride:]
-		cl := min(C, suf[i])
-		cln := min(C, suf[i+1]) // <= cl; next row is constant beyond it
-		wi, vi := w[i], int32(v[i])
-		// Up to the next row's clamp both reads are direct (c-wi <= c).
-		for c := 0; c <= cln; c++ {
-			best := next[c]
-			if wi <= c {
-				if x := vi + next[c-wi]; x > best {
-					best = x
-				}
-			}
-			row[c] = best
-		}
-		// Beyond it the skip-read is the next row's constant tail.
-		skip := dp[(i+1)*stride+cln]
-		for c := cln + 1; c <= cl; c++ {
-			best := skip
-			if wi <= c {
-				if x := vi + next[min(c-wi, cln)]; x > best {
-					best = x
-				}
-			}
-			row[c] = best
-		}
-	}
-	c := min(C, suf[0])
-	for i := 0; i < n; i++ {
-		if w[i] > c {
-			continue
-		}
-		cur := dp[i*stride+min(c, min(C, suf[i]))]
-		with := int32(v[i]) + dp[(i+1)*stride+min(c-w[i], min(C, suf[i+1]))]
-		if cur == with {
-			sel = append(sel, int32(i))
-			c -= w[i]
-		}
-	}
-	return sel
 }
 
 // ReservationDP is the paper's Reservation_DP: maximize current utilization
@@ -287,8 +216,9 @@ func (s *Scratch) knapsack1D(w, v, suf []int, C int, sel []int32) []int32 {
 //   - total freeze demand <= frec (in particular, every frenum = 0): the
 //     freeze axis never binds and the program degenerates to Basic_DP's
 //     single knapsack over m;
-//   - total size <= m: the current-capacity axis never binds, leaving one
-//     knapsack over frec weighted by freeze demand but valued by size;
+//   - total size <= m: the current-capacity axis never binds, so its
+//     capacity shrinks to the window's total size and only the freeze
+//     axis can cut a subset;
 //   - every frenum equals the size: both axes consume identically and the
 //     program collapses to a single knapsack over min(m, frec).
 //
@@ -308,8 +238,8 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		return s.selection(cands)
 	}
 	n := len(cands)
-	bufs := s.intsBuf(5*n + 2)
-	fnum := bufs[:n]
+	bufs := s.intsBuf(2 * n)
+	w1, w2 := bufs[:n], bufs[n:]
 	total1, total2 := 0, 0
 	allFull := true
 	for i, j := range cands {
@@ -319,158 +249,176 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		} else {
 			allFull = false
 		}
-		fnum[i] = f
+		w1[i], w2[i] = j.Size, f
 		total1 += j.Size
 		total2 += f
 	}
 	s.selIdx = s.selIdx[:0]
-	switch {
-	case total1 <= m && total2 <= frec:
+	if total1 <= m && total2 <= frec {
 		// Fast path: all candidates fit both constraints.
 		s.selectAll(n)
-
+		s.memoStore()
+		return s.selection(cands)
+	}
+	// The collapses only choose pack's axes and quantum; each keeps the
+	// quantum the branch has always used.
+	var g, c1, c2 int
+	switch {
 	case total2 <= frec:
 		// The freeze constraint is slack for every subset (covers the
 		// all-frenum-zero cycle): a single knapsack over m, as Basic_DP.
-		g := quantum(cands, m)
-		w := bufs[n : 2*n]
-		for i, j := range cands {
-			w[i] = j.Size / g
-		}
-		s.selIdx = s.knapsack1D(w, w, bufs[2*n:3*n+1], m/g, s.selIdx)
-
+		g, c1, w2 = quantum(cands, m), m, nil
 	case total1 <= m:
-		// The current-capacity constraint is slack: a single knapsack over
-		// the freeze capacity, weighted by freeze demand but still valued
-		// by size (zero-demand candidates are free riders).
-		g := quantum(cands, frec)
-		w2 := bufs[n : 2*n]
-		w1 := bufs[2*n : 3*n]
-		for i, j := range cands {
-			w2[i] = fnum[i] / g
-			w1[i] = j.Size / g
-		}
-		s.selIdx = s.knapsack1D(w2, w1, bufs[3*n:4*n+1], frec/g, s.selIdx)
-
+		// The current-capacity constraint is slack: its capacity shrinks
+		// to the window total, and the freeze demand decides (zero-demand
+		// candidates are free riders).
+		g = quantum(cands, frec)
+		c1, c2 = total1, frec
 	case allFull:
 		// Every candidate demands its full size at the freeze end: both
 		// axes consume identically, collapsing to one knapsack over
 		// min(m, frec).
-		c := min(m, frec)
-		g := quantum(cands, c)
-		w := bufs[n : 2*n]
-		for i, j := range cands {
-			w[i] = j.Size / g
-		}
-		s.selIdx = s.knapsack1D(w, w, bufs[2*n:3*n+1], c/g, s.selIdx)
-
+		c1 = min(m, frec)
+		g, w2 = quantum(cands, c1), nil
 	default:
-		s.selIdx = s.reservation2D(cands, fnum, bufs, m, frec, s.selIdx)
+		g = quantum(cands, m, frec)
+		c1, c2 = m, frec
 	}
+	for i := range w1 {
+		w1[i] /= g
+	}
+	for i := range w2 {
+		w2[i] /= g
+	}
+	s.selIdx = s.pack(w1, w2, c1/g, c2/g, s.selIdx)
 	s.memoStore()
 	return s.selection(cands)
 }
 
-// reservation2D solves the full two-constraint knapsack. Each DP row is
-// filled only up to its running suffix weights (reads beyond a clamp land
-// in the constant region), and a row's inner loop exits early once the
-// max-utilization bound — the row's weight-1 capacity — is reached, since
-// the row is non-decreasing in the freeze axis and capped by that bound.
-func (s *Scratch) reservation2D(cands []*job.Job, fnum, bufs []int, m, frec int, sel []int32) []int32 {
-	n := len(cands)
-	g := quantum(cands, m, frec)
-	w1 := bufs[n : 2*n]
-	w2 := bufs[2*n : 3*n]
-	suf1 := bufs[3*n : 4*n+1]
-	suf2 := bufs[4*n+1 : 5*n+2]
-	for i, j := range cands {
-		w1[i] = j.Size / g
-		w2[i] = fnum[i] / g
+// pack solves the 0/1 packing program behind Basic_DP and Reservation_DP:
+// maximize the w1 total of a subset whose w1 total is at most C1 and
+// whose w2 total is at most C2 (w2 nil with C2 = 0 for the one-axis
+// program), and append the selected indices to sel.
+//
+// Plane i of the buffer is the set of (s1, s2) sums some subset of
+// candidates i..n-1 reaches within the capacities, one bit per cell,
+// row-major with row stride S = 2·C2+1. With that stride a shift by
+// w1·S+w2 moves cell (s1, s2) to (s1+w1, s2+w2) without wrapping into the
+// next row, so plane i is plane i+1 OR'ed with itself shifted, masked by
+// valid, which clears the overflow columns and everything past row C1.
+//
+// The traceback starts from the optimum V, the highest non-empty row of
+// plane 0, and takes candidate i iff row V-w1 of plane i+1 has a cell in
+// columns 0..c2-w2, c2 being the freeze capacity left. The reference
+// table's value at every traceback step equals the remaining V, so this
+// is its "value with i equals value here" test, and earlier candidates
+// win every tie as they do there.
+func (s *Scratch) pack(w1, w2 []int, C1, C2 int, sel []int32) []int32 {
+	n := len(w1)
+	S := 2*C2 + 1
+	W := ((C1+1)*S + 63) >> 6
+	if cap(s.bits) < (n+2)*W {
+		// Grown geometrically, as intsBuf is: windows and capacities
+		// creep up over a run, and each step must not reallocate.
+		s.bits = make([]uint64, max((n+2)*W, 2*cap(s.bits)))
 	}
-	suf1[n], suf2[n] = 0, 0
-	for i := n - 1; i >= 0; i-- {
-		suf1[i] = suf1[i+1] + w1[i]
-		suf2[i] = suf2[i+1] + w2[i]
-	}
-	C1 := m / g
-	C2 := frec / g
-	stride := C2 + 1
-	plane := (C1 + 1) * stride
-	dp := s.growRaw((n + 1) * plane)
-	dp[n*plane] = 0 // base row is always read at its clamp, cell 0
-	for i := n - 1; i >= 0; i-- {
-		cur := dp[i*plane:]
-		next := dp[(i+1)*plane:]
-		cl1, cl2 := min(C1, suf1[i]), min(C2, suf2[i])
-		nl1, nl2 := min(C1, suf1[i+1]), min(C2, suf2[i+1])
-		wi1, wi2 := w1[i], w2[i]
-		vi := int32(wi1)
-		lim := min(cl2, nl2)
-		for c1 := 0; c1 <= cl1; c1++ {
-			row := cur[c1*stride : c1*stride+cl2+1]
-			skip := next[min(c1, nl1)*stride:]
-			var take []int32
-			if wi1 <= c1 {
-				take = next[min(c1-wi1, nl1)*stride:]
-			}
-			bound := int32(c1) // utilization can never exceed the capacity used
-			done := false
-			// Up to the next row's clamp both reads are direct (c2-wi2 <= c2).
-			for c2 := 0; c2 <= lim; c2++ {
-				best := skip[c2]
-				if take != nil && wi2 <= c2 {
-					if x := vi + take[c2-wi2]; x > best {
-						best = x
-					}
-				}
-				row[c2] = best
-				if best == bound {
-					// Early exit: the row is non-decreasing in c2 and capped
-					// by the bound, so the rest of it equals best.
-					for k := c2 + 1; k <= cl2; k++ {
-						row[k] = best
-					}
-					done = true
-					break
-				}
-			}
-			if done {
-				continue
-			}
-			// Beyond it the skip-read is the next row's constant tail.
-			skipTail := skip[nl2]
-			for c2 := lim + 1; c2 <= cl2; c2++ {
-				best := skipTail
-				if take != nil && wi2 <= c2 {
-					if x := vi + take[min(c2-wi2, nl2)]; x > best {
-						best = x
-					}
-				}
-				row[c2] = best
-				if best == bound {
-					for k := c2 + 1; k <= cl2; k++ {
-						row[k] = best
-					}
-					break
-				}
-			}
+	buf := s.bits[:(n+2)*W]
+	valid := buf[:W]
+	clear(valid)
+	if C2 == 0 { // one row per capacity unit: a single run of bits
+		setBits(valid, 0, C1)
+	} else {
+		for r := 0; r <= C1; r++ {
+			setBits(valid, r*S, r*S+C2)
 		}
 	}
-	c1, c2 := C1, C2
-	for i := 0; i < n; i++ {
-		if w1[i] > c1 || w2[i] > c2 {
+	plane := func(i int) []uint64 { return buf[(i+1)*W : (i+2)*W] }
+	base := plane(n)
+	clear(base)
+	base[0] = 1 // the empty subset reaches (0, 0)
+
+	for i := n - 1; i >= 0; i-- {
+		src, dst := plane(i+1), plane(i)
+		a, b := w1[i], 0
+		if w2 != nil {
+			b = w2[i]
+		}
+		if a > C1 || b > C2 {
+			copy(dst, src)
 			continue
 		}
-		cur := dp[i*plane+min(c1, min(C1, suf1[i]))*stride+min(c2, min(C2, suf2[i]))]
-		nl1, nl2 := min(C1, suf1[i+1]), min(C2, suf2[i+1])
-		with := int32(w1[i]) + dp[(i+1)*plane+min(c1-w1[i], nl1)*stride+min(c2-w2[i], nl2)]
-		if cur == with {
+		d := a*S + b
+		q, r := d>>6, uint(d&63)
+		copy(dst[:q], src)
+		// Word q+k of the shifted plane is from[k] << r joined with the
+		// high bits of from[k-1] (nothing when r is 0: a Go shift by 64
+		// yields 0). The slices share one length so the loop carries no
+		// bounds checks.
+		from := src[:W-q]
+		old, out, mask := src[q:], dst[q:], valid[q:]
+		old, out, mask = old[:len(from)], out[:len(from)], mask[:len(from)]
+		var carry uint64
+		for k, x := range from {
+			out[k] = old[k] | (x<<r|carry)&mask[k]
+			carry = x >> (64 - r)
+		}
+	}
+
+	top := plane(0)
+	k := W - 1
+	for top[k] == 0 {
+		k--
+	}
+	V := (k<<6 + bits.Len64(top[k]) - 1) / S
+	c2 := C2
+	for i := 0; i < n; i++ {
+		a, b := w1[i], 0
+		if w2 != nil {
+			b = w2[i]
+		}
+		if a > V || b > c2 {
+			continue
+		}
+		row := (V - a) * S
+		if anyBits(plane(i+1), row, row+c2-b) {
 			sel = append(sel, int32(i))
-			c1 -= w1[i]
-			c2 -= w2[i]
+			V -= a
+			c2 -= b
 		}
 	}
 	return sel
+}
+
+// setBits sets bits lo..hi (inclusive) of the bitset w.
+func setBits(w []uint64, lo, hi int) {
+	for lo <= hi {
+		k, m := wordMask(lo, hi)
+		w[k] |= m
+		lo = (k + 1) << 6
+	}
+}
+
+// anyBits reports whether any of bits lo..hi (inclusive) of w is set.
+func anyBits(w []uint64, lo, hi int) bool {
+	for lo <= hi {
+		k, m := wordMask(lo, hi)
+		if w[k]&m != 0 {
+			return true
+		}
+		lo = (k + 1) << 6
+	}
+	return false
+}
+
+// wordMask returns the word holding bit lo and the mask of bits lo..hi
+// (inclusive) within it.
+func wordMask(lo, hi int) (k int, m uint64) {
+	k = lo >> 6
+	m = ^uint64(0) << uint(lo&63)
+	if hi>>6 == k {
+		m &= ^uint64(0) >> uint(63-hi&63)
+	}
+	return k, m
 }
 
 // Contains reports whether set includes j (by identity).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -49,10 +50,10 @@ func randWindow(r *rand.Rand) []*job.Job {
 
 // TestDPEquivalenceRandomized is the differential property test for the
 // fast-path packing engine: on >10k randomized windows the optimized
-// BasicDP/ReservationDP (memo, dimension collapse, row clamping, early
-// exit) must return exactly the reference implementation's selection. A
-// quarter of the trials immediately re-solve the same window, driving the
-// memo-hit path through the same oracle.
+// BasicDP/ReservationDP (memo, dimension collapse, bitset kernel) must
+// return exactly the reference implementation's selection. A quarter of
+// the trials immediately re-solve the same window, driving the memo-hit
+// path through the same oracle.
 func TestDPEquivalenceRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	var s Scratch
@@ -90,6 +91,92 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 			sameSelection(t, "ReservationDP memo",
 				ReservationDP(cands, m, frec, fret, now, &s), want)
 		}
+	}
+}
+
+// TestDPEquivalenceLargeWindows runs the differential at the full 50-job
+// lookahead window, where the reachability planes span many words: unit-1
+// sizes with m and frec up to 192 give planes of up to 1,162 words. The
+// pinned windows force the word-boundary cases: with frec = 31 the row
+// stride is 63, so a size-1 candidate that still runs at the freeze end
+// shifts its plane by exactly 64 bits (size 2 by 128), and with unit-1
+// sizes Basic_DP shifts by the sizes 64 and 128 themselves. Zero-size
+// candidates, which the reference takes even once the capacity is used
+// up, are spread through the pinned window. Every window is re-solved
+// once to drive the memo-hit path.
+func TestDPEquivalenceLargeWindows(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	var s Scratch
+	check := func(label string, cands []*job.Job, m, frec int, fret, now int64) {
+		t.Helper()
+		wantB := referenceBasicDP(cands, m)
+		sameSelection(t, label+" BasicDP", BasicDP(cands, m, &s), wantB)
+		sameSelection(t, label+" BasicDP memo", BasicDP(cands, m, &s), wantB)
+		wantR := referenceReservationDP(cands, m, frec, fret, now)
+		sameSelection(t, label+" ReservationDP", ReservationDP(cands, m, frec, fret, now, &s), wantR)
+		sameSelection(t, label+" ReservationDP memo", ReservationDP(cands, m, frec, fret, now, &s), wantR)
+	}
+
+	pinned := make([]*job.Job, DefaultLookahead)
+	for i := range pinned {
+		dur := int64(50) // finishes before the freeze end
+		if i%3 != 0 {
+			dur = 500 // still runs at the freeze end
+		}
+		size := [...]int{1, 2, 64, 37, 5, 128, 17, 90, 0}[i%9]
+		pinned[i] = &job.Job{ID: i + 1, Size: size, Dur: dur, ReqStart: -1}
+	}
+	for _, frec := range []int{31, 0, 192} {
+		check(fmt.Sprintf("pinned frec=%d", frec), pinned, 150, frec, 100, 0)
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		quantized := trial%2 == 0
+		cands := make([]*job.Job, DefaultLookahead)
+		maxSize := 0
+		for i := range cands {
+			size := 1 + r.Intn(128)
+			if quantized {
+				size = 32 * (1 + r.Intn(6))
+			}
+			maxSize = max(maxSize, size)
+			cands[i] = &job.Job{ID: i + 1, Size: size, Dur: int64(1 + r.Intn(200)), ReqStart: -1}
+		}
+		m := maxSize + r.Intn(193-maxSize)
+		frec := r.Intn(193)
+		if trial%8 == 1 {
+			frec = 0
+		}
+		now := int64(r.Intn(100))
+		check(fmt.Sprintf("trial %d", trial), cands, m, frec, now+int64(r.Intn(250)), now)
+	}
+}
+
+// TestPackFootprint is the tripwire for the packing kernel's memory: one
+// general two-constraint solve over BenchmarkReservationDPCold's first
+// window (50 jobs, M = 320 in units of 32, frec = 160) must leave at most
+// 128 words in the Scratch's bitset buffer. The (n+1)x(C1+1)x(C2+1) int32
+// value table it replaced held 13 KB for the same solve.
+func TestPackFootprint(t *testing.T) {
+	cands := randJobs(DefaultLookahead, rand.New(rand.NewSource(1)))
+	const m, frec, fret = 320, 160, 5000
+	total1, total2, full := 0, 0, 0
+	for _, j := range cands {
+		total1 += j.Size
+		if j.Dur >= fret {
+			total2 += j.Size
+			full++
+		}
+	}
+	if total1 <= m || total2 <= frec || full == len(cands) {
+		t.Fatalf("window collapses a dimension (total size %d, freeze demand %d, %d of %d full); want the general program",
+			total1, total2, full, len(cands))
+	}
+	var s Scratch
+	sameSelection(t, "ReservationDP", ReservationDP(cands, m, frec, fret, 0, &s),
+		referenceReservationDP(cands, m, frec, fret, 0))
+	if words := cap(s.bits); words == 0 || words > 128 {
+		t.Fatalf("bitset buffer holds %d words after one solve, want 1..128", words)
 	}
 }
 
@@ -176,6 +263,10 @@ func FuzzDPEquivalence(f *testing.F) {
 }
 
 // --- cycle memo behaviour ---
+
+// MemoStats reports cycle-memo hits and misses over the Scratch's
+// lifetime.
+func (s *Scratch) MemoStats() (hits, misses uint64) { return s.hits, s.misses }
 
 func TestMemoHitOnRepeatedWindow(t *testing.T) {
 	var s Scratch
