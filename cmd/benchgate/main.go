@@ -20,6 +20,8 @@
 // files are visited in name (date) order and the newest recording of each
 // benchmark wins, so specialised snapshots (e.g. a scaling-curve file) add
 // their benchmarks to the gate without un-gating the ones recorded earlier.
+// A file recorded with -count > 1 holds several rows per benchmark; its
+// median row by ns/op is the recording.
 //
 // Besides the absolute per-benchmark gates, a built-in ratio-gate table
 // pins relative claims between pairs of benchmarks of the SAME fresh run —
@@ -140,6 +142,15 @@ var requiredGates = []string{
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/EASY",
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/LOS",
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/Delayed-LOS",
+	"elastisched/internal/dispatch.BenchmarkShardedSteal64",
+}
+
+// advisoryNs lists cells whose ns/op ratio is printed but never fails the
+// gate; their allocs/op gate holds as for any cell. The 64-cluster steal
+// run's wall clock swings with the host's scheduling of its worker pool,
+// while its allocation count is fixed by the barrier protocol.
+var advisoryNs = map[string]bool{
+	"elastisched/internal/dispatch.BenchmarkShardedSteal64": true,
 }
 
 func main() {
@@ -161,19 +172,9 @@ func main() {
 		sort.Strings(matches)
 		paths = matches
 	}
-	recorded := map[string]benchparse.Bench{}
-	for _, path := range paths {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		for _, b := range snap.Benchmarks {
-			recorded[b.Pkg+"."+b.Name] = b
-		}
+	recorded, err := loadBaseline(paths)
+	if err != nil {
+		fatal(err)
 	}
 	baseline := strings.Join(paths, "+")
 
@@ -210,7 +211,10 @@ func main() {
 		}
 		compared++
 		comparedKeys[key] = true
-		if ratio := cur.NsPerOp / rec.NsPerOp; ratio > *tolerance {
+		if ratio := cur.NsPerOp / rec.NsPerOp; ratio > *tolerance && advisoryNs[key] {
+			fmt.Printf("benchgate: advisory %s: %.0f ns/op vs recorded %.0f (%.2fx > %.2fx)\n",
+				key, cur.NsPerOp, rec.NsPerOp, ratio, *tolerance)
+		} else if ratio > *tolerance {
 			failed++
 			fmt.Printf("benchgate: FAIL %s: %.0f ns/op vs recorded %.0f (%.2fx > %.2fx)\n",
 				key, cur.NsPerOp, rec.NsPerOp, ratio, *tolerance)
@@ -269,6 +273,34 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: OK — %d benchmarks within %.2fx of %s\n", compared, *tolerance, baseline)
+}
+
+// loadBaseline merges the snapshots in order, a later file's recording of a
+// benchmark replacing an earlier one's. Within one file, a benchmark with
+// several rows is recorded by its median row: the rows sorted by ns/op, the
+// one at index (n−1)/2, so the baseline is a row that was measured.
+func loadBaseline(paths []string) (map[string]benchparse.Bench, error) {
+	recorded := map[string]benchparse.Bench{}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		var snap snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		rows := map[string][]benchparse.Bench{}
+		for _, b := range snap.Benchmarks {
+			key := b.Pkg + "." + b.Name
+			rows[key] = append(rows[key], b)
+		}
+		for key, rs := range rows {
+			sort.SliceStable(rs, func(i, k int) bool { return rs[i].NsPerOp < rs[k].NsPerOp })
+			recorded[key] = rs[(len(rs)-1)/2]
+		}
+	}
+	return recorded, nil
 }
 
 func fatal(err error) {

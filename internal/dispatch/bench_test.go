@@ -186,3 +186,34 @@ func BenchmarkShardedE2E(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedSteal64 is the epoch protocol at scale: round-robin with
+// stealing over 64 clusters of the skewed traffic, one barrier per 1/5000th
+// of the arrival span. Most barriers touch a handful of clusters, so the
+// cell measures what a barrier costs beyond the sessions it steps: the
+// release, the digests and the exchange. It reports the barrier and steal
+// counts, which are deterministic for the fixed workload.
+func BenchmarkShardedSteal64(b *testing.B) {
+	const clusters = 64
+	w := skewedWorkload(b, clusters)
+	cfg := Config{
+		Clusters:     clusters,
+		Route:        RouteRoundRobin,
+		Engine:       engine.Config{M: 320, Unit: 32},
+		NewScheduler: func() sched.Scheduler { return core.NewLOS(true) },
+		Epoch:        spanEpoch(w, 5000),
+		Steal:        true,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		r, err := Run(w, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+	}
+	b.ReportMetric(float64(res.Epochs), "epochs")
+	b.ReportMetric(float64(res.Steals), "steals")
+}

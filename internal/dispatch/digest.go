@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"math"
+
 	"elastisched/internal/engine"
 )
 
@@ -31,8 +33,10 @@ type Digest struct {
 	HeadDeficit int
 }
 
-// digestSession computes one cluster's barrier digest from its session.
-func digestSession(c int, s *engine.Session, barrier int64) Digest {
+// digestSession computes one cluster's barrier digest from its session by
+// walking its queue and active list, and returns what the walk read of the
+// running jobs.
+func digestSession(c int, s *engine.Session, barrier int64) (Digest, runSums) {
 	d := Digest{Cluster: c, FreeProcs: s.FreeProcs()}
 	queued := s.WaitingBatch()
 	d.QueueDepth = len(queued)
@@ -44,12 +48,37 @@ func digestSession(c int, s *engine.Session, barrier int64) Digest {
 			d.HeadDeficit = deficit
 		}
 	}
+	r := runSums{minEnd: math.MaxInt64}
 	for _, j := range s.ActiveJobs() {
 		if rem := j.EndTime - barrier; rem > 0 {
 			d.RunningProcSeconds += int64(j.Size) * rem
 		}
+		r.size += int64(j.Size)
+		r.sizeEnd += int64(j.Size) * j.EndTime
+		r.minEnd = min(r.minEnd, j.EndTime)
 	}
-	return d
+	return d, r
+}
+
+// runSums is what a digest walk read of a cluster's running jobs: Σ size,
+// Σ size·EndTime and the earliest EndTime (math.MaxInt64 when none runs).
+type runSums struct {
+	size, sizeEnd, minEnd int64
+}
+
+// running re-derives RunningProcSeconds at a later barrier for a cluster
+// that has not changed since the walk. While every running job ends after
+// the barrier, Σ size·(EndTime − barrier) = Σ size·EndTime − barrier·Σ size.
+// A job ending at or before the barrier contributes nothing to the digest
+// but would subtract here, so ok is false and the caller walks instead.
+// That never happens to an untouched cluster in a run: a running job
+// completes no later than its EndTime, and a session holding an event at or
+// before the barrier is stepped, which touches it.
+func (r runSums) running(barrier int64) (run int64, ok bool) {
+	if r.minEnd <= barrier {
+		return 0, false
+	}
+	return r.sizeEnd - barrier*r.size, true
 }
 
 // load is the cluster's outstanding work in processor-seconds — the

@@ -183,7 +183,13 @@ func TestRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, home := split(w, 4, 320, 0, rr)
+	homes := make([]int, len(w.Jobs))
+	parts, home := split(w, 4, 320, 0, rr, homes)
+	for i, j := range w.Jobs {
+		if homes[i] != home[j.ID] {
+			t.Errorf("position %d (job %d): homes says cluster %d, the home map %d", i, j.ID, homes[i], home[j.ID])
+		}
+	}
 	total := 0
 	for c, p := range parts {
 		total += len(p.Jobs)

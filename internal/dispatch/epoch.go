@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -80,6 +81,11 @@ type epochRun struct {
 	steals  int
 	epochs  int
 
+	// Per-cluster barrier state, kept exact by touch (see refreshDigests);
+	// touched lists the clusters changed since their last digest.
+	cached  []clusterCache
+	touched []int
+
 	// Worker pool, spun up on the first parallel call and kept for the run:
 	// the loop hits a barrier thousands of times per workload, so per-epoch
 	// goroutine spawns would dominate the protocol's own cost. fn is the
@@ -111,12 +117,19 @@ func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 	}
 	defer e.stopPool()
 	var parts []*cwf.Workload
+	// homes is the static split by workload position, which the release
+	// reads instead of the owner map; nil under feedback routing and on the
+	// loaded path.
+	var homes []int
 	if dyn, ok := router.(DigestRouter); ok {
 		router.Reset(cfg.Clusters, cfg.Engine.M)
 		e.dynamic = dyn
 		e.owner = make(map[int]int, len(w.Jobs))
 	} else {
-		parts, e.owner = split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router)
+		if cfg.Steal {
+			homes = make([]int, len(w.Jobs))
+		}
+		parts, e.owner = split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router, homes)
 		for c, p := range parts {
 			e.jobs[c] = len(p.Jobs)
 		}
@@ -129,7 +142,7 @@ func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 		if err := e.openSessions(w, parts); err != nil {
 			return nil, err
 		}
-		if err := e.loop(w); err != nil {
+		if err := e.loop(w, homes); err != nil {
 			return nil, err
 		}
 	}
@@ -144,9 +157,10 @@ func runEpochs(w *cwf.Workload, cfg Config, router Router) (*Result, error) {
 // split fixes every job's cluster up front: the router assigns submissions
 // in workload order, affinity pins overriding its choice, and each command
 // follows its job. It returns the per-cluster workloads and the job ID ->
-// cluster map. The split depends only on the workload, the cluster count,
-// the policy, and the affinity — never on timing or worker count.
-func split(w *cwf.Workload, clusters, m, affinity int, r Router) ([]*cwf.Workload, map[int]int) {
+// cluster map, and fills homes, when non-nil, with each job's cluster by
+// workload position. The split depends only on the workload, the cluster
+// count, the policy, and the affinity — never on timing or worker count.
+func split(w *cwf.Workload, clusters, m, affinity int, r Router, homes []int) ([]*cwf.Workload, map[int]int) {
 	r.Reset(clusters, m)
 	parts := make([]*cwf.Workload, clusters)
 	for c := range parts {
@@ -163,6 +177,9 @@ func split(w *cwf.Workload, clusters, m, affinity int, r Router) ([]*cwf.Workloa
 			}
 		}
 		home[j.ID] = c
+		if homes != nil {
+			homes[i] = c
+		}
 		parts[c].Jobs = append(parts[c].Jobs, j)
 	}
 	for _, cmd := range w.Commands {
@@ -179,7 +196,11 @@ func split(w *cwf.Workload, clusters, m, affinity int, r Router) ([]*cwf.Workloa
 // cluster's own part of a static split, the whole workload under feedback
 // routing (parts nil, homes unknown up front).
 func (e *epochRun) openSessions(w *cwf.Workload, parts []*cwf.Workload) error {
+	e.cached = make([]clusterCache, len(e.sessions))
 	for c := range e.sessions {
+		// Every empty session starts touched, so the first barrier reads
+		// its next event and walks its digest.
+		e.touch(c)
 		part := w
 		if parts != nil {
 			part = parts[c]
@@ -222,7 +243,9 @@ func (e *epochRun) drain(c int) (err error) {
 
 // loop drives the release/step/exchange rounds until every job and command
 // is released and no exchange step remains; the drain finishes the rest.
-func (e *epochRun) loop(w *cwf.Workload) error {
+// homes is the static split by workload position, nil under feedback
+// routing.
+func (e *epochRun) loop(w *cwf.Workload, homes []int) error {
 	// Stable arrival/issue orders: ties keep workload (submission) order,
 	// matching the event-insertion order of a Load.
 	jobOrder := make([]int, len(w.Jobs))
@@ -258,7 +281,7 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 			// dead epochs to the one containing the next release. The
 			// digests of the skipped barriers are all-idle, so neither the
 			// exchange step nor the feedback router loses information.
-			next := int64(1<<63 - 1)
+			next := int64(math.MaxInt64)
 			if ji < len(jobOrder) {
 				next = w.Jobs[jobOrder[ji]].Arrival
 			}
@@ -272,11 +295,17 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 		barrier := t + e.cfg.Epoch
 
 		for ji < len(jobOrder) && w.Jobs[jobOrder[ji]].Arrival <= barrier {
-			j := w.Jobs[jobOrder[ji]]
-			c := e.home(j)
-			if err := e.sessions[c].Inject(j); err != nil {
+			i := jobOrder[ji]
+			var c int
+			if homes != nil {
+				c = homes[i]
+			} else {
+				c = e.route(w.Jobs[i])
+			}
+			if err := e.sessions[c].Inject(w.Jobs[i]); err != nil {
 				return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 			}
+			e.touch(c)
 			ji++
 		}
 		for ci < len(cmdOrder) && w.Commands[cmdOrder[ci]].Issue <= barrier {
@@ -298,16 +327,21 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 			if err := e.sessions[c].InjectCommand(cmd); err != nil {
 				return fmt.Errorf("dispatch: cluster %d: %w", c, err)
 			}
+			e.touch(c)
 		}
 
 		// Step: only sessions with an event inside the window can change
 		// state (RunUntil never advances past the last event), so dispatch
 		// exactly those — under light load most barriers touch one or two
 		// clusters, and handing an idle session to the pool costs more than
-		// the no-op RunUntil it would run.
+		// the no-op RunUntil it would run. An untouched session's next event
+		// is the one cached at its last read.
+		for _, c := range e.touched {
+			e.cached[c].next = nextEvent(e.sessions[c])
+		}
 		active := e.active[:0]
-		for c, s := range e.sessions {
-			if next, ok := s.NextEventTime(); ok && next <= barrier {
+		for c := range e.cached {
+			if e.cached[c].next <= barrier {
 				active = append(active, c)
 			}
 		}
@@ -316,9 +350,13 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 		if err := e.parallelOver(active, step); err != nil {
 			return err
 		}
+		for _, c := range active {
+			e.touch(c)
+		}
 		// Exchange: the steal pass and the feedback router read the digests.
-		for c, s := range e.sessions {
-			e.digests[c] = digestSession(c, s, barrier)
+		e.refreshDigests(barrier)
+		if barrierHook != nil {
+			barrierHook(e, barrier)
 		}
 		if e.cfg.Steal {
 			if err := e.stealPass(barrier); err != nil {
@@ -333,13 +371,9 @@ func (e *epochRun) loop(w *cwf.Workload) error {
 	}
 }
 
-// home returns the cluster a released job goes to: its precomputed static
-// home or, under feedback routing, its affinity pin or the router's choice,
-// recorded as its owner.
-func (e *epochRun) home(j *job.Job) int {
-	if e.dynamic == nil {
-		return e.owner[j.ID]
-	}
+// route returns the cluster a job released under feedback routing goes to:
+// its affinity pin or the router's choice, recorded as its owner.
+func (e *epochRun) route(j *job.Job) int {
 	c := PinnedCluster(j.ID, e.cfg.Affinity, e.cfg.Clusters)
 	if c >= 0 {
 		e.dynamic.Assigned(j, c)
@@ -467,6 +501,8 @@ func (e *epochRun) stealJob(j *job.Job, dn, r int, barrier int64) error {
 		return fmt.Errorf("dispatch: cluster %d: %w", r, err)
 	}
 	e.owner[j.ID] = r
+	e.touch(dn)
+	e.touch(r)
 	e.jobs[dn]--
 	e.jobs[r]++
 	e.steals++
@@ -476,6 +512,61 @@ func (e *epochRun) stealJob(j *job.Job, dn, r int, barrier int64) error {
 	e.digests[r].FreeProcs -= j.Size
 	e.digests[r].RunningProcSeconds += wk
 	return nil
+}
+
+// touch marks cluster c changed since its last digest — stepped, injected
+// into, sent a command, or party to a steal — so the next barrier re-reads
+// its next event and walks its digest.
+func (e *epochRun) touch(c int) {
+	if !e.cached[c].dirty {
+		e.cached[c].dirty = true
+		e.touched = append(e.touched, c)
+	}
+}
+
+// refreshDigests brings every cluster's digest and cached next event up to
+// the barrier. A touched cluster's digest is walked afresh. An untouched
+// one is exactly as it was at its last walk, except that the barrier moved
+// on: only RunningProcSeconds changes, and runSums derives it without the
+// walk.
+func (e *epochRun) refreshDigests(barrier int64) {
+	for c, s := range e.sessions {
+		cc := &e.cached[c]
+		if !cc.dirty {
+			if run, ok := cc.sums.running(barrier); ok {
+				e.digests[c].RunningProcSeconds = run
+				continue
+			}
+		}
+		e.digests[c], cc.sums = digestSession(c, s, barrier)
+		cc.walks++
+	}
+	for _, c := range e.touched {
+		e.cached[c].next = nextEvent(e.sessions[c])
+		e.cached[c].dirty = false
+	}
+	e.touched = e.touched[:0]
+}
+
+// clusterCache is what the barriers remember of one cluster between reads.
+type clusterCache struct {
+	next  int64   // the session's NextEventTime, math.MaxInt64 for none
+	sums  runSums // what the last full digest walk read of its running jobs
+	walks int     // full digest walks so far
+	dirty bool    // listed in touched: changed since its last digest
+}
+
+// barrierHook, when set, runs at every barrier right after the digests are
+// refreshed and before the exchange step reads them. Tests use it to check
+// the maintained barrier state against a fresh read.
+var barrierHook func(e *epochRun, barrier int64)
+
+// nextEvent returns the session's next event time, math.MaxInt64 for none.
+func nextEvent(s *engine.Session) int64 {
+	if t, ok := s.NextEventTime(); ok {
+		return t
+	}
+	return math.MaxInt64
 }
 
 // stealDurCap bounds, in epochs, how long a tail-stolen job may occupy the

@@ -225,7 +225,7 @@ func clusterSamples(t *testing.T, w *cwf.Workload, cfg Config, res *Result) []me
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, _ := split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router)
+	parts, _ := split(w, cfg.Clusters, cfg.Engine.M, cfg.Affinity, router, nil)
 	samples := make([]metrics.Samples, len(parts))
 	for c, part := range parts {
 		s, err := engine.New(cfg.clusterEngine(c))

@@ -63,7 +63,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts, _ := split(w, clusters, m, 0, r)
+			parts, _ := split(w, clusters, m, 0, r, nil)
 			if len(parts) != clusters {
 				t.Fatalf("%s/%d: %d parts", policy, clusters, len(parts))
 			}
@@ -95,7 +95,7 @@ func TestRoutingPolicyProperties(t *testing.T) {
 					policy, clusters, jobs, cmds, len(w.Jobs), len(w.Commands))
 			}
 			r2, _ := NewRouter(policy)
-			if again, _ := split(w, clusters, m, 0, r2); !reflect.DeepEqual(parts, again) {
+			if again, _ := split(w, clusters, m, 0, r2, nil); !reflect.DeepEqual(parts, again) {
 				t.Fatalf("%s/%d: routing is not a pure function of the workload", policy, clusters)
 			}
 		}
@@ -125,9 +125,9 @@ func TestLeastWorkBalancesSkew(t *testing.T) {
 		return
 	}
 	rr, _ := NewRouter(RouteRoundRobin)
-	rrParts, _ := split(w, clusters, m, 0, rr)
+	rrParts, _ := split(w, clusters, m, 0, rr, nil)
 	lw, _ := NewRouter(RouteLeastWork)
-	lwParts, _ := split(w, clusters, m, 0, lw)
+	lwParts, _ := split(w, clusters, m, 0, lw, nil)
 
 	rrSkew := float64(work(rrParts[0])) / float64(work(rrParts[1]))
 	if rrSkew < 10 {
@@ -151,7 +151,7 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 		{ID: 3, Size: 320, Dur: 1000, Arrival: 2, ReqStart: -1},
 	}}
 	bf, _ := NewRouter(RouteBestFit)
-	parts, _ := split(w, clusters, m, 0, bf)
+	parts, _ := split(w, clusters, m, 0, bf, nil)
 	if len(parts[0].Jobs) != 2 || parts[0].Jobs[0].ID != 1 || parts[0].Jobs[1].ID != 2 {
 		t.Fatalf("best-fit should stack both half-machine jobs on cluster 0, got %v", parts[0].Jobs)
 	}
@@ -160,7 +160,7 @@ func TestBestFitKeepsWideJobsFitting(t *testing.T) {
 	}
 
 	lw, _ := NewRouter(RouteLeastWork)
-	lwParts, _ := split(w, clusters, m, 0, lw)
+	lwParts, _ := split(w, clusters, m, 0, lw, nil)
 	for _, p := range lwParts {
 		for _, j := range p.Jobs {
 			if j.ID == 3 && len(p.Jobs) == 1 {

@@ -190,12 +190,12 @@ type Session struct {
 	clones []job.Job
 	cmds   []cwf.Command
 	// ids dedups injected job IDs; built lazily on the first Inject so the
-	// sweep hot path (Load + Run only) never allocates it.
-	ids map[int]bool
-	// absorbed marks jobs admitted by AbsorbAt with an arrival in the past
-	// (the sharded dispatcher's steal path): they enter the batch queue out
-	// of arrival order by design, so the paranoid FIFO check skips them.
-	absorbed map[int]bool
+	// sweep hot path (Load + Run only) never allocates it, and kept equal
+	// to the IDs in jobs from then on. The value marks jobs admitted by
+	// AbsorbAt with an arrival in the past (the sharded dispatcher's steal
+	// path): they enter the batch queue out of arrival order by design, so
+	// the paranoid FIFO check skips them.
+	ids *idtab.Table[bool]
 
 	// completion maps job ID -> pending completion event of each running
 	// job.
@@ -332,6 +332,7 @@ func (s *Session) Reset(cfg Config, w *cwf.Workload) error {
 		jobs:       prev.jobs[:0],
 		clones:     prev.clones[:0],
 		cmds:       prev.cmds[:0],
+		ids:        prev.ids,
 		completion: prev.completion,
 		ckpt:       prev.ckpt,
 		collector:  prev.collector,
@@ -360,6 +361,9 @@ func (s *Session) Reset(cfg Config, w *cwf.Workload) error {
 		s.batch.Reset()
 		s.ded.Reset()
 		s.active.Reset()
+		if s.ids != nil {
+			s.ids.Reset()
+		}
 		s.completion.Reset()
 		s.ckpt.Reset()
 	}
@@ -525,12 +529,16 @@ func (s *Session) Inject(j *job.Job) error {
 // is refused; verb names the caller in that error.
 func (s *Session) admit(j *job.Job, at int64, verb string) (*job.Job, error) {
 	if s.ids == nil {
-		s.ids = make(map[int]bool, len(s.jobs)+1)
+		s.ids = new(idtab.Table[bool])
+	}
+	if s.ids.Len() == 0 {
+		// Empty with jobs owned means not yet filled since Load, Restore or
+		// Reset: a filled table holds every owned ID.
 		for _, ex := range s.jobs {
-			s.ids[ex.ID] = true
+			s.ids.Put(ex.ID, false)
 		}
 	}
-	if s.ids[j.ID] {
+	if _, dup := s.ids.Get(j.ID); dup {
 		return nil, fmt.Errorf("engine: %s duplicate job ID %d", verb, j.ID)
 	}
 	clone := new(job.Job)
@@ -539,7 +547,7 @@ func (s *Session) admit(j *job.Job, at int64, verb string) (*job.Job, error) {
 		return nil, err
 	}
 	s.jobs = append(s.jobs, clone)
-	s.ids[clone.ID] = true
+	s.ids.Put(clone.ID, false)
 	s.eng.AtArg(at, s.arriveH, clone)
 	return clone, nil
 }
@@ -736,7 +744,7 @@ func (s *Session) checkInvariants() error {
 			return fmt.Errorf("engine: rigid job %d behind non-rigid work", batch[k-1].ID)
 		}
 		if batch[k-1].Arrival > batch[k].Arrival &&
-			!s.absorbed[batch[k-1].ID] && !s.absorbed[batch[k].ID] {
+			!s.absorbed(batch[k-1].ID) && !s.absorbed(batch[k].ID) {
 			// Absorbed (stolen) jobs keep their original arrival for wait
 			// accounting but queue FIFO by admission instant, so pairs
 			// involving one are exempt from the arrival-order check.

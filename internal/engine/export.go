@@ -69,9 +69,8 @@ func (s *Session) Withdraw(j *job.Job) error {
 		}
 	}
 	if s.ids != nil {
-		delete(s.ids, j.ID)
+		s.ids.Delete(j.ID)
 	}
-	delete(s.absorbed, j.ID)
 	return nil
 }
 
@@ -97,11 +96,17 @@ func (s *Session) AbsorbAt(j *job.Job, at int64) error {
 	if err != nil {
 		return err
 	}
-	if s.absorbed == nil {
-		s.absorbed = make(map[int]bool)
-	}
-	s.absorbed[clone.ID] = true
+	s.ids.Put(clone.ID, true)
 	return nil
+}
+
+// absorbed reports whether the job with this ID was admitted by AbsorbAt.
+func (s *Session) absorbed(id int) bool {
+	if s.ids == nil {
+		return false
+	}
+	v, _ := s.ids.Get(id)
+	return v
 }
 
 // ArmFaults resolves and schedules the session's fault trace for a session

@@ -388,6 +388,69 @@ func TestInjectSparseIDKeepsPendingCompletion(t *testing.T) {
 	}
 }
 
+// The session's owned-ID set refuses a second job with an ID it holds,
+// whether loaded, injected or absorbed, and forgets an ID its job was
+// withdrawn under. Reset empties the set but keeps its storage, so a reused
+// session refills it without allocating.
+func TestInjectedIDSet(t *testing.T) {
+	cfg := Config{M: 320, Unit: 32, Scheduler: &sched.EASY{}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(wl(batch(1, 320, 100, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(0); err != nil { // job 1 fills the machine
+		t.Fatal(err)
+	}
+	const n = 100
+	for id := 2; id <= n; id++ {
+		if err := s.Inject(batch(id, 32, 10, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RunUntil(0); err != nil { // jobs 2..n queue behind job 1
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 2, n} {
+		if err := s.Inject(batch(id, 32, 10, 0)); err == nil {
+			t.Errorf("inject of held ID %d accepted", id)
+		}
+		if err := s.AbsorbAt(batch(id, 32, 10, 0), 0); err == nil {
+			t.Errorf("absorb of held ID %d accepted", id)
+		}
+	}
+	victim := s.WaitingBatch()[0]
+	if err := s.Withdraw(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Inject(batch(victim.ID, 32, 10, 0)); err != nil {
+		t.Errorf("re-inject of withdrawn ID %d refused: %v", victim.ID, err)
+	}
+	if s.ids.Len() != n {
+		t.Errorf("ID set holds %d IDs, want %d", s.ids.Len(), n)
+	}
+
+	if err := s.Reset(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s.ids == nil || s.ids.Len() != 0 {
+		t.Fatalf("ID set after Reset: %v, want the previous run's table, emptied", s.ids)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Reset(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		for id := 1; id <= n; id++ {
+			s.ids.Put(id, false)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and refilling the ID set allocated %v times, want 0", allocs)
+	}
+}
+
 // ---- snapshot / restore --------------------------------------------------
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
