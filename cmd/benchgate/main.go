@@ -124,12 +124,14 @@ var ratioGates = []struct {
 // hot loop, so that cell regressing means the fault pipeline got
 // slower, not the scheduler. The Simulate500Reset cells run through one
 // reused session, as sweep workers do: their alloc gate fails if a change
-// brings back per-run buffers that Session.Reset now reuses. The two cold
-// Reservation_DP cells time the packing kernel itself with the memo
-// defeated: restoring a value-table fill slows them several times over.
+// brings back per-run buffers that Session.Reset now reuses. The cold
+// Basic_DP and Reservation_DP cells time the packing kernel on windows
+// that alternate every call: restoring a value-table fill slows them
+// several times over.
 // A cell is only enforced when -bench keeps its default and -pkgs names
 // its package; a filtered invocation legitimately compares a subset.
 var requiredGates = []string{
+	"elastisched/internal/core.BenchmarkBasicDPCold",
 	"elastisched/internal/core.BenchmarkReservationDPCold",
 	"elastisched/internal/core.BenchmarkReservationDPUnquantizedCold",
 	"elastisched/internal/engine.BenchmarkSimulate500/FCFS",

@@ -87,7 +87,7 @@ func (a *Adaptive) Schedule(ctx *sched.Context) {
 
 // adaptiveState is the serialized logical state of the selector: the EWMA
 // estimate and the set of observed job IDs. The embedded Delayed-LOS and
-// EASY delegates are stateless beyond their Scratch caches, so they carry
+// EASY delegates are stateless beyond their Scratch buffers, so they carry
 // nothing.
 type adaptiveState struct {
 	Version int     `json:"version"`

@@ -20,24 +20,9 @@ func randJobs(n int, r *rand.Rand) []*job.Job {
 	return out
 }
 
-// BenchmarkBasicDP measures one utilization-maximizing knapsack over the
-// LOS paper's 50-job lookahead window on the 320-processor machine. The
-// window is identical every iteration — the repeated-window (memo-hit)
-// case, i.e. consecutive scheduling instants with an unchanged waiting
-// queue. The steady state must allocate nothing.
-func BenchmarkBasicDP(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	cands := randJobs(50, r)
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BasicDP(cands, 320, &s)
-	}
-}
-
-// BenchmarkBasicDPCold measures the DP itself: alternating between two
-// windows defeats the cycle memo, so every call re-solves the knapsack.
+// BenchmarkBasicDPCold measures one utilization-maximizing knapsack over
+// the LOS paper's 50-job lookahead window on the 320-processor machine,
+// alternating between two windows. The steady state must allocate nothing.
 func BenchmarkBasicDPCold(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	windows := [2][]*job.Job{randJobs(50, r), randJobs(50, r)}
@@ -49,22 +34,9 @@ func BenchmarkBasicDPCold(b *testing.B) {
 	}
 }
 
-// BenchmarkReservationDP measures the two-constraint knapsack (quantized
-// to 32-processor node groups) on the repeated-window (memo-hit) case.
-func BenchmarkReservationDP(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	cands := randJobs(50, r)
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReservationDP(cands, 320, 160, 5000, 0, &s)
-	}
-}
-
 // BenchmarkReservationDPCold measures the general two-dimensional program
-// with the memo defeated: both constraints bind (durations straddle the
-// freeze end), so no collapse applies.
+// (quantized to 32-processor node groups): both constraints bind
+// (durations straddle the freeze end), so no collapse applies.
 func BenchmarkReservationDPCold(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	windows := [2][]*job.Job{randJobs(50, r), randJobs(50, r)}
@@ -78,8 +50,7 @@ func BenchmarkReservationDPCold(b *testing.B) {
 
 // BenchmarkReservationDPCollapseSlackFreeze measures the dimension
 // collapse when every candidate finishes before the freeze end (frenum
-// all zero): the program degenerates to a single knapsack over m. The
-// memo is defeated to time the collapse itself.
+// all zero): the program degenerates to a single knapsack over m.
 func BenchmarkReservationDPCollapseSlackFreeze(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	windows := [2][]*job.Job{randJobs(50, r), randJobs(50, r)}
@@ -98,7 +69,7 @@ func BenchmarkReservationDPCollapseSlackFreeze(b *testing.B) {
 
 // BenchmarkReservationDPCollapseAllFull measures the collapse when every
 // candidate still runs at the freeze end (frenum = size): one knapsack
-// over min(m, frec). The memo is defeated to time the collapse itself.
+// over min(m, frec).
 func BenchmarkReservationDPCollapseAllFull(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	windows := [2][]*job.Job{randJobs(50, r), randJobs(50, r)}
@@ -115,28 +86,9 @@ func BenchmarkReservationDPCollapseAllFull(b *testing.B) {
 	}
 }
 
-// BenchmarkReservationDPUnquantized measures the SDSC-like worst case:
-// unit-1 sizes blow the DP state up to ~50x129x129 (memo-hit case).
-func BenchmarkReservationDPUnquantized(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	cands := make([]*job.Job, 50)
-	for i := range cands {
-		size := 1 << r.Intn(7)
-		if r.Float64() < 0.3 {
-			size = 1 + r.Intn(127)
-		}
-		cands[i] = &job.Job{ID: i + 1, Size: size, Dur: int64(1 + r.Intn(10000)), ReqStart: -1}
-	}
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReservationDP(cands, 127, 100, 5000, 0, &s)
-	}
-}
-
-// BenchmarkReservationDPUnquantizedCold is the same worst case with the
-// memo defeated: the full 2-D program over the irregular state space.
+// BenchmarkReservationDPUnquantizedCold measures the SDSC-like worst
+// case: unit-1 sizes blow the DP state up to ~50x129x129, the full 2-D
+// program over the irregular state space.
 func BenchmarkReservationDPUnquantizedCold(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var windows [2][]*job.Job

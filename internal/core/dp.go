@@ -5,14 +5,13 @@
 // packing programs they share.
 //
 // The packing programs run on a fast path engineered for the simulator's
-// hot loop (see DESIGN.md, "Packing-engine performance"): a per-Scratch
-// cycle memo returns the previous selection in O(n) when the DP inputs are
-// unchanged, Reservation_DP collapses to a single knapsack whenever one of
-// its two capacity constraints is slack, both programs are solved by one
-// kernel over suffix-reachability bitsets (a shift, an OR and a mask per
-// candidate, 64 capacity cells per word), and the steady state allocates
-// nothing. The original naive programs are retained in
-// dp_reference_test.go as the oracle for the differential tests.
+// hot loop (see DESIGN.md, "Packing-engine performance"): Reservation_DP
+// collapses to a single knapsack whenever one of its two capacity
+// constraints is slack, both programs are solved by one kernel over
+// suffix-reachability bitsets (a shift, an OR and a mask per candidate, 64
+// capacity cells per word), and the steady state allocates nothing. The
+// original naive programs are retained in dp_reference_test.go as the
+// oracle for the differential tests.
 package core
 
 import (
@@ -26,10 +25,9 @@ import (
 // runtime).
 const DefaultLookahead = 50
 
-// Scratch holds reusable DP buffers and the single-entry cycle memo so
-// per-cycle scheduling does not allocate. A Scratch (and therefore a
-// scheduler that embeds one) must not be shared between concurrently
-// running simulations.
+// Scratch holds reusable DP buffers so per-cycle scheduling does not
+// allocate. A Scratch (and therefore a scheduler that embeds one) must not
+// be shared between concurrently running simulations.
 //
 // Aliasing contract: the []*job.Job slice returned by BasicDP and
 // ReservationDP is owned by the Scratch and remains valid only until the
@@ -41,59 +39,6 @@ type Scratch struct {
 	ints   []int      // per-candidate weights on both capacity axes
 	sel    []*job.Job // materialized selection handed to the caller
 	selIdx []int32    // selection as indices into the candidate window
-
-	// Cycle memo: lastKey fingerprints the previous solve's inputs and
-	// selIdx its selection. Consecutive scheduling instants with an
-	// unchanged waiting window hit the memo and skip the DP entirely.
-	key, lastKey []int64
-	memoOK       bool
-	hits, misses uint64
-}
-
-// Memo key kinds. Basic_DP and Reservation_DP selections are never
-// interchangeable, so the kind is part of the fingerprint.
-const (
-	memoBasic int64 = 1 + iota
-	memoReservation
-)
-
-// memoLookup fingerprints the DP inputs that determine a selection and
-// reports whether they match the previous solve on this Scratch. The key
-// deliberately excludes job identity: the memoized selection is stored as
-// window indices, so equal (size, freeze demand) vectors under equal
-// capacities select the same indices regardless of which jobs occupy the
-// slots. cut is fret-now for Reservation_DP — a candidate with Dur >= cut
-// still runs at the freeze end and demands its full size there — and is
-// irrelevant for Basic_DP, whose selection depends on sizes only.
-func (s *Scratch) memoLookup(kind int64, cands []*job.Job, m, frec int, cut int64) bool {
-	k := append(s.key[:0], kind, int64(len(cands)), int64(m), int64(frec))
-	if kind == memoReservation {
-		for _, j := range cands {
-			e := int64(j.Size) << 1
-			if j.Dur >= cut {
-				e |= 1
-			}
-			k = append(k, e)
-		}
-	} else {
-		for _, j := range cands {
-			k = append(k, int64(j.Size)<<1)
-		}
-	}
-	s.key = k
-	if s.memoOK && int64sEqual(k, s.lastKey) {
-		s.hits++
-		return true
-	}
-	s.misses++
-	return false
-}
-
-// memoStore publishes the just-computed selection (already in selIdx) for
-// the key built by the preceding memoLookup.
-func (s *Scratch) memoStore() {
-	s.key, s.lastKey = s.lastKey, s.key
-	s.memoOK = true
 }
 
 // selection materializes selIdx against the current candidate window into
@@ -120,18 +65,6 @@ func (s *Scratch) intsBuf(n int) []int {
 		s.ints = make([]int, max(n, 2*cap(s.ints)))
 	}
 	return s.ints[:n]
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // gcdInt returns the greatest common divisor of a and b.
@@ -176,9 +109,6 @@ func BasicDP(cands []*job.Job, m int, s *Scratch) []*job.Job {
 	if len(cands) == 0 || m <= 0 {
 		return nil
 	}
-	if s.memoLookup(memoBasic, cands, m, 0, 0) {
-		return s.selection(cands)
-	}
 	total := 0
 	for _, j := range cands {
 		total += j.Size
@@ -196,7 +126,6 @@ func BasicDP(cands []*job.Job, m int, s *Scratch) []*job.Job {
 		}
 		s.selIdx = s.pack(w, nil, m/g, 0, s.selIdx)
 	}
-	s.memoStore()
 	return s.selection(cands)
 }
 
@@ -234,9 +163,6 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		frec = 0
 	}
 	cut := fret - now // a candidate with Dur >= cut still runs at the freeze end
-	if s.memoLookup(memoReservation, cands, m, frec, cut) {
-		return s.selection(cands)
-	}
 	n := len(cands)
 	bufs := s.intsBuf(2 * n)
 	w1, w2 := bufs[:n], bufs[n:]
@@ -257,7 +183,6 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 	if total1 <= m && total2 <= frec {
 		// Fast path: all candidates fit both constraints.
 		s.selectAll(n)
-		s.memoStore()
 		return s.selection(cands)
 	}
 	// The collapses only choose pack's axes and quantum; each keeps the
@@ -291,7 +216,6 @@ func ReservationDP(cands []*job.Job, m, frec int, fret, now int64, s *Scratch) [
 		w2[i] /= g
 	}
 	s.selIdx = s.pack(w1, w2, c1/g, c2/g, s.selIdx)
-	s.memoStore()
 	return s.selection(cands)
 }
 

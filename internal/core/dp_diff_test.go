@@ -50,10 +50,10 @@ func randWindow(r *rand.Rand) []*job.Job {
 
 // TestDPEquivalenceRandomized is the differential property test for the
 // fast-path packing engine: on >10k randomized windows the optimized
-// BasicDP/ReservationDP (memo, dimension collapse, bitset kernel) must
-// return exactly the reference implementation's selection. A quarter of
-// the trials immediately re-solve the same window, driving the memo-hit
-// path through the same oracle.
+// BasicDP/ReservationDP (dimension collapse, bitset kernel) must return
+// exactly the reference implementation's selection. A quarter of the
+// trials immediately re-solve the same window on the warmed Scratch, so
+// its reused buffers go through the same oracle.
 func TestDPEquivalenceRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	var s Scratch
@@ -76,7 +76,7 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 			want := referenceBasicDP(cands, m)
 			sameSelection(t, "BasicDP", got, want)
 			if r.Intn(4) == 0 {
-				sameSelection(t, "BasicDP memo", BasicDP(cands, m, &s), want)
+				sameSelection(t, "BasicDP reused Scratch", BasicDP(cands, m, &s), want)
 			}
 			continue
 		}
@@ -88,7 +88,7 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 		want := referenceReservationDP(cands, m, frec, fret, now)
 		sameSelection(t, "ReservationDP", got, want)
 		if r.Intn(4) == 0 {
-			sameSelection(t, "ReservationDP memo",
+			sameSelection(t, "ReservationDP reused Scratch",
 				ReservationDP(cands, m, frec, fret, now, &s), want)
 		}
 	}
@@ -103,7 +103,7 @@ func TestDPEquivalenceRandomized(t *testing.T) {
 // sizes Basic_DP shifts by the sizes 64 and 128 themselves. Zero-size
 // candidates, which the reference takes even once the capacity is used
 // up, are spread through the pinned window. Every window is re-solved
-// once to drive the memo-hit path.
+// once on the warmed Scratch.
 func TestDPEquivalenceLargeWindows(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	var s Scratch
@@ -111,10 +111,10 @@ func TestDPEquivalenceLargeWindows(t *testing.T) {
 		t.Helper()
 		wantB := referenceBasicDP(cands, m)
 		sameSelection(t, label+" BasicDP", BasicDP(cands, m, &s), wantB)
-		sameSelection(t, label+" BasicDP memo", BasicDP(cands, m, &s), wantB)
+		sameSelection(t, label+" BasicDP reused Scratch", BasicDP(cands, m, &s), wantB)
 		wantR := referenceReservationDP(cands, m, frec, fret, now)
 		sameSelection(t, label+" ReservationDP", ReservationDP(cands, m, frec, fret, now, &s), wantR)
-		sameSelection(t, label+" ReservationDP memo", ReservationDP(cands, m, frec, fret, now, &s), wantR)
+		sameSelection(t, label+" ReservationDP reused Scratch", ReservationDP(cands, m, frec, fret, now, &s), wantR)
 	}
 
 	pinned := make([]*job.Job, DefaultLookahead)
@@ -219,8 +219,8 @@ func TestDPEquivalenceCollapseBranches(t *testing.T) {
 }
 
 // FuzzDPEquivalence fuzzes the optimized packing engine against the
-// reference implementations, including an immediate re-solve that drives
-// the memo-hit path.
+// reference implementations, including an immediate re-solve on the
+// warmed Scratch.
 func FuzzDPEquivalence(f *testing.F) {
 	f.Add([]byte{3, 32, 5, 64, 200, 96, 50}, uint16(128), int16(64), uint16(100), uint8(10))
 	f.Add([]byte{2, 7, 1, 13, 255}, uint16(20), int16(0), uint16(3), uint8(0))
@@ -253,87 +253,13 @@ func FuzzDPEquivalence(f *testing.F) {
 		gotB := BasicDP(cands, m, &s)
 		wantB := referenceBasicDP(cands, m)
 		sameSelection(t, "BasicDP", gotB, wantB)
-		sameSelection(t, "BasicDP memo", BasicDP(cands, m, &s), wantB)
+		sameSelection(t, "BasicDP reused Scratch", BasicDP(cands, m, &s), wantB)
 
 		gotR := ReservationDP(cands, m, frec, fret, now, &s)
 		wantR := referenceReservationDP(cands, m, frec, fret, now)
 		sameSelection(t, "ReservationDP", gotR, wantR)
-		sameSelection(t, "ReservationDP memo", ReservationDP(cands, m, frec, fret, now, &s), wantR)
+		sameSelection(t, "ReservationDP reused Scratch", ReservationDP(cands, m, frec, fret, now, &s), wantR)
 	})
-}
-
-// --- cycle memo behaviour ---
-
-// MemoStats reports cycle-memo hits and misses over the Scratch's
-// lifetime.
-func (s *Scratch) MemoStats() (hits, misses uint64) { return s.hits, s.misses }
-
-func TestMemoHitOnRepeatedWindow(t *testing.T) {
-	var s Scratch
-	jobs := mkJobs(7*32, 4*32, 6*32)
-	a := ids(BasicDP(jobs, 320, &s))
-	b := ids(BasicDP(jobs, 320, &s))
-	if len(a) != len(b) {
-		t.Fatalf("memo changed the selection: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("memo changed the selection: %v vs %v", a, b)
-		}
-	}
-	hits, misses := s.MemoStats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("MemoStats = (%d hits, %d misses), want (1, 1)", hits, misses)
-	}
-}
-
-func TestMemoMissOnChangedInputs(t *testing.T) {
-	var s Scratch
-	jobs := mkJobs(7*32, 4*32, 6*32)
-	BasicDP(jobs, 320, &s)
-	BasicDP(jobs, 288, &s) // capacity changed
-	jobs[1].Size = 5 * 32
-	BasicDP(jobs, 288, &s) // a size changed
-	if hits, misses := s.MemoStats(); hits != 0 || misses != 3 {
-		t.Errorf("MemoStats = (%d hits, %d misses), want (0, 3)", hits, misses)
-	}
-}
-
-func TestMemoMissWhenDurationCrossesFreeze(t *testing.T) {
-	var s Scratch
-	jobs := mkJobs(7*32, 4*32, 6*32)
-	for _, j := range jobs {
-		j.Dur = 50 // finishes before the freeze end
-	}
-	a := ids(ReservationDP(jobs, 288, 96, 100, 0, &s))
-	jobs[0].Dur = 200 // now demands freeze capacity
-	b := ids(ReservationDP(jobs, 288, 96, 100, 0, &s))
-	if _, misses := s.MemoStats(); misses != 2 {
-		t.Fatalf("duration crossing the freeze must miss the memo (selections %v, %v)", a, b)
-	}
-	want := referenceReservationDP(jobs, 288, 96, 100, 0)
-	got := ReservationDP(jobs, 288, 96, 100, 0, &s)
-	sameSelection(t, "after crossing", got, want)
-}
-
-// TestMemoSelectionTracksCurrentPointers: the memo keys on sizes and
-// freeze demands, not identity, so a hit against a *different* window of
-// equal shape must return the current window's jobs.
-func TestMemoSelectionTracksCurrentPointers(t *testing.T) {
-	var s Scratch
-	a := mkJobs(7*32, 4*32, 6*32)
-	b := mkJobs(7*32, 4*32, 6*32) // distinct pointers, equal shape
-	selA := BasicDP(a, 320, &s)
-	_ = selA
-	selB := BasicDP(b, 320, &s)
-	if hits, _ := s.MemoStats(); hits != 1 {
-		t.Fatal("equal-shape window should hit the memo")
-	}
-	for _, j := range selB {
-		if !Contains(b, j) {
-			t.Fatalf("memo-hit selection returned a job from the previous window: %v", j)
-		}
-	}
 }
 
 // TestScratchSelectionAliasing pins the documented aliasing contract: the

@@ -9,11 +9,11 @@ import (
 // fast paths in dp.go: FuzzDPEquivalence and the randomized differential
 // tests assert that BasicDP and ReservationDP return identical selections
 // on every window. The oracles are deliberately self-contained — no
-// Scratch, no memo, fresh allocations — so a bug in the fast-path plumbing
-// cannot mask itself in the oracle.
+// Scratch, fresh allocations — so a bug in the fast-path plumbing cannot
+// mask itself in the oracle.
 
 // referenceBasicDP is the naive Basic_DP: a full (n+1) x (C+1) table with
-// no memoization, row clamping, or buffer reuse.
+// no row clamping or buffer reuse.
 func referenceBasicDP(cands []*job.Job, m int) []*job.Job {
 	if len(cands) == 0 || m <= 0 {
 		return nil

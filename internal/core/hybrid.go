@@ -29,12 +29,9 @@ type HybridLOS struct {
 	// Lookahead bounds the DP window (default DefaultLookahead).
 	Lookahead int
 
-	// delayed and scratch each carry their own DP cycle memo; the embedded
-	// Delayed-LOS solves Basic_DP windows while the hybrid branches solve
-	// Reservation_DP windows, so keeping the memos separate preserves hits
-	// when the scheduler alternates between the two.
+	// delayed is the embedded Delayed-LOS behaviour; the hybrid branches
+	// solve on its Scratch too.
 	delayed DelayedLOS
-	scratch Scratch
 }
 
 // NewHybridLOS returns a Hybrid-LOS scheduler with threshold cs.
@@ -78,7 +75,7 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 			// Lines 8-30: pack under the dedicated freeze.
 			fz, _ := sched.DedicatedFreeze(ctx)
 			window := ctx.Window(m, h.Lookahead)
-			set := ReservationDP(window, m, fz.Capacity, fz.Time, ctx.Now, &h.scratch)
+			set := ReservationDP(window, m, fz.Capacity, fz.Time, ctx.Now, &h.delayed.scratch)
 			if !Contains(set, head) {
 				bumpSkip(ctx, head) // lines 22 and 30
 			}
@@ -97,7 +94,7 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 				return
 			}
 			window := ctx.Window(m, h.Lookahead)
-			set := ReservationDP(window, m, frec, fret, ctx.Now, &h.scratch)
+			set := ReservationDP(window, m, frec, fret, ctx.Now, &h.delayed.scratch)
 			startAll(ctx, set)
 		}
 

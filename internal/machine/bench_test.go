@@ -1,15 +1,11 @@
 package machine
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // churn drives a contiguous machine through a steady-state alloc/release
 // cycle under fragmentation pressure. Job IDs are recycled so the owner
-// table stays bounded; the LCG stream is fixed, and because the indexed
-// findRun returns the same leftmost start as the dense scan, dense and
-// indexed sub-benchmarks execute the identical placement sequence.
+// table stays bounded; the LCG stream is fixed, so every run executes the
+// identical placement sequence.
 type churn struct {
 	m     *Machine
 	live  []int
@@ -18,12 +14,8 @@ type churn struct {
 	rng   uint64
 }
 
-func newChurn(total, unit int, dense bool) *churn {
-	m := NewContiguous(total, unit)
-	if dense {
-		m.forceDense()
-	}
-	c := &churn{m: m, rng: 0x9E3779B97F4A7C15}
+func newChurn(total, unit int) *churn {
+	c := &churn{m: NewContiguous(total, unit), rng: 0x9E3779B97F4A7C15}
 	// Fill the machine with 1..4-group jobs, then punch holes by releasing
 	// every third job so findRun always works against a fragmented map.
 	unitSz := unit
@@ -97,10 +89,9 @@ func (c *churn) step() {
 }
 
 // BenchmarkMachineScale measures the steady-state alloc/release cycle of a
-// contiguous machine across four orders of magnitude, dense scans vs the
-// run index. The paper's rack is M=320; the ROADMAP's scale-out target is
-// the 320k–1M band, where the dense O(G) scans collapse and the index's
-// O(log G) paths stay flat.
+// contiguous machine across four orders of magnitude. The paper's rack is
+// M=320; the ROADMAP's scale-out target is the 320k–1M band, where the run
+// index's O(log G) paths keep the cycle flat.
 func BenchmarkMachineScale(b *testing.B) {
 	sizes := []struct {
 		label string
@@ -111,17 +102,15 @@ func BenchmarkMachineScale(b *testing.B) {
 		{"M=320k", 320 * 1024},
 		{"M=1M", 1 << 20},
 	}
-	for _, mode := range []string{"dense", "indexed"} {
-		for _, sz := range sizes {
-			b.Run(fmt.Sprintf("%s/%s", mode, sz.label), func(b *testing.B) {
-				c := newChurn(sz.total, 32, mode == "dense")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.step()
-				}
-			})
-		}
+	for _, sz := range sizes {
+		b.Run("indexed/"+sz.label, func(b *testing.B) {
+			c := newChurn(sz.total, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.step()
+			}
+		})
 	}
 }
 

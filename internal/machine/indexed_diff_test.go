@@ -7,16 +7,17 @@ import (
 	"testing"
 )
 
-// diffPair drives an indexed contiguous machine and the retained dense
-// reference through the same operation stream, failing the moment their
-// observable state diverges. The dense machine is the pre-index
-// implementation (forceDense restores its scan paths), so this is the
-// differential harness the run index is validated against — the same
-// pattern as the reference DPs (PR 1) and the profile differential (PR 4).
-type diffPair struct {
+// diffRun drives an indexed contiguous machine through an operation
+// stream and checks its run index against the dense O(G) scans after every
+// step, failing the moment they diverge: findRun(n) for every n, and the
+// longest free run. Alloc is the only consumer of findRun and Fits and
+// FragmentedWaste the only consumers of the longest run, so agreement at
+// every step means the machine places exactly as the dense first-fit
+// scans would — the same pattern as the reference DPs and the profile
+// differential.
+type diffRun struct {
 	t       testing.TB
 	indexed *Machine
-	dense   *Machine
 	live    []int       // job IDs currently allocated
 	sizes   map[int]int // reference: job ID -> allocated processors
 	nextID  int
@@ -27,54 +28,54 @@ type diffPair struct {
 // pushed past 2^40.
 func jobID(n int) int { return 5 + 64*n + (n%2)<<40 }
 
-func newDiffPair(t testing.TB, total, unit int) *diffPair {
-	ix := NewContiguous(total, unit)
-	dn := NewContiguous(total, unit)
-	dn.forceDense()
-	return &diffPair{t: t, indexed: ix, dense: dn, sizes: map[int]int{}}
+func newDiffRun(t testing.TB, total, unit int) *diffRun {
+	return &diffRun{t: t, indexed: NewContiguous(total, unit), sizes: map[int]int{}}
 }
 
-// check compares every piece of observable state and validates both
-// machines' invariants (the indexed machine's CheckInvariants additionally
-// cross-checks every index leaf and the root aggregate against the dense
-// scan).
-func (p *diffPair) check(op string) {
+// findRunDense is the dense O(G) first-fit scan: the first index of a
+// free, healthy run of length need, or -1.
+func (m *Machine) findRunDense(need int) int {
+	cur := 0
+	for i, g := range m.groups {
+		if g == -1 && m.health[i] == Up {
+			cur++
+			if cur == need {
+				return i - need + 1
+			}
+		} else {
+			cur = 0
+		}
+	}
+	return -1
+}
+
+// check validates the machine's invariants (CheckInvariants cross-checks
+// every index leaf and the longest run against the dense scan), compares
+// the index's other answers with the dense scans, and compares the per-job
+// view with the reference sizes.
+func (p *diffRun) check(op string) {
 	p.t.Helper()
-	if err := p.indexed.CheckInvariants(); err != nil {
-		p.t.Fatalf("after %s: indexed invariants: %v", op, err)
+	m := p.indexed
+	if err := m.CheckInvariants(); err != nil {
+		p.t.Fatalf("after %s: invariants: %v", op, err)
 	}
-	if err := p.dense.CheckInvariants(); err != nil {
-		p.t.Fatalf("after %s: dense invariants: %v", op, err)
+	if got, want := m.FragmentedWaste(), m.Free()-m.longestFreeRunDense()*m.Unit(); got != want {
+		p.t.Fatalf("after %s: FragmentedWaste %d, dense scan says %d", op, got, want)
 	}
-	type obs struct {
-		Free, Used, Avail, Down, Waste, Longest int
-		Groups                                  []int
-	}
-	a := obs{p.indexed.Free(), p.indexed.Used(), p.indexed.Available(), p.indexed.DownProcs(),
-		p.indexed.FragmentedWaste(), p.indexed.longestFreeRun(), p.indexed.Groups()}
-	b := obs{p.dense.Free(), p.dense.Used(), p.dense.Available(), p.dense.DownProcs(),
-		p.dense.FragmentedWaste(), p.dense.longestFreeRun(), p.dense.Groups()}
-	if !reflect.DeepEqual(a, b) {
-		p.t.Fatalf("after %s: indexed %+v != dense %+v", op, a, b)
-	}
-	sa, sb := p.indexed.Snapshot(), p.dense.Snapshot()
-	if !reflect.DeepEqual(sa, sb) {
-		p.t.Fatalf("after %s: snapshots diverge:\nindexed %+v\ndense   %+v", op, sa, sb)
-	}
-	p.checkOwners(op, p.indexed)
-	p.checkOwners(op, p.dense)
-	for n := 1; n <= len(sa.Groups)+1; n++ {
-		if ia, id := p.indexed.findRun(n), p.dense.findRun(n); ia != id {
+	p.checkOwners(op)
+	for n := 1; n <= m.NumGroups()+1; n++ {
+		if ia, id := m.findRun(n), m.findRunDense(n); ia != id {
 			p.t.Fatalf("after %s: findRun(%d) indexed %d != dense %d", op, n, ia, id)
 		}
 	}
 }
 
-// checkOwners compares m's per-job view against the reference sizes: every
+// checkOwners compares the per-job view against the reference sizes: every
 // allocated job holds exactly the groups the group map assigns it, and the
 // group map names no job the reference does not.
-func (p *diffPair) checkOwners(op string, m *Machine) {
+func (p *diffRun) checkOwners(op string) {
 	p.t.Helper()
+	m := p.indexed
 	want := map[int][]int{}
 	for g, id := range m.Groups() {
 		if id == -1 {
@@ -97,25 +98,32 @@ func (p *diffPair) checkOwners(op string, m *Machine) {
 	}
 }
 
-// both applies one mutation to the pair and asserts the outcomes agree.
-func (p *diffPair) alloc(groups int) {
+// alloc places a job of the given group count and asserts it lands where
+// the dense first-fit scan says, or fails exactly when the scan finds no
+// run.
+func (p *diffRun) alloc(groups int) {
 	p.t.Helper()
 	id := jobID(p.nextID)
 	p.nextID++
 	size := groups * p.indexed.Unit()
-	ea := p.indexed.Alloc(id, size)
-	eb := p.dense.Alloc(id, size)
-	if (ea == nil) != (eb == nil) {
-		p.t.Fatalf("alloc(%d,%d): indexed err %v, dense err %v", id, size, ea, eb)
+	at := p.indexed.findRunDense(groups)
+	err := p.indexed.Alloc(id, size)
+	if (err == nil) != (at >= 0) {
+		p.t.Fatalf("alloc(%d,%d): err %v, dense scan found run at %d", id, size, err, at)
 	}
-	if ea == nil {
+	if err == nil {
+		got := p.indexed.OwnedGroups(id)
+		slices.Sort(got)
+		if got[0] != at {
+			p.t.Fatalf("alloc(%d,%d): placed at %v, dense first fit %d", id, size, got, at)
+		}
 		p.live = append(p.live, id)
 		p.sizes[id] = size
 	}
 	p.check(fmt.Sprintf("alloc(%d,%d)", id, size))
 }
 
-func (p *diffPair) release(pick int) {
+func (p *diffRun) release(pick int) {
 	p.t.Helper()
 	if len(p.live) == 0 {
 		return
@@ -125,43 +133,37 @@ func (p *diffPair) release(pick int) {
 	p.live[i] = p.live[len(p.live)-1]
 	p.live = p.live[:len(p.live)-1]
 	delete(p.sizes, id)
-	if ea, eb := p.indexed.Release(id), p.dense.Release(id); (ea == nil) != (eb == nil) {
-		p.t.Fatalf("release(%d): indexed err %v, dense err %v", id, ea, eb)
+	if err := p.indexed.Release(id); err != nil {
+		p.t.Fatalf("release(%d): %v", id, err)
 	}
 	p.check(fmt.Sprintf("release(%d)", id))
 }
 
-func (p *diffPair) resize(pick, groups int) {
+func (p *diffRun) resize(pick, groups int) {
 	p.t.Helper()
 	if len(p.live) == 0 {
 		return
 	}
 	id := p.live[pick%len(p.live)]
 	size := groups * p.indexed.Unit()
-	ea := p.indexed.Resize(id, size)
-	eb := p.dense.Resize(id, size)
-	if (ea == nil) != (eb == nil) {
-		p.t.Fatalf("resize(%d,%d): indexed err %v, dense err %v", id, size, ea, eb)
-	}
-	if ea == nil {
+	if p.indexed.Resize(id, size) == nil {
 		p.sizes[id] = size
 	}
 	p.check(fmt.Sprintf("resize(%d,%d)", id, size))
 }
 
-// fail takes groups out of service on both machines and releases the
-// victims immediately, as the engine does, so the pair sits at an instant
-// boundary (no Draining groups) after every step.
-func (p *diffPair) fail(gs []int) {
+// fail takes groups out of service and releases the victims immediately,
+// as the engine does, so the machine sits at an instant boundary (no
+// Draining groups) after every step.
+func (p *diffRun) fail(gs []int) {
 	p.t.Helper()
-	fa, va, ea := p.indexed.FailGroups(gs)
-	fb, vb, eb := p.dense.FailGroups(gs)
-	if (ea == nil) != (eb == nil) || fa != fb || !reflect.DeepEqual(va, vb) {
-		p.t.Fatalf("fail(%v): indexed (%d,%v,%v) != dense (%d,%v,%v)", gs, fa, va, ea, fb, vb, eb)
+	_, victims, err := p.indexed.FailGroups(gs)
+	if err != nil {
+		p.t.Fatalf("fail(%v): %v", gs, err)
 	}
-	for _, id := range va {
-		if ea, eb := p.indexed.Release(id), p.dense.Release(id); (ea == nil) != (eb == nil) {
-			p.t.Fatalf("fail(%v): victim release(%d): indexed err %v, dense err %v", gs, id, ea, eb)
+	for _, id := range victims {
+		if err := p.indexed.Release(id); err != nil {
+			p.t.Fatalf("fail(%v): victim release(%d): %v", gs, id, err)
 		}
 		for i, v := range p.live {
 			if v == id {
@@ -175,28 +177,24 @@ func (p *diffPair) fail(gs []int) {
 	p.check(fmt.Sprintf("fail(%v)", gs))
 }
 
-func (p *diffPair) repair(gs []int) {
+func (p *diffRun) repair(gs []int) {
 	p.t.Helper()
-	ra, ea := p.indexed.RepairGroups(gs)
-	rb, eb := p.dense.RepairGroups(gs)
-	if (ea == nil) != (eb == nil) || ra != rb {
-		p.t.Fatalf("repair(%v): indexed (%d,%v) != dense (%d,%v)", gs, ra, ea, rb, eb)
+	if _, err := p.indexed.RepairGroups(gs); err != nil {
+		p.t.Fatalf("repair(%v): %v", gs, err)
 	}
 	p.check(fmt.Sprintf("repair(%v)", gs))
 }
 
-func (p *diffPair) compact() {
+func (p *diffRun) compact() {
 	p.t.Helper()
-	if ma, mb := p.indexed.Compact(), p.dense.Compact(); ma != mb {
-		p.t.Fatalf("compact: indexed moved %d, dense moved %d", ma, mb)
-	}
+	p.indexed.Compact()
 	p.check("compact")
 }
 
 // roundTrip snapshots the indexed machine, restores it, and verifies the
 // restored copy re-snapshots identically and self-validates — the
 // snapshot-at-random-prefix leg of the differential suite.
-func (p *diffPair) roundTrip() {
+func (p *diffRun) roundTrip() {
 	p.t.Helper()
 	sn := p.indexed.Snapshot()
 	m2, err := FromSnapshot(sn)
@@ -212,7 +210,7 @@ func (p *diffPair) roundTrip() {
 }
 
 // step dispatches one operation from three driver bytes.
-func (p *diffPair) step(op, a, b byte) {
+func (p *diffRun) step(op, a, b byte) {
 	G := p.indexed.NumGroups()
 	switch op % 7 {
 	case 0, 1: // allocation-heavy mix keeps the machine busy
@@ -235,7 +233,7 @@ func (p *diffPair) step(op, a, b byte) {
 func TestIndexedMatchesDenseUnderTraffic(t *testing.T) {
 	for _, geo := range []struct{ total, unit int }{{320, 32}, {96, 8}, {33, 11}, {64, 1}} {
 		t.Run(fmt.Sprintf("%d_%d", geo.total, geo.unit), func(t *testing.T) {
-			p := newDiffPair(t, geo.total, geo.unit)
+			p := newDiffRun(t, geo.total, geo.unit)
 			rng := uint64(2026)
 			next := func() byte {
 				rng = rng*6364136223846793005 + 1442695040888963407
@@ -262,7 +260,7 @@ func FuzzMachineIndexed(f *testing.F) {
 		if len(ops) > 3*200 {
 			ops = ops[:3*200]
 		}
-		p := newDiffPair(t, 320, 32)
+		p := newDiffRun(t, 320, 32)
 		for i := 0; i+2 < len(ops); i += 3 {
 			p.step(ops[i], ops[i+1], ops[i+2])
 			if i%(3*16) == 0 {

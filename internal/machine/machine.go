@@ -84,8 +84,7 @@ type Machine struct {
 	stackPos  []int
 	staleFree int
 	// idx is the contiguous machine's free-run segment tree (nil on
-	// scatter machines, and nil when the dense reference paths are forced
-	// for differential tests and benchmarks).
+	// scatter machines).
 	idx *runIndex
 	// migratory marks that the owner is willing to Compact on demand: a
 	// capacity-feasible request is then always placeable, so Fits ignores
@@ -176,11 +175,6 @@ func (m *Machine) buildIndex() {
 	}
 	m.idx.rebuild(m.groups, m.health)
 }
-
-// forceDense drops the run index, restoring the dense O(G) scan paths —
-// the retained reference implementation the differential tests and the
-// scaling benchmarks compare against. Test/bench only.
-func (m *Machine) forceDense() { m.idx = nil }
 
 // noteGroup refreshes group g's leaf in the run index after its occupancy
 // or health changed. No-op on scatter machines.
@@ -320,16 +314,11 @@ func (m *Machine) FragmentedWaste() int {
 }
 
 // longestFreeRun returns the length of the longest run of free, healthy
-// groups: O(1) off the run index, with the dense scan as the retained
-// reference path.
-func (m *Machine) longestFreeRun() int {
-	if m.idx != nil {
-		return m.idx.longestRun()
-	}
-	return m.longestFreeRunDense()
-}
+// groups of a contiguous machine, O(1) off the run index.
+func (m *Machine) longestFreeRun() int { return m.idx.longestRun() }
 
-// longestFreeRunDense is the dense O(G) reference scan.
+// longestFreeRunDense is the dense O(G) scan CheckInvariants checks the run
+// index against.
 func (m *Machine) longestFreeRunDense() int {
 	best, cur := 0, 0
 	for i, g := range m.groups {
@@ -345,31 +334,9 @@ func (m *Machine) longestFreeRunDense() int {
 	return best
 }
 
-// findRun returns the first index of a free, healthy run of length need,
-// or -1: O(log G) off the run index, with the dense scan as the retained
-// reference path. Both return the same leftmost index.
-func (m *Machine) findRun(need int) int {
-	if m.idx != nil {
-		return m.idx.findRun(need)
-	}
-	return m.findRunDense(need)
-}
-
-// findRunDense is the dense O(G) reference scan.
-func (m *Machine) findRunDense(need int) int {
-	cur := 0
-	for i, g := range m.groups {
-		if g == -1 && m.health[i] == Up {
-			cur++
-			if cur == need {
-				return i - need + 1
-			}
-		} else {
-			cur = 0
-		}
-	}
-	return -1
-}
+// findRun returns the first index of a free, healthy run of length need on
+// a contiguous machine, or -1: O(log G) off the run index.
+func (m *Machine) findRun(need int) int { return m.idx.findRun(need) }
 
 // Quantize rounds size up to the allocation unit and caps it at the machine
 // size. It returns an error for non-positive sizes.
@@ -510,9 +477,7 @@ func (m *Machine) Compact() int {
 		next += p.n
 	}
 	if m.contiguous {
-		if m.idx != nil {
-			m.idx.rebuild(m.groups, m.health)
-		}
+		m.idx.rebuild(m.groups, m.health)
 	} else {
 		m.rebuildFreeStack()
 	}

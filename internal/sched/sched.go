@@ -92,9 +92,8 @@ type Scheduler interface {
 //
 //   - SnapshotState returns a self-contained, self-versioned encoding of
 //     the policy's logical state. Pure caches and scratch buffers (the DP
-//     cycle memo, reusable selection slices) must be EXCLUDED: they are
-//     required to be behaviour-neutral, so a restored policy rebuilds them
-//     cold. The encoding must survive a byte-for-byte round trip through
+//     bitset and selection buffers) must be EXCLUDED: they are required to
+//     be behaviour-neutral, so a restored policy rebuilds them cold. The encoding must survive a byte-for-byte round trip through
 //     any transport (the engine stores it opaquely).
 //   - RestoreState reinstates state captured by SnapshotState on a freshly
 //     constructed policy of the same type and configuration, and rejects
@@ -102,7 +101,7 @@ type Scheduler interface {
 //
 // Logically stateless policies (FCFS, EASY, CONS, and the LOS family)
 // simply do not implement the interface and round-trip for free: their
-// only cross-cycle state — the behaviour-neutral Scratch memo, and the
+// only cross-cycle state — the behaviour-neutral Scratch buffers, and the
 // delta-maintained caches of Stateful policies, which ResetDeltas
 // invalidates on restore — is rebuilt cold.
 type Snapshotter interface {
