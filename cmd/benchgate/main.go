@@ -127,7 +127,9 @@ var ratioGates = []struct {
 // brings back per-run buffers that Session.Reset now reuses. The cold
 // Basic_DP and Reservation_DP cells time the packing kernel on windows
 // that alternate every call: restoring a value-table fill slows them
-// several times over.
+// several times over. The fault.Generate cell samples and merges one
+// faults-malleable fault trace: restoring a sort of the per-group runs
+// makes it several times slower and raises its bytes per op.
 // A cell is only enforced when -bench keeps its default and -pkgs names
 // its package; a filtered invocation legitimately compares a subset.
 var requiredGates = []string{
@@ -145,6 +147,7 @@ var requiredGates = []string{
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/LOS",
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/Delayed-LOS",
 	"elastisched/internal/dispatch.BenchmarkShardedSteal64",
+	"elastisched/internal/fault.BenchmarkGenerate",
 }
 
 // advisoryNs lists cells whose ns/op ratio is printed but never fails the
@@ -159,7 +162,7 @@ func main() {
 	var (
 		file      = flag.String("file", "", "snapshot to gate against (empty = merge all BENCH_*.json, newest wins per benchmark)")
 		benchRE   = flag.String("bench", ".", "benchmark name regexp passed to go test")
-		pkgs      = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/machine,./internal/dispatch", "comma-separated packages to benchmark")
+		pkgs      = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/machine,./internal/dispatch,./internal/fault", "comma-separated packages to benchmark")
 		tolerance = flag.Float64("tolerance", 1.75, "max allowed ns/op ratio current/recorded")
 		count     = flag.Int("count", 1, "-count passed to go test (best run is compared)")
 	)

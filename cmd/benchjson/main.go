@@ -39,7 +39,7 @@ func main() {
 	var (
 		out      = flag.String("out", "", "output file (empty = BENCH_<today>.json)")
 		benchRE  = flag.String("bench", ".", "benchmark name regexp passed to go test")
-		pkgs     = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/experiment,./internal/machine,./internal/dispatch", "comma-separated packages to benchmark")
+		pkgs     = flag.String("pkgs", "./internal/core,./internal/sched,./internal/simkit,./internal/engine,./internal/experiment,./internal/machine,./internal/dispatch,./internal/fault", "comma-separated packages to benchmark")
 		count    = flag.Int("count", 1, "-count passed to go test")
 		benchT   = flag.String("benchtime", "", "-benchtime passed to go test (empty = default)")
 		baseline = flag.String("baseline", "", "raw `go test -bench` output to embed as the baseline section")

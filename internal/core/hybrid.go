@@ -23,32 +23,21 @@ import (
 //     for it, since an unchecked start would oversubscribe the machine
 //     (documented deviation).
 type HybridLOS struct {
-	// Cs is the maximum skip count threshold shared with the embedded
-	// Delayed-LOS behaviour.
-	Cs int
-	// Lookahead bounds the DP window (default DefaultLookahead).
-	Lookahead int
-
-	// delayed is the embedded Delayed-LOS behaviour; the hybrid branches
-	// solve on its Scratch too.
+	// delayed is the Delayed-LOS behaviour of the pure-batch branch. Its
+	// Cs and Lookahead are the hybrid branches' too, and they solve on
+	// its Scratch. It is unexported so its DeltaTracker does not make
+	// Hybrid-LOS sched.Stateful: the engine never feeds it deltas.
 	delayed DelayedLOS
 }
 
 // NewHybridLOS returns a Hybrid-LOS scheduler with threshold cs.
 func NewHybridLOS(cs int) *HybridLOS {
-	return &HybridLOS{
-		Cs:        cs,
-		Lookahead: DefaultLookahead,
-		delayed:   DelayedLOS{Cs: cs, Lookahead: DefaultLookahead},
-	}
+	return &HybridLOS{delayed: DelayedLOS{Cs: cs, Lookahead: DefaultLookahead}}
 }
 
-// SetLookahead bounds the DP window of both the hybrid logic and the
-// embedded Delayed-LOS behaviour.
-func (h *HybridLOS) SetLookahead(n int) {
-	h.Lookahead = n
-	h.delayed.Lookahead = n
-}
+// SetLookahead bounds the DP window (default DefaultLookahead) of every
+// branch.
+func (h *HybridLOS) SetLookahead(n int) { h.delayed.Lookahead = n }
 
 // Name implements sched.Scheduler.
 func (h *HybridLOS) Name() string { return "Hybrid-LOS" }
@@ -67,14 +56,14 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 			// Lines 3-4: pure batch scheduling.
 			h.delayed.Schedule(ctx)
 
-		case head.SCount < h.Cs:
+		case head.SCount < h.delayed.Cs:
 			// Lines 5-34.
-			if sched.MoveDueDedicated(ctx, h.Cs) {
+			if sched.MoveDueDedicated(ctx, h.delayed.Cs) {
 				return // line 7; the engine's fixed point re-enters
 			}
 			// Lines 8-30: pack under the dedicated freeze.
 			fz, _ := sched.DedicatedFreeze(ctx)
-			window := ctx.Window(m, h.Lookahead)
+			window := ctx.Window(m, h.delayed.Lookahead)
 			set := ReservationDP(window, m, fz.Capacity, fz.Time, ctx.Now, &h.delayed.scratch)
 			if !Contains(set, head) {
 				bumpSkip(ctx, head) // lines 22 and 30
@@ -93,7 +82,7 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 			if !ok {
 				return
 			}
-			window := ctx.Window(m, h.Lookahead)
+			window := ctx.Window(m, h.delayed.Lookahead)
 			set := ReservationDP(window, m, frec, fret, ctx.Now, &h.delayed.scratch)
 			startAll(ctx, set)
 		}
@@ -101,6 +90,6 @@ func (h *HybridLOS) Schedule(ctx *sched.Context) {
 	case !ctx.Dedicated.Empty():
 		// Lines 39-42: no batch work (or no capacity); promote a due
 		// dedicated job so it is waiting at the head when capacity frees.
-		sched.MoveDueDedicated(ctx, h.Cs)
+		sched.MoveDueDedicated(ctx, h.delayed.Cs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elastisched/internal/job"
+	"elastisched/internal/sched"
 	"elastisched/internal/testkit"
 )
 
@@ -169,12 +170,22 @@ func TestHybridFlags(t *testing.T) {
 	if hl.Name() != "Hybrid-LOS" || !hl.Heterogeneous() {
 		t.Error("flags wrong")
 	}
-	if hl.Cs != 5 || hl.delayed.Cs != 5 {
-		t.Error("embedded Delayed-LOS threshold not propagated")
+	if hl.delayed.Cs != 5 || hl.delayed.Lookahead != DefaultLookahead {
+		t.Error("threshold or default lookahead not set")
 	}
 	hl.SetLookahead(9)
-	if hl.Lookahead != 9 || hl.delayed.Lookahead != 9 {
-		t.Error("SetLookahead not propagated")
+	if hl.delayed.Lookahead != 9 {
+		t.Error("SetLookahead not applied")
+	}
+}
+
+// Hybrid-LOS keeps its Delayed-LOS unexported: the embedded DeltaTracker
+// must not make it Stateful, or the engine would start feeding it deltas
+// and its settle-skip would change Hybrid-LOS's schedules.
+func TestHybridLOSIsNotStateful(t *testing.T) {
+	var s sched.Scheduler = NewHybridLOS(7)
+	if _, ok := s.(sched.Stateful); ok {
+		t.Fatal("HybridLOS satisfies sched.Stateful")
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"elastisched/internal/audit"
@@ -226,6 +227,27 @@ func TestDelayedLOSWinsOnLargeJobWorkload(t *testing.T) {
 	if dWait >= lWait || dWait >= eWait {
 		t.Errorf("Delayed-LOS wait %.0f not best (LOS %.0f, EASY %.0f)",
 			dWait/3, lWait/3, eWait/3)
+	}
+}
+
+// TestHybridLOSMatchesDelayedLOSOnBatchTraces: with no dedicated job
+// pending, Algorithm 2 is Delayed-LOS (line 4), so on a batch-only trace
+// Hybrid-LOS schedules exactly as Delayed-LOS with the same Cs and
+// Lookahead, including a lookahead set after construction.
+func TestHybridLOSMatchesDelayedLOSOnBatchTraces(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		w := genBatch(t, seed, 300, 1.0)
+		for _, c := range []struct{ cs, lookahead int }{{7, 0}, {3, 0}, {5, 4}, {2, 1}} {
+			h, d := core.NewHybridLOS(c.cs), core.NewDelayedLOS(c.cs)
+			if c.lookahead > 0 {
+				h.SetLookahead(c.lookahead)
+				d.Lookahead = c.lookahead
+			}
+			if hs, ds := runTraced(t, w, h), runTraced(t, w, d); !reflect.DeepEqual(hs, ds) {
+				t.Fatalf("seed %d, Cs %d, lookahead %d: Hybrid-LOS schedule differs from Delayed-LOS",
+					seed, c.cs, c.lookahead)
+			}
+		}
 	}
 }
 

@@ -13,13 +13,11 @@ package fault
 
 import (
 	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -269,13 +267,14 @@ func Generate(p GenParams) (*Trace, error) {
 	r := rand.New(rand.NewSource(p.Seed))
 	ttf := dist.Exponential{Mean: p.MTBF}
 	ttr := dist.Exponential{Mean: p.MTTR}
-	type sampled struct {
-		time  int64
-		kind  Kind
-		group int
-	}
-	var evs []sampled
+	// Sample each group's alternating fail and repair instants as one
+	// strictly increasing run of times, the groups' runs back to back.
+	// Every run holds whole outages, so it starts at an even position and
+	// an event's kind is the parity of its position.
+	var times []int64
+	runs := make([]cursor, 0, p.Groups)
 	for g := 0; g < p.Groups; g++ {
+		start := len(times)
 		now := int64(0)
 		for {
 			now += atLeast(ttf.Sample(r), 1)
@@ -283,28 +282,82 @@ func Generate(p GenParams) (*Trace, error) {
 				break
 			}
 			up := now + atLeast(ttr.Sample(r), 1)
-			evs = append(evs, sampled{now, Fail, g}, sampled{up, Repair, g})
+			times = append(times, now, up)
 			now = up
 		}
+		if len(times) > start {
+			runs = append(runs, cursor{pos: start, end: len(times), group: g})
+		}
 	}
-	// Order by (time, kind, group): failures before repairs at the same
-	// instant. The key is unique — one group's events are strictly
-	// increasing in time — so the unstable sort is deterministic.
-	slices.SortFunc(evs, func(a, b sampled) int {
-		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.kind, b.kind), cmp.Compare(a.group, b.group))
-	})
-	// Every event's one-element Groups is a capped window of one array.
 	t := &Trace{}
-	if len(evs) == 0 {
+	if len(times) == 0 {
 		return t, nil
 	}
-	groups := make([]int, len(evs))
-	t.Events = make([]Event, len(evs))
-	for i, e := range evs {
-		groups[i] = e.group
-		t.Events[i] = Event{Time: e.time, Kind: e.kind, Groups: groups[i : i+1 : i+1]}
+	// Merge the runs in (time, kind, group) order: failures before
+	// repairs at one instant. The key is unique, since one group's times
+	// strictly increase, so the order is fully determined. Every event's
+	// one-element Groups is a capped window of one array.
+	m := merger{times: times, runs: runs}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	groups := make([]int, len(times))
+	t.Events = make([]Event, len(times))
+	for i := range t.Events {
+		c := &m.runs[0]
+		groups[i] = c.group
+		t.Events[i] = Event{Time: times[c.pos], Kind: Kind(c.pos & 1), Groups: groups[i : i+1 : i+1]}
+		if c.pos++; c.pos == c.end {
+			n := len(m.runs) - 1
+			m.runs[0] = m.runs[n]
+			m.runs = m.runs[:n]
+		}
+		m.siftDown(0)
 	}
 	return t, nil
+}
+
+// cursor is one group's run of sampled times in a merge: times[pos:end]
+// are still to be emitted.
+type cursor struct {
+	pos, end, group int
+}
+
+// merger is a min-heap of run cursors ordered by the (time, kind, group)
+// key of the event each points at.
+type merger struct {
+	times []int64
+	runs  []cursor
+}
+
+func (m *merger) less(i, j int) bool {
+	a, b := &m.runs[i], &m.runs[j]
+	ta, tb := m.times[a.pos], m.times[b.pos]
+	if ta != tb {
+		return ta < tb
+	}
+	if ka, kb := a.pos&1, b.pos&1; ka != kb {
+		return ka < kb
+	}
+	return a.group < b.group
+}
+
+func (m *merger) siftDown(i int) {
+	n := len(m.runs)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if right := least + 1; right < n && m.less(right, least) {
+			least = right
+		}
+		if !m.less(least, i) {
+			return
+		}
+		m.runs[i], m.runs[least] = m.runs[least], m.runs[i]
+		i = least
+	}
 }
 
 func atLeast(v float64, min int64) int64 {

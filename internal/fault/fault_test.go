@@ -107,42 +107,56 @@ func stableGenerate(p GenParams) *Trace {
 	return t
 }
 
-// TestGenerateKeysUniqueAndStable is the property that lets Generate use
-// an unstable sort: across seeds, group counts and fault densities
-// (including MTTR 0, where a repair may share its instant with other
-// groups' events), every sampled trace is strictly increasing in its
-// (time, kind, group) key, so no two events tie and any correct sort
-// yields the stable sort's order. It also checks the result against the
-// stable-sort reference event for event, and that appending to one
-// event's Groups cannot write into its neighbour's.
+// TestGenerateKeysUniqueAndStable is the property that lets Generate
+// merge its per-group runs without a tie rule beyond (time, kind, group):
+// across seeds, group counts and fault densities (including MTTR 0, where
+// a repair may share its instant with other groups' events), every
+// sampled trace is strictly increasing in that key, so no two events tie
+// and the merge yields the stable sort's order. It also checks the result
+// against the stable-sort reference event for event, and that appending
+// to one event's Groups cannot write into its neighbour's. Beyond the
+// grid it covers a thousand groups, MTBF 1 to 3 with MTTR 0 (failures and
+// repairs of many groups at one instant), and the faults-malleable shape.
 func TestGenerateKeysUniqueAndStable(t *testing.T) {
+	check := func(p GenParams) {
+		t.Helper()
+		got, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stableGenerate(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: Generate differs from the stable-sort reference", p)
+		}
+		for i := 1; i < len(got.Events); i++ {
+			a, b := got.Events[i-1], got.Events[i]
+			if a.Time > b.Time || (a.Time == b.Time && (a.Kind > b.Kind ||
+				(a.Kind == b.Kind && a.Groups[0] >= b.Groups[0]))) {
+				t.Fatalf("%+v: events %d and %d not strictly ordered: %+v, %+v", p, i-1, i, a, b)
+			}
+		}
+		if len(got.Events) > 1 {
+			e := got.Events[0]
+			_ = append(e.Groups, -1)
+			if got.Events[1].Groups[0] == -1 {
+				t.Fatalf("%+v: event Groups windows share capacity", p)
+			}
+		}
+	}
 	for _, groups := range []int{1, 2, 3, 10, 64} {
 		for _, rates := range [][2]float64{{300, 5000}, {5000, 800}, {2000, 0}, {40000, 2000}} {
 			for seed := int64(0); seed < 12; seed++ {
-				p := GenParams{Groups: groups, MTBF: rates[0], MTTR: rates[1], Horizon: 50000, Seed: seed}
-				got, err := Generate(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := stableGenerate(p); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%+v: Generate differs from the stable-sort reference", p)
-				}
-				for i := 1; i < len(got.Events); i++ {
-					a, b := got.Events[i-1], got.Events[i]
-					if a.Time > b.Time || (a.Time == b.Time && (a.Kind > b.Kind ||
-						(a.Kind == b.Kind && a.Groups[0] >= b.Groups[0]))) {
-						t.Fatalf("%+v: events %d and %d not strictly ordered: %+v, %+v", p, i-1, i, a, b)
-					}
-				}
-				if len(got.Events) > 1 {
-					e := got.Events[0]
-					_ = append(e.Groups, -1)
-					if got.Events[1].Groups[0] == -1 {
-						t.Fatalf("%+v: event Groups windows share capacity", p)
-					}
-				}
+				check(GenParams{Groups: groups, MTBF: rates[0], MTTR: rates[1], Horizon: 50000, Seed: seed})
 			}
 		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		check(GenParams{Groups: 1000, MTBF: 5000, MTTR: 800, Horizon: 50000, Seed: seed})
+		for _, mtbf := range []float64{1, 2, 3} {
+			check(GenParams{Groups: 64, MTBF: mtbf, MTTR: 0, Horizon: 300, Seed: seed})
+		}
+		shape := faultsMalleableShape
+		shape.Seed = seed
+		check(shape)
 	}
 }
 

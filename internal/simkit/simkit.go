@@ -25,11 +25,14 @@
 // scheduled with AtArg, at any time, cancellable. The static source holds
 // events registered with AtStatic before the first dispatch (a replayed
 // trace's arrivals, commands and faults): never cancelled, each a 24-byte
-// (time, seq, kind, index) record with no arena slot and no heap entry,
-// sorted once and then read through a cursor. Both parts draw sequence
-// numbers from one counter, and every dispatch takes the minimum (time,
-// seq) over the cursor and the heap top, so the dispatch order is exactly
-// what it would be with every event on the heap.
+// (time, seq, kind, index) record with no arena slot and no heap entry.
+// Registration splits the source into its maximal time-ordered runs, and
+// a small heap of run cursors, ordered by each run's head, merges them:
+// a trace whose streams are each in order costs one cursor per stream and
+// no sort. Both parts draw sequence numbers from one counter, and every
+// dispatch takes the minimum (time, seq) over the top run's head and the
+// heap top, so the dispatch order is exactly what it would be with every
+// event on the heap.
 package simkit
 
 import (
@@ -107,17 +110,18 @@ type Engine struct {
 	seq     uint64
 	queue   eventHeap
 	stepped uint64 // events dispatched
-	live    int    // scheduled, uncancelled events
+	live    int    // scheduled, uncancelled events, static and dynamic
 	dead    int    // cancelled entries still buried in the queue
 	chunks  [][]event
 	freeIDs []int32
 
-	// src is the static source; src[next:] is still pending. unsorted is
-	// set when a registration arrived out of (time, seq) order and cleared
-	// by the one sort before src is first read.
+	// src is the static source in registration order: a sequence of
+	// maximal runs ascending in time, a run ending where the next
+	// registration is earlier than its predecessor. heads is a min-heap
+	// of src positions, one per run with events still pending, ordered
+	// by the (time, seq) of the event each points at.
 	src      []static
-	next     int
-	unsorted bool
+	heads    []int32
 	onStatic StaticHandler
 }
 
@@ -142,9 +146,9 @@ func New() *Engine {
 
 // Reset returns the engine to the state New leaves it in, clock and
 // sequence counter at zero and nothing pending, but keeps the capacity of
-// its event arena, heap and static source, and its static handler. Every
-// pending event is dropped and every outstanding Handle goes stale, so a
-// Cancel through one is a no-op.
+// its event arena, heap, static source and run cursors, and its static
+// handler. Every pending event is dropped and every outstanding Handle
+// goes stale, so a Cancel through one is a no-op.
 func (e *Engine) Reset() {
 	for _, en := range e.queue {
 		e.recycle(en.id)
@@ -154,6 +158,7 @@ func (e *Engine) Reset() {
 		chunks:   e.chunks,
 		freeIDs:  e.freeIDs,
 		src:      e.src[:0],
+		heads:    e.heads[:0],
 		onStatic: e.onStatic,
 	}
 }
@@ -166,7 +171,7 @@ func (e *Engine) Dispatched() uint64 { return e.stepped }
 
 // Pending returns the number of scheduled events, static and dynamic.
 // O(1): a live counter is maintained across AtArg, Cancel, and dispatch.
-func (e *Engine) Pending() int { return e.live + len(e.src) - e.next }
+func (e *Engine) Pending() int { return e.live }
 
 // AtArg schedules fn(t, arg) at absolute time t. The callback is a shared
 // function plus an argument, so a caller dispatching many events through
@@ -200,11 +205,19 @@ func (e *Engine) AtStatic(t Time, k StaticKind, idx int) {
 	case idx < 0 || idx > 1<<31-1:
 		panic(fmt.Sprintf("simkit: static index %d outside int32", idx))
 	}
-	if n := len(e.src); n > 0 && e.src[n-1].time > t {
-		e.unsorted = true
+	pos := len(e.src)
+	if pos > 1<<31-1 {
+		panic("simkit: more than 1<<31 static events")
 	}
 	e.src = append(e.src, static{time: t, seq: e.seq, kind: k, idx: int32(idx)})
 	e.seq++
+	e.live++
+	// An event no earlier than its predecessor extends that run; its
+	// cursor's head is unchanged, so the heads heap is too.
+	if pos == 0 || t < e.src[pos-1].time {
+		e.heads = append(e.heads, int32(pos))
+		e.siftUpHead(len(e.heads) - 1)
+	}
 }
 
 // GrowStatic makes room for n more static events, so a caller that knows
@@ -289,40 +302,56 @@ func (e *Engine) compact() {
 	e.dead = 0
 }
 
-// settled reports whether both heads of the queue can be read as they
-// stand: the static source is in order and the heap's top is live.
+// settled reports whether the heap's top can be read as it stands: it is
+// live, or the heap is empty.
 func (e *Engine) settled() bool {
-	return !e.unsorted && (len(e.queue) == 0 || e.queue[0].gen == e.at(e.queue[0].id).gen)
+	return len(e.queue) == 0 || e.queue[0].gen == e.at(e.queue[0].id).gen
 }
 
-// settle readies both heads of the queue for reading. It sorts the static
-// source if registrations arrived out of (time, seq) order (they all
-// precede the first dispatch, so this sorts at most once), and discards
-// cancelled entries at the top of the heap.
+// settle discards cancelled entries at the top of the heap.
 func (e *Engine) settle() {
-	if e.unsorted {
-		slices.SortFunc(e.src[e.next:], func(a, b static) int {
-			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
-		})
-		e.unsorted = false
-	}
 	for len(e.queue) > 0 && e.queue[0].gen != e.at(e.queue[0].id).gen {
 		e.dead--
 		e.recycle(e.queue.pop().id)
 	}
 }
 
-// staticFirst reports whether the earliest pending event is the static
-// source's next one rather than the heap's top. The queue must be settled.
+// staticFirst reports whether the earliest pending event is the head of
+// the static source's top run rather than the heap's top. The queue must
+// be settled.
 func (e *Engine) staticFirst() bool {
-	if e.next == len(e.src) {
+	if len(e.heads) == 0 {
 		return false
 	}
 	if len(e.queue) == 0 {
 		return true
 	}
-	s, q := &e.src[e.next], &e.queue[0]
+	s, q := &e.src[e.heads[0]], &e.queue[0]
 	return before(s.time, s.seq, q.time, q.seq)
+}
+
+// runContinues reports whether the static event after position pos
+// belongs to pos's run.
+func (e *Engine) runContinues(pos int32) bool {
+	next := int(pos) + 1
+	return next < len(e.src) && e.src[next].time >= e.src[pos].time
+}
+
+// advanceStatic moves the top run's cursor past its head, dropping the
+// run when it is exhausted. A lone run needs no sift.
+func (e *Engine) advanceStatic() {
+	h := e.heads
+	if pos := h[0]; e.runContinues(pos) {
+		h[0] = pos + 1
+	} else {
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		e.heads = h
+	}
+	if len(h) > 1 {
+		e.siftDownHead(0)
+	}
 }
 
 // before reports whether the event keyed (at, as) dispatches before the
@@ -338,10 +367,11 @@ func (e *Engine) Step() bool {
 		e.settle()
 	}
 	if e.staticFirst() {
-		s := e.src[e.next]
-		e.next++
+		s := e.src[e.heads[0]]
+		e.advanceStatic()
 		e.now = s.time
 		e.stepped++
+		e.live--
 		e.onStatic(e.now, s.kind, int(s.idx))
 		return true
 	}
@@ -388,7 +418,7 @@ func (e *Engine) PeekTime() (Time, bool) {
 		e.settle()
 	}
 	if e.staticFirst() {
-		return e.src[e.next].time, true
+		return e.src[e.heads[0]].time, true
 	}
 	if len(e.queue) > 0 {
 		return e.queue[0].time, true
@@ -438,28 +468,35 @@ type PendingEvent struct {
 // engine in this order reproduces the dispatch order exactly, because seq
 // numbers are assigned monotonically at scheduling time.
 func (e *Engine) PendingInOrder() []PendingEvent {
-	live := make([]entry, 0, e.live)
+	// Key every live heap entry and every static event left in a run's
+	// remainder, the latter by its negated source position, then sort.
+	keys := make([]entry, 0, e.live)
 	for _, en := range e.queue {
 		if en.gen == e.at(en.id).gen {
-			live = append(live, en)
+			keys = append(keys, en)
 		}
 	}
-	slices.SortFunc(live, func(a, b entry) int {
+	for _, pos := range e.heads {
+		for ; ; pos++ {
+			s := &e.src[pos]
+			keys = append(keys, entry{time: s.time, seq: s.seq, id: -1 - pos})
+			if !e.runContinues(pos) {
+				break
+			}
+		}
+	}
+	slices.SortFunc(keys, func(a, b entry) int {
 		return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
 	})
-	// Merge with the static remainder, which is already in order.
-	e.settle()
-	rest := e.src[e.next:]
-	out := make([]PendingEvent, 0, len(live)+len(rest))
-	for len(live) > 0 || len(rest) > 0 {
-		if len(rest) > 0 && (len(live) == 0 || before(rest[0].time, rest[0].seq, live[0].time, live[0].seq)) {
-			out = append(out, PendingEvent{Time: rest[0].time, Kind: rest[0].kind, Index: int(rest[0].idx)})
-			rest = rest[1:]
+	out := make([]PendingEvent, len(keys))
+	for i, k := range keys {
+		if k.id < 0 {
+			s := &e.src[-1-k.id]
+			out[i] = PendingEvent{Time: s.time, Kind: s.kind, Index: int(s.idx)}
 			continue
 		}
-		ev := e.at(live[0].id)
-		out = append(out, PendingEvent{Handle: Handle{ev, ev.gen}, Time: live[0].time, Arg: ev.arg})
-		live = live[1:]
+		ev := e.at(k.id)
+		out[i] = PendingEvent{Handle: Handle{ev, ev.gen}, Time: k.time, Arg: ev.arg}
 	}
 	return out
 }
@@ -480,9 +517,11 @@ func (e *Engine) RestoreClock(now Time, dispatched uint64) {
 			panic(fmt.Sprintf("simkit: RestoreClock(%d) with event pending at %d", now, en.time))
 		}
 	}
-	for _, s := range e.src[e.next:] {
-		if s.time < now {
-			panic(fmt.Sprintf("simkit: RestoreClock(%d) with event pending at %d", now, s.time))
+	// A run ascends from its head, so the heads are the earliest static
+	// events still pending.
+	for _, pos := range e.heads {
+		if t := e.src[pos].time; t < now {
+			panic(fmt.Sprintf("simkit: RestoreClock(%d) with event pending at %d", now, t))
 		}
 	}
 	e.now = now
@@ -573,4 +612,43 @@ func (h *eventHeap) pop() entry {
 		(*h).siftDown(0)
 	}
 	return en
+}
+
+// headBefore reports whether the run cursor at heads[i] points at an
+// earlier event than the one at heads[j].
+func (e *Engine) headBefore(i, j int) bool {
+	a, b := &e.src[e.heads[i]], &e.src[e.heads[j]]
+	return before(a.time, a.seq, b.time, b.seq)
+}
+
+// siftUpHead and siftDownHead keep heads a min-heap on its cursors'
+// (time, seq). It holds one cursor per run, a handful for a replayed
+// trace, so plain swaps serve.
+func (e *Engine) siftUpHead(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.headBefore(i, parent) {
+			return
+		}
+		e.heads[i], e.heads[parent] = e.heads[parent], e.heads[i]
+		i = parent
+	}
+}
+
+func (e *Engine) siftDownHead(i int) {
+	n := len(e.heads)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if right := least + 1; right < n && e.headBefore(right, least) {
+			least = right
+		}
+		if !e.headBefore(least, i) {
+			return
+		}
+		e.heads[i], e.heads[least] = e.heads[least], e.heads[i]
+		i = least
+	}
 }

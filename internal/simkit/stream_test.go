@@ -125,6 +125,25 @@ func FuzzStreamMerge(f *testing.F) {
 	f.Add([]byte{4, 3, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0}, []byte{0x17, 5})
 	f.Add([]byte{0x30, 0x31}, []byte{0x30})
 	f.Add([]byte{}, []byte{})
+	// Load's shape: three ascending runs (arrivals, commands, faults) whose
+	// times tie across runs at 0, 2, 5 and 9, with a dynamic event at a
+	// tied instant, drained by timestamps and by single steps.
+	load := []byte{12,
+		0, 0, 0, 0, 2, 0, 0, 5, 0, 0, 9, 0,
+		4, 2, 0, 4, 5, 0, 4, 7, 0,
+		2, 5, 0,
+		0, 0, 0, 0, 5, 0, 0, 9, 0, 0, 12, 0,
+		0x80, 3, 0x80, 7, 0x80}
+	f.Add(load, []byte{})
+	f.Add(load, []byte{1, 0x22, 4, 0x13})
+	// Three ascending runs after a GrowStatic, with ties inside a run (4,
+	// 6) as well as across runs (1, 4, 6).
+	f.Add([]byte{12,
+		15, 4, 0,
+		0, 1, 0, 0, 4, 0, 0, 4, 0,
+		4, 1, 0, 4, 4, 0, 4, 6, 0, 4, 6, 0,
+		0, 1, 0, 0, 4, 0, 0, 6, 0, 0, 15, 0,
+		1, 2, 3, 0x80}, []byte{3, 0x25, 0, 0x16})
 	f.Fuzz(func(t *testing.T, ops, script []byte) {
 		stream, ref := newMergeRig(true, script), newMergeRig(false, script)
 		next := func() byte {
@@ -216,4 +235,27 @@ func TestRestoreClockRejectsPastStaticEvents(t *testing.T) {
 		}
 	}()
 	e.RestoreClock(10, 3)
+}
+
+// A Reset engine keeps its static source and run cursors: registering
+// the same run shape again, and draining it, allocates nothing.
+func TestResetReregisterAllocatesNothing(t *testing.T) {
+	e := New()
+	e.OnStatic(func(Time, StaticKind, int) {})
+	runs := [][]Time{{0, 3, 3, 9}, {1, 3, 8}, {0, 2, 3, 20}}
+	load := func() {
+		e.Reset()
+		for _, run := range runs {
+			for i, at := range run {
+				e.AtStatic(at, 1, i)
+			}
+		}
+		if e.Run(); e.Dispatched() != 11 {
+			t.Fatalf("dispatched %d static events, want 11", e.Dispatched())
+		}
+	}
+	load()
+	if n := testing.AllocsPerRun(20, load); n != 0 {
+		t.Fatalf("re-registering after Reset allocates %v times per run, want 0", n)
+	}
 }
