@@ -129,7 +129,10 @@ var ratioGates = []struct {
 // that alternate every call: restoring a value-table fill slows them
 // several times over. The fault.Generate cell samples and merges one
 // faults-malleable fault trace: restoring a sort of the per-group runs
-// makes it several times slower and raises its bytes per op.
+// makes it several times slower and raises its bytes per op. The
+// Overload/CONS-D cell replays elastibench's deep-queue trace shape, where
+// the conservative pass outweighs the rest of the engine: it must not be
+// skipped when that pass changes.
 // A cell is only enforced when -bench keeps its default and -pkgs names
 // its package; a filtered invocation legitimately compares a subset.
 var requiredGates = []string{
@@ -146,6 +149,7 @@ var requiredGates = []string{
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/EASY",
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/LOS",
 	"elastisched/internal/engine.BenchmarkSimulate500Reset/Delayed-LOS",
+	"elastisched/internal/engine.BenchmarkSimulateOverload/CONS-D",
 	"elastisched/internal/dispatch.BenchmarkShardedSteal64",
 	"elastisched/internal/fault.BenchmarkGenerate",
 }

@@ -60,6 +60,9 @@ func TestStatefulFeedIsBehaviourNeutral(t *testing.T) {
 		{"heterogeneous", func(p *workload.Params) { p.PD = 0.5; p.PS = 0.2; p.TargetLoad = 1.0 }},
 		{"dedicated-heavy", func(p *workload.Params) { p.PD = 0.95; p.TargetLoad = 0.9 }},
 		{"elastic-hetero", func(p *workload.Params) { p.PD = 0.5; p.PE = 0.2; p.PR = 0.1; p.TargetLoad = 1.0 }},
+		// Overestimated runtimes: jobs finish before their kill-by time,
+		// which hands capacity back under the reservations CONS/CONS-D keep.
+		{"inexact", func(p *workload.Params) { p.EstUniformMax = 5; p.TargetLoad = 1.4 }},
 	}
 	for _, sc := range scenarios {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -248,9 +251,11 @@ func (r fullWalkCons) Schedule(ctx *sched.Context) {
 }
 
 // TestConservativeStopMatchesFullWalk checks CONS/CONS-D's demand-driven
-// stop against fullWalkCons in overloaded sessions (load 1.4, where the
-// queue grows and almost every pass stops early), with ECCs retiming and
-// resizing running jobs: the start streams must be identical, span by span.
+// stop and plan reuse against fullWalkCons in overloaded sessions (load
+// 1.4, where the queue grows and almost every pass stops early or resumes a
+// plan), with ECCs retiming and resizing running jobs, early completions
+// and dense dedicated arrivals: the start streams must be identical, span
+// by span.
 func TestConservativeStopMatchesFullWalk(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -259,6 +264,12 @@ func TestConservativeStopMatchesFullWalk(t *testing.T) {
 		{"batch", func(p *workload.Params) {}},
 		{"heterogeneous", func(p *workload.Params) { p.PD = 0.3 }},
 		{"elastic", func(p *workload.Params) { p.PE = 0.2; p.PR = 0.1 }},
+		// Early completions free capacity under the kept reservation plan.
+		{"inexact", func(p *workload.Params) { p.PD = 0.3; p.EstUniformMax = 5 }},
+		// elastibench's deep-queue trace shape: the plan outlives many passes.
+		{"deep-queue", func(p *workload.Params) { p.N = 1200; p.PD = 0.3; p.PE = 0.2; p.PR = 0.1 }},
+		// Dedicated arrivals and due moves dominate the plan's deltas.
+		{"dedicated-heavy", func(p *workload.Params) { p.PD = 0.8 }},
 	}
 	run := func(w *cwf.Workload, s sched.Scheduler) []trace.Span {
 		rec := trace.NewRecorder(320, 32)

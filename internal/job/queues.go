@@ -137,19 +137,22 @@ type DedicatedQueue struct{ window }
 // NewDedicatedQueue returns an empty list.
 func NewDedicatedQueue() *DedicatedQueue { return &DedicatedQueue{} }
 
-// Push inserts a job keeping the start-time order.
+// Push inserts a job keeping the queue in DedicatedBefore order.
 func (q *DedicatedQueue) Push(j *Job) {
 	live := q.Jobs()
-	q.insert(sort.Search(len(live), func(i int) bool {
-		a := live[i]
-		if a.ReqStart != j.ReqStart {
-			return a.ReqStart > j.ReqStart
-		}
-		if a.Arrival != j.Arrival {
-			return a.Arrival > j.Arrival
-		}
-		return a.ID > j.ID
-	}), j)
+	q.insert(sort.Search(len(live), func(i int) bool { return DedicatedBefore(j, live[i]) }), j)
+}
+
+// DedicatedBefore reports whether dedicated job a sorts strictly before b
+// in W^d: by requested start time, then arrival, then ID.
+func DedicatedBefore(a, b *Job) bool {
+	if a.ReqStart != b.ReqStart {
+		return a.ReqStart < b.ReqStart
+	}
+	if a.Arrival != b.Arrival {
+		return a.Arrival < b.Arrival
+	}
+	return a.ID < b.ID
 }
 
 // PopHead removes and returns the earliest dedicated job, or nil.

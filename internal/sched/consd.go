@@ -23,9 +23,10 @@ func (*ConservativeD) Heterogeneous() bool { return true }
 // Schedule moves due dedicated jobs to the queue head, then runs the
 // conservative pass with dedicated reservations pinned in the profile.
 func (s *ConservativeD) Schedule(ctx *Context) {
-	if MoveDueDedicated(ctx, 0) {
+	if h := ctx.Dedicated.Head(); MoveDueDedicated(ctx, 0) {
 		// The queue changed shape under the pass's feet; the fixed-point
-		// re-invocation must run in full.
+		// re-invocation must run, from the plan when the move keeps it.
+		s.dueMoved(ctx, h)
 		s.settled = false
 		return
 	}
