@@ -109,12 +109,14 @@ repro-check: repro
 lock-check:
 	$(GO) test -run '^TestBehaviourLock$$' -count=1 .
 
+# Run every example program; each prints deterministic output.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/heterogeneous
 	$(GO) run ./examples/elastic
 	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/fragmentation
+	$(GO) run ./examples/customsched
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

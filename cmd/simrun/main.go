@@ -70,12 +70,12 @@ var (
 // validateSharded applies the dispatcher's rule for the sharding knobs
 // (-route, -epoch, -steal, -affinity; dispatch.ErrNeedsClusters on a single
 // cluster), then rejects flag combinations that need a single cluster.
-func validateSharded(clusters int, so sweepOpts, resuming bool) error {
-	sh := dispatch.Config{Clusters: clusters, Route: so.route, Epoch: so.epoch, Steal: so.steal, Affinity: so.affinity}
+func validateSharded(so sweepOpts, resuming bool) error {
+	sh := dispatch.Config{Clusters: so.Clusters, Route: so.Route, Epoch: so.Epoch, Steal: so.Steal, Affinity: so.Affinity}
 	if err := sh.ValidateSharding(); err != nil {
 		return err
 	}
-	if clusters <= 1 {
+	if so.Clusters <= 1 {
 		return nil
 	}
 	if so.gantt != "" || so.jobsOut != "" {
@@ -88,125 +88,130 @@ func validateSharded(clusters int, so sweepOpts, resuming bool) error {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2) // the flag set has printed the problem and the usage
+		}
+		fmt.Fprintln(os.Stderr, "simrun:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set rejected.
+var errUsage = errors.New("simrun: bad command line")
+
+// run is the whole command: it parses args, reads the workload from the
+// named file or stdin, and writes the report to stdout and diagnostics to
+// stderr.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("simrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var opt es.Options
+	var so sweepOpts
+	fs.IntVar(&opt.Config.M, "m", 0, "machine size in processors, per cluster with -clusters (0 = from the trace's MaxNodes header, else 320)")
+	fs.IntVar(&opt.Config.Unit, "unit", 0, "allocation quantum (0 = gcd of machine size and job sizes)")
+	fs.IntVar(&opt.Cs, "cs", 0, "maximum skip count C_s (0 = default)")
+	fs.IntVar(&opt.Lookahead, "lookahead", 0, "DP window bound (0 = default 50)")
+	fs.IntVar(&opt.Config.MaxECCPerJob, "max-ecc", 0, "max ECCs per job (0 = unlimited)")
+	fs.BoolVar(&opt.Config.Malleable, "malleable", false, "enable work-conserving runtime resizing (use -M algorithm variants for scheduler-initiated shrink/expand)")
+	fs.Int64Var(&opt.Config.ResizeOverhead, "resize-overhead", 0, "reconfiguration penalty in s charged per resize (with -malleable)")
+	fs.IntVar(&so.Clusters, "clusters", 1, "parallel cluster simulations behind a global dispatcher (global machine = clusters x m)")
+	fs.StringVar(&so.Route, "route", "roundrobin", "sharded dispatch policy: roundrobin, least-work, best-fit, or feedback (feedback needs -epoch)")
+	fs.Int64Var(&so.Epoch, "epoch", 0, "epoch length in sim seconds for the dispatcher's barrier-synchronized protocol, needed by -steal, -affinity and -route feedback (with -clusters > 1)")
+	fs.BoolVar(&so.Steal, "steal", false, "let idle clusters steal queued jobs at each epoch barrier (needs -epoch)")
+	fs.IntVar(&so.Affinity, "affinity", 0, "pin every Nth submission to a home cluster that routing and stealing respect (needs -epoch)")
+	fs.StringVar(&so.gantt, "gantt", "", "write a schedule Gantt chart of the FIRST algorithm (.svg file, or '-' for ASCII on stdout)")
+	fs.StringVar(&so.jobsOut, "jobs", "", "write per-job placement records of the FIRST algorithm as TSV ('-' for stdout)")
+	fs.Int64Var(&so.until, "until", -1, "stop after the last event at or before this time and report partial metrics (-1 = run to completion)")
+	fs.StringVar(&so.checkFile, "checkpoint", "", "write the stopped session's snapshot to this file (single algorithm only)")
+	var fc es.FaultConfig
+	fs.Float64Var(&fc.MTBF, "mtbf", 0, "per-node-group mean time between failures in s (0 = fault injection off)")
+	fs.Float64Var(&fc.MTTR, "mttr", 0, "per-node-group mean time to repair in s (with -mtbf)")
+	fs.Int64Var(&fc.Seed, "fault-seed", 1, "fault trace sampling seed (with -mtbf)")
+	fs.IntVar(&fc.Retry.MaxRetries, "max-retries", 0, "requeues per job before it is dropped (0 = unlimited)")
+	fs.Int64Var(&fc.Retry.Backoff, "retry-backoff", 0, "delay in s before a killed job is resubmitted")
+	fs.Int64Var(&fc.CheckpointInterval, "ckpt-interval", 0, "periodic checkpoint interval in s (with -ckpt-policy periodic)")
+	fs.Int64Var(&fc.CheckpointCost, "ckpt-cost", 0, "charge in s per checkpoint and per restart-from-checkpoint (with -ckpt-policy)")
 	var (
-		algosFlag = flag.String("algos", "EASY,LOS,Delayed-LOS", "comma-separated algorithm names")
-		m         = flag.Int("m", 0, "machine size in processors, per cluster with -clusters (0 = from the trace's MaxNodes header, else 320)")
-		clusters  = flag.Int("clusters", 1, "parallel cluster simulations behind a global dispatcher (global machine = clusters x m)")
-		routeF    = flag.String("route", "roundrobin", "sharded dispatch policy: roundrobin, least-work, best-fit, or feedback (feedback needs -epoch)")
-		epochF    = flag.Int64("epoch", 0, "epoch length in sim seconds for the dispatcher's barrier-synchronized protocol, needed by -steal, -affinity and -route feedback (with -clusters > 1)")
-		stealF    = flag.Bool("steal", false, "let idle clusters steal queued jobs at each epoch barrier (needs -epoch)")
-		affinityF = flag.Int("affinity", 0, "pin every Nth submission to a home cluster that routing and stealing respect (needs -epoch)")
-		unit      = flag.Int("unit", 0, "allocation quantum (0 = gcd of machine size and job sizes)")
-		cs        = flag.Int("cs", 0, "maximum skip count C_s (0 = default)")
-		lookahead = flag.Int("lookahead", 0, "DP window bound (0 = default 50)")
-		maxECC    = flag.Int("max-ecc", 0, "max ECCs per job (0 = unlimited)")
-		list      = flag.Bool("list", false, "list algorithm names and exit")
-		gantt     = flag.String("gantt", "", "write a schedule Gantt chart of the FIRST algorithm (.svg file, or '-' for ASCII on stdout)")
-		jobsOut   = flag.String("jobs", "", "write per-job placement records of the FIRST algorithm as TSV ('-' for stdout)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		until     = flag.Int64("until", -1, "stop after the last event at or before this time and report partial metrics (-1 = run to completion)")
-		checkFile = flag.String("checkpoint", "", "write the stopped session's snapshot to this file (single algorithm only)")
-		resumeF   = flag.String("resume", "", "resume from a snapshot file instead of reading a workload")
+		algosFlag = fs.String("algos", "EASY,LOS,Delayed-LOS", "comma-separated algorithm names")
+		list      = fs.Bool("list", false, "list algorithm names and exit")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		resumeF   = fs.String("resume", "", "resume from a snapshot file instead of reading a workload")
 
-		mtbf       = flag.Float64("mtbf", 0, "per-node-group mean time between failures in s (0 = fault injection off)")
-		mttr       = flag.Float64("mttr", 0, "per-node-group mean time to repair in s (with -mtbf)")
-		faultSeed  = flag.Int64("fault-seed", 1, "fault trace sampling seed (with -mtbf)")
-		faultFile  = flag.String("fault-trace", "", "scripted fault trace file (\"<time> fail|repair <groups>\" lines; exclusive with -mtbf)")
-		retryMode  = flag.String("retry", "requeue", "policy for batch jobs killed by a failure: requeue or drop")
-		restart    = flag.String("restart", "full", "runtime a requeued job restarts with: full or remaining")
-		maxRetries = flag.Int("max-retries", 0, "requeues per job before it is dropped (0 = unlimited)")
-		backoff    = flag.Int64("retry-backoff", 0, "delay in s before a killed job is resubmitted")
-		ckptPolicy = flag.String("ckpt-policy", "none", "checkpoint policy for running batch jobs: none, periodic, on-resize or daly (kills then restart from the last checkpoint; with -mtbf/-fault-trace)")
-		ckptIvl    = flag.Int64("ckpt-interval", 0, "periodic checkpoint interval in s (with -ckpt-policy periodic)")
-		ckptCost   = flag.Int64("ckpt-cost", 0, "charge in s per checkpoint and per restart-from-checkpoint (with -ckpt-policy)")
-
-		malleable  = flag.Bool("malleable", false, "enable work-conserving runtime resizing (use -M algorithm variants for scheduler-initiated shrink/expand)")
-		resizeOvhd = flag.Int64("resize-overhead", 0, "reconfiguration penalty in s charged per resize (with -malleable)")
+		faultFile  = fs.String("fault-trace", "", "scripted fault trace file (\"<time> fail|repair <groups>\" lines; exclusive with -mtbf)")
+		retryMode  = fs.String("retry", "requeue", "policy for batch jobs killed by a failure: requeue or drop")
+		restart    = fs.String("restart", "full", "runtime a requeued job restarts with: full or remaining")
+		ckptPolicy = fs.String("ckpt-policy", "none", "checkpoint policy for running batch jobs: none, periodic, on-resize or daly (kills then restart from the last checkpoint; with -mtbf/-fault-trace)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	if *list {
-		fmt.Println(strings.Join(es.AlgorithmNames(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(es.AlgorithmNames(), "\n"))
+		return nil
 	}
-
-	mv := *m
-	so := sweepOpts{
-		gantt: *gantt, jobsOut: *jobsOut, until: *until, checkFile: *checkFile,
-		clusters: *clusters, route: *routeF,
-		epoch: *epochF, steal: *stealF, affinity: *affinityF,
+	if err := validateSharded(so, *resumeF != ""); err != nil {
+		return err
 	}
-	if err := validateSharded(*clusters, so, *resumeF != ""); err != nil {
-		fatal(err)
-	}
-
 	if *resumeF != "" {
-		if err := resumeRun(*resumeF, *until, *checkFile, *cs, *lookahead); err != nil {
-			fatal(err)
-		}
-		return
+		return resumeRun(*resumeF, opt, so, stdout, stderr)
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "simrun:", err)
+			fmt.Fprintln(stderr, "simrun:", err)
 		}
 	}()
 
-	var in io.Reader = os.Stdin
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+	in := stdin
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
 	w, err := es.ParseCWF(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if mv == 0 {
+	if opt.Config.M == 0 {
 		if declared := w.MaxNodes(); declared > 0 {
-			mv = declared
-			fmt.Fprintf(os.Stderr, "simrun: machine size %d from trace header\n", mv)
+			opt.Config.M = declared
+			fmt.Fprintf(stderr, "simrun: machine size %d from trace header\n", opt.Config.M)
 		} else {
-			mv = 320
+			opt.Config.M = 320
 		}
 	}
-	if *unit == 0 {
-		*unit = autoUnit(w, mv)
+	if opt.Config.Unit == 0 {
+		opt.Config.Unit = autoUnit(w, opt.Config.M)
 	}
-	if *clusters > 1 {
-		fmt.Printf("workload: %d jobs (%d dedicated), %d ECCs (machine %d x unit %d, %d clusters via %s, global %d)\n",
-			len(w.Jobs), w.NumDedicated(), len(w.Commands), mv, *unit, *clusters, *routeF, mv**clusters)
+	if so.Clusters > 1 {
+		fmt.Fprintf(stdout, "workload: %d jobs (%d dedicated), %d ECCs (machine %d x unit %d, %d clusters via %s, global %d)\n",
+			len(w.Jobs), w.NumDedicated(), len(w.Commands), opt.Config.M, opt.Config.Unit, so.Clusters, so.Route, opt.Config.M*so.Clusters)
 	} else {
-		fmt.Printf("workload: %d jobs (%d dedicated), %d ECCs, offered load %.3f (machine %d x unit %d)\n",
-			len(w.Jobs), w.NumDedicated(), len(w.Commands), w.Load(mv), mv, *unit)
+		fmt.Fprintf(stdout, "workload: %d jobs (%d dedicated), %d ECCs, offered load %.3f (machine %d x unit %d)\n",
+			len(w.Jobs), w.NumDedicated(), len(w.Commands), w.Load(opt.Config.M), opt.Config.M, opt.Config.Unit)
 	}
 
 	algos := strings.Split(*algosFlag, ",")
-	if *checkFile != "" && len(algos) > 1 {
-		fatal(fmt.Errorf("-checkpoint requires a single algorithm, got %d", len(algos)))
+	if so.checkFile != "" && len(algos) > 1 {
+		return fmt.Errorf("-checkpoint requires a single algorithm, got %d", len(algos))
 	}
-
-	fc, err := faultConfig(*mtbf, *mttr, *faultSeed, *faultFile, *retryMode, *restart, *maxRetries, *backoff,
-		*ckptPolicy, *ckptIvl, *ckptCost)
-	if err != nil {
-		fatal(err)
+	if opt.Config.Faults, err = faultConfig(fc, *faultFile, *retryMode, *restart, *ckptPolicy); err != nil {
+		return err
 	}
-	opt := es.Options{
-		M: mv, Unit: *unit, Cs: *cs, Lookahead: *lookahead, MaxECCPerJob: *maxECC,
-		Faults: fc, Malleable: *malleable, ResizeOverhead: *resizeOvhd,
-	}
-	if err := runSweep(w, algos, opt, os.Stdout, so); err != nil {
-		fatal(err)
-	}
+	return runSweep(w, algos, opt, stdout, stderr, so)
 }
 
 // sweepOpts bundles the rendering, session-control and sharding knobs of
@@ -215,50 +220,40 @@ type sweepOpts struct {
 	gantt, jobsOut string
 	until          int64
 	checkFile      string
-	// clusters > 1 dispatches each run across parallel cluster simulations;
-	// route names the dispatch policy ("" = roundrobin). epoch > 0 switches
-	// to the barrier-synchronized protocol; steal and affinity select its
-	// exchange features.
-	clusters int
-	route    string
-	epoch    int64
-	steal    bool
-	affinity int
+	// Clusters > 1 dispatches each run across parallel cluster simulations.
+	es.ShardedOptions
 }
 
 // runSweep runs every algorithm in order, writing one result row per
 // completed run. A failing run aborts the sweep, but the rows already
 // completed are flushed first: a mid-sweep abort keeps its partial results.
-func runSweep(w *es.Workload, algos []string, opt es.Options, out io.Writer, so sweepOpts) error {
-	faulty := opt.Faults != nil
-	ckpt := faulty && opt.Faults.Checkpoint != es.CheckpointNone
+func runSweep(w *es.Workload, algos []string, opt es.Options, out, errOut io.Writer, so sweepOpts) error {
+	faulty := opt.Config.Faults != nil
+	ckpt := faulty && opt.Config.Faults.Checkpoint != es.CheckpointNone
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, resultHeader(faulty, ckpt, opt.Malleable))
+	fmt.Fprintln(tw, resultHeader(faulty, ckpt, opt.Config.Malleable))
 	var sweepErr error
 	for i, name := range algos {
 		name = strings.TrimSpace(name)
 		aopt := opt
 		var rec *es.Trace
 		if (so.gantt != "" || so.jobsOut != "") && i == 0 {
-			rec = es.NewTrace(opt.M, opt.Unit)
-			aopt.Trace = rec
+			rec = es.NewTrace(opt.Config.M, opt.Config.Unit)
+			aopt.Config.Observer = rec
 		}
-		if so.clusters > 1 {
-			sres, err := es.SimulateSharded(w, name, aopt, es.ShardedOptions{
-				Clusters: so.clusters, Route: so.route,
-				Epoch: so.epoch, Steal: so.steal, Affinity: so.affinity,
-			})
+		if so.Clusters > 1 {
+			sres, err := es.SimulateSharded(w, name, aopt, so.ShardedOptions)
 			if err != nil {
 				sweepErr = fmt.Errorf("%s: %w", name, err)
 				break
 			}
-			fmt.Fprint(tw, summaryRow(name, sres.Merged, sres.ECC.Applied, faulty, ckpt, opt.Malleable))
+			fmt.Fprint(tw, summaryRow(name, sres.Merged, sres.ECC.Applied, faulty, ckpt, opt.Config.Malleable))
 			continue
 		}
 		var res *es.Result
 		var err error
 		if so.until >= 0 || so.checkFile != "" {
-			res, err = runCapped(w, name, aopt, so.until, so.checkFile)
+			res, err = runCapped(w, name, aopt, so.until, so.checkFile, errOut)
 		} else {
 			res, err = es.Simulate(w, name, aopt)
 		}
@@ -266,7 +261,7 @@ func runSweep(w *es.Workload, algos []string, opt es.Options, out io.Writer, so 
 			sweepErr = fmt.Errorf("%s: %w", name, err)
 			break
 		}
-		fmt.Fprint(tw, resultRow(name, res, faulty, ckpt, opt.Malleable))
+		fmt.Fprint(tw, summaryRow(name, res.Summary, res.ECC.Applied, faulty, ckpt, opt.Config.Malleable))
 		if rec != nil && so.gantt != "" {
 			if so.gantt == "-" {
 				fmt.Fprintln(out, rec.ASCII(100))
@@ -274,11 +269,11 @@ func runSweep(w *es.Workload, algos []string, opt es.Options, out io.Writer, so 
 				sweepErr = err
 				break
 			} else {
-				fmt.Fprintf(os.Stderr, "simrun: wrote %s\n", so.gantt)
+				fmt.Fprintf(errOut, "simrun: wrote %s\n", so.gantt)
 			}
 		}
 		if rec != nil && so.jobsOut != "" {
-			if err := writeJobs(so.jobsOut, rec); err != nil {
+			if err := writeJobs(so.jobsOut, rec, out, errOut); err != nil {
 				sweepErr = err
 				break
 			}
@@ -290,37 +285,34 @@ func runSweep(w *es.Workload, algos []string, opt es.Options, out io.Writer, so 
 	return sweepErr
 }
 
-// faultConfig assembles Options.Faults from the fault flags; nil when fault
+// faultConfig completes the fault flags bound straight into fc with the
+// ones that need parsing, and returns Config.Faults: nil when fault
 // injection is off. Checkpoint knobs are validated up front with the fault
 // package's typed errors (errors.Is-testable) rather than per-algorithm at
 // engine start.
-func faultConfig(mtbf, mttr float64, seed int64, traceFile, retry, restart string, maxRetries int, backoff int64,
-	ckptPolicy string, ckptIvl, ckptCost int64) (*es.FaultConfig, error) {
-	ckpt, err := es.ParseCheckpointPolicy(ckptPolicy)
-	if err != nil {
+func faultConfig(fc es.FaultConfig, traceFile, retry, restart, ckptPolicy string) (*es.FaultConfig, error) {
+	var err error
+	if fc.Checkpoint, err = es.ParseCheckpointPolicy(ckptPolicy); err != nil {
 		return nil, err
 	}
-	if mtbf <= 0 && traceFile == "" {
-		if ckpt != es.CheckpointNone || ckptIvl != 0 || ckptCost != 0 {
+	if fc.MTBF <= 0 && traceFile == "" {
+		if fc.Checkpoint != es.CheckpointNone || fc.CheckpointInterval != 0 || fc.CheckpointCost != 0 {
 			return nil, ErrCheckpointNeedsFaults
 		}
 		return nil, nil
 	}
-	if err := fault.ValidateCheckpoint(ckpt, ckptIvl, ckptCost, mtbf); err != nil {
+	if err := fault.ValidateCheckpoint(fc.Checkpoint, fc.CheckpointInterval, fc.CheckpointCost, fc.MTBF); err != nil {
 		return nil, err
 	}
-	fc := &es.FaultConfig{MTBF: mtbf, MTTR: mttr, Seed: seed}
 	if traceFile != "" {
 		f, err := os.Open(traceFile)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		t, err := es.ParseFaultTrace(f)
-		if err != nil {
+		if fc.Trace, err = es.ParseFaultTrace(f); err != nil {
 			return nil, fmt.Errorf("%s: %w", traceFile, err)
 		}
-		fc.Trace = t
 	}
 	switch retry {
 	case "requeue":
@@ -338,12 +330,7 @@ func faultConfig(mtbf, mttr float64, seed int64, traceFile, retry, restart strin
 	default:
 		return nil, fmt.Errorf("-restart: want full or remaining, got %q", restart)
 	}
-	fc.Retry.MaxRetries = maxRetries
-	fc.Retry.Backoff = backoff
-	fc.Checkpoint = ckpt
-	fc.CheckpointInterval = ckptIvl
-	fc.CheckpointCost = ckptCost
-	return fc, nil
+	return &fc, nil
 }
 
 // resultHeader renders the tabwriter header; fault-injected sweeps carry
@@ -363,13 +350,8 @@ func resultHeader(faulty, ckpt, malleable bool) string {
 	return h
 }
 
-// resultRow renders one algorithm's tabwriter line.
-func resultRow(name string, res *es.Result, faulty, ckpt, malleable bool) string {
-	return summaryRow(name, res.Summary, res.ECC.Applied, faulty, ckpt, malleable)
-}
-
-// summaryRow renders a tabwriter line from any summary — a single run's or
-// a sharded run's merged view.
+// summaryRow renders one algorithm's tabwriter line from any summary — a
+// single run's or a sharded run's merged view.
 func summaryRow(name string, s es.Summary, eccApplied int, faulty, ckpt, malleable bool) string {
 	row := fmt.Sprintf("%s\t%.4f\t%.1f\t%.1f\t%.3f\t%.2f\t%d",
 		name, s.Utilization, s.MeanWait, s.MeanRun, s.Slowdown, s.DedicatedOnTime, eccApplied)
@@ -387,7 +369,7 @@ func summaryRow(name string, s es.Summary, eccApplied int, faulty, ckpt, malleab
 
 // runCapped drives the workload through a session so the run can be capped
 // at -until and checkpointed.
-func runCapped(w *es.Workload, name string, opt es.Options, until int64, checkFile string) (*es.Result, error) {
+func runCapped(w *es.Workload, name string, opt es.Options, until int64, checkFile string, errOut io.Writer) (*es.Result, error) {
 	sess, err := es.NewSession(name, opt)
 	if err != nil {
 		return nil, err
@@ -395,7 +377,7 @@ func runCapped(w *es.Workload, name string, opt es.Options, until int64, checkFi
 	if err := sess.Load(w); err != nil {
 		return nil, err
 	}
-	if err := drive(sess, until, checkFile); err != nil {
+	if err := drive(sess, until, checkFile, errOut); err != nil {
 		return nil, err
 	}
 	return sess.Result()
@@ -403,7 +385,7 @@ func runCapped(w *es.Workload, name string, opt es.Options, until int64, checkFi
 
 // drive advances a session to the cap (or completion) and writes the
 // checkpoint if requested.
-func drive(sess *es.Session, until int64, checkFile string) error {
+func drive(sess *es.Session, until int64, checkFile string, errOut io.Writer) error {
 	var err error
 	if until >= 0 {
 		err = sess.RunUntil(until)
@@ -431,13 +413,13 @@ func drive(sess *es.Session, until int64, checkFile string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "simrun: wrote %s (t=%d, %d events pending)\n", checkFile, sess.Now(), sess.Pending())
+	fmt.Fprintf(errOut, "simrun: wrote %s (t=%d, %d events pending)\n", checkFile, sess.Now(), sess.Pending())
 	return nil
 }
 
 // resumeRun continues a checkpointed session: the snapshot is
 // self-contained, so no workload input is read.
-func resumeRun(path string, until int64, checkFile string, cs, lookahead int) error {
+func resumeRun(path string, opt es.Options, so sweepOpts, out, errOut io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -447,24 +429,24 @@ func resumeRun(path string, until int64, checkFile string, cs, lookahead int) er
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	sess, err := es.ResumeSnapshot(sn, es.Options{Cs: cs, Lookahead: lookahead})
+	sess, err := es.ResumeSnapshot(sn, opt)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(os.Stderr, "simrun: resumed %s under %s at t=%d (%d jobs, %d events pending)\n",
+	fmt.Fprintf(errOut, "simrun: resumed %s under %s at t=%d (%d jobs, %d events pending)\n",
 		path, sn.Scheduler, sess.Now(), len(sn.Jobs), sess.Pending())
-	if err := drive(sess, until, checkFile); err != nil {
+	if err := drive(sess, so.until, so.checkFile, errOut); err != nil {
 		return fmt.Errorf("%s: %w", sn.Scheduler, err)
 	}
 	res, err := sess.Result()
 	if err != nil {
 		return fmt.Errorf("%s: %w", sn.Scheduler, err)
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	faulty := sn.Retry != nil
 	ckpt := sn.Checkpoint != ""
 	fmt.Fprintln(tw, resultHeader(faulty, ckpt, sn.Malleable))
-	fmt.Fprint(tw, resultRow(sn.Scheduler, res, faulty, ckpt, sn.Malleable))
+	fmt.Fprint(tw, summaryRow(sn.Scheduler, res.Summary, res.ECC.Applied, faulty, ckpt, sn.Malleable))
 	return tw.Flush()
 }
 
@@ -492,8 +474,8 @@ func gcd(a, b int) int {
 	return a
 }
 
-// writeJobs dumps per-job placement records as TSV.
-func writeJobs(path string, rec *es.Trace) error {
+// writeJobs dumps per-job placement records as TSV, to out for path "-".
+func writeJobs(path string, rec *es.Trace, out, errOut io.Writer) error {
 	var b strings.Builder
 	b.WriteString("job\tclass\tsize\tarrival\treq_start\tstart\tend\twait\n")
 	for _, sp := range rec.Spans() {
@@ -501,17 +483,12 @@ func writeJobs(path string, rec *es.Trace) error {
 			sp.JobID, sp.Class, sp.Size, sp.Arrival, sp.ReqStart, sp.Start, sp.End, sp.Wait())
 	}
 	if path == "-" {
-		_, err := io.WriteString(os.Stdout, b.String())
+		_, err := io.WriteString(out, b.String())
 		return err
 	}
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "simrun: wrote %s\n", path)
+	fmt.Fprintf(errOut, "simrun: wrote %s\n", path)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simrun:", err)
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,14 +34,14 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := es.Options{M: 320, Unit: 32}
+	opt := es.Options{Config: es.Config{M: 320, Unit: 32}}
 	want, err := es.Simulate(w, "Delayed-LOS-E", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	snap := filepath.Join(t.TempDir(), "mid.snap")
-	partial, err := runCapped(w, "Delayed-LOS-E", opt, 3500, snap)
+	partial, err := runCapped(w, "Delayed-LOS-E", opt, 3500, snap, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSweepAbortFlushesPartialResults(t *testing.T) {
 	w := sweepWorkload(t)
 	var out bytes.Buffer
 	err := runSweep(w, []string{"EASY", "no-such-algorithm", "FCFS"},
-		es.Options{M: 320, Unit: 32}, &out, sweepOpts{until: -1})
+		es.Options{Config: es.Config{M: 320, Unit: 32}}, &out, io.Discard, sweepOpts{until: -1})
 	if err == nil {
 		t.Fatal("sweep with an unknown algorithm reported success")
 	}
@@ -112,10 +113,10 @@ func TestSweepAbortFlushesPartialResults(t *testing.T) {
 // TestFaultConfigFlags covers the flag-to-FaultConfig assembly, including
 // the typed rejections.
 func TestFaultConfigFlags(t *testing.T) {
-	if fc, err := faultConfig(0, 0, 1, "", "requeue", "full", 0, 0, "none", 0, 0); err != nil || fc != nil {
+	if fc, err := faultConfig(es.FaultConfig{Seed: 1}, "", "requeue", "full", "none"); err != nil || fc != nil {
 		t.Errorf("faults-off config = (%v, %v), want (nil, nil)", fc, err)
 	}
-	fc, err := faultConfig(50000, 1200, 9, "", "drop", "remaining", 3, 60, "none", 0, 0)
+	fc, err := faultConfig(es.FaultConfig{MTBF: 50000, MTTR: 1200, Seed: 9, Retry: es.RetryPolicy{MaxRetries: 3, Backoff: 60}}, "", "drop", "remaining", "none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +124,20 @@ func TestFaultConfigFlags(t *testing.T) {
 	if fc.MTBF != 50000 || fc.MTTR != 1200 || fc.Seed != 9 || fc.Retry != want {
 		t.Errorf("faultConfig = %+v, want MTBF 50000 MTTR 1200 seed 9 retry %+v", fc, want)
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "bogus", "full", 0, 0, "none", 0, 0); err == nil {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1}, "", "bogus", "full", "none"); err == nil {
 		t.Error("bad -retry accepted")
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "requeue", "bogus", 0, 0, "none", 0, 0); err == nil {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1}, "", "requeue", "bogus", "none"); err == nil {
 		t.Error("bad -restart accepted")
 	}
-	if _, err := faultConfig(0, 0, 1, filepath.Join(t.TempDir(), "absent"), "requeue", "full", 0, 0, "none", 0, 0); err == nil {
+	if _, err := faultConfig(es.FaultConfig{Seed: 1}, filepath.Join(t.TempDir(), "absent"), "requeue", "full", "none"); err == nil {
 		t.Error("missing -fault-trace file accepted")
 	}
 	script := filepath.Join(t.TempDir(), "faults.txt")
 	if err := os.WriteFile(script, []byte("# outage\n3000 fail 0,1\n3400 repair 0,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fc, err = faultConfig(0, 0, 1, script, "requeue", "full", 0, 0, "none", 0, 0)
+	fc, err = faultConfig(es.FaultConfig{Seed: 1}, script, "requeue", "full", "none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFaultConfigFlags(t *testing.T) {
 // typed rejections, errors.Is-testable.
 func TestCheckpointConfigFlags(t *testing.T) {
 	// Lawful periodic config rides on the fault config.
-	fc, err := faultConfig(50000, 1200, 9, "", "requeue", "remaining", 0, 0, "periodic", 600, 30)
+	fc, err := faultConfig(es.FaultConfig{MTBF: 50000, MTTR: 1200, Seed: 9, CheckpointInterval: 600, CheckpointCost: 30}, "", "requeue", "remaining", "periodic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCheckpointConfigFlags(t *testing.T) {
 		t.Errorf("checkpoint knobs not threaded: %+v", fc)
 	}
 	// Daly derives its interval from the sampling MTBF.
-	fc, err = faultConfig(50000, 1200, 9, "", "requeue", "full", 0, 0, "daly", 0, 30)
+	fc, err = faultConfig(es.FaultConfig{MTBF: 50000, MTTR: 1200, Seed: 9, CheckpointCost: 30}, "", "requeue", "full", "daly")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,22 +169,22 @@ func TestCheckpointConfigFlags(t *testing.T) {
 		t.Errorf("resolved daly interval = %d, want %d", got, want)
 	}
 
-	if _, err := faultConfig(0, 0, 1, "", "requeue", "full", 0, 0, "periodic", 600, 30); !errors.Is(err, ErrCheckpointNeedsFaults) {
+	if _, err := faultConfig(es.FaultConfig{Seed: 1, CheckpointInterval: 600, CheckpointCost: 30}, "", "requeue", "full", "periodic"); !errors.Is(err, ErrCheckpointNeedsFaults) {
 		t.Errorf("checkpoint without faults = %v, want ErrCheckpointNeedsFaults", err)
 	}
-	if _, err := faultConfig(0, 0, 1, "", "requeue", "full", 0, 0, "none", 0, 30); !errors.Is(err, ErrCheckpointNeedsFaults) {
+	if _, err := faultConfig(es.FaultConfig{Seed: 1, CheckpointCost: 30}, "", "requeue", "full", "none"); !errors.Is(err, ErrCheckpointNeedsFaults) {
 		t.Errorf("cost without faults = %v, want ErrCheckpointNeedsFaults", err)
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "hourly", 0, 0); !errors.Is(err, fault.ErrUnknownCheckpointPolicy) {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1}, "", "requeue", "full", "hourly"); !errors.Is(err, fault.ErrUnknownCheckpointPolicy) {
 		t.Errorf("bad policy = %v, want ErrUnknownCheckpointPolicy", err)
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "none", 600, 0); !errors.Is(err, fault.ErrIntervalWithoutPeriodic) {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1, CheckpointInterval: 600}, "", "requeue", "full", "none"); !errors.Is(err, fault.ErrIntervalWithoutPeriodic) {
 		t.Errorf("interval without periodic = %v, want ErrIntervalWithoutPeriodic", err)
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "periodic", 0, 0); !errors.Is(err, fault.ErrNonPositiveInterval) {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1}, "", "requeue", "full", "periodic"); !errors.Is(err, fault.ErrNonPositiveInterval) {
 		t.Errorf("periodic without interval = %v, want ErrNonPositiveInterval", err)
 	}
-	if _, err := faultConfig(50000, 0, 1, "", "requeue", "full", 0, 0, "periodic", 600, -1); !errors.Is(err, fault.ErrNegativeCheckpointCost) {
+	if _, err := faultConfig(es.FaultConfig{MTBF: 50000, Seed: 1, CheckpointInterval: 600, CheckpointCost: -1}, "", "requeue", "full", "periodic"); !errors.Is(err, fault.ErrNegativeCheckpointCost) {
 		t.Errorf("negative cost = %v, want ErrNegativeCheckpointCost", err)
 	}
 
@@ -193,11 +194,11 @@ func TestCheckpointConfigFlags(t *testing.T) {
 	if err := os.WriteFile(script, []byte("3000 fail 0,1\n3400 repair 0,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faultConfig(0, 0, 1, script, "requeue", "full", 0, 0, "daly", 0, 30); !errors.Is(err, fault.ErrDalyNeedsMTBF) {
+	if _, err := faultConfig(es.FaultConfig{Seed: 1, CheckpointCost: 30}, script, "requeue", "full", "daly"); !errors.Is(err, fault.ErrDalyNeedsMTBF) {
 		t.Errorf("daly on scripted trace = %v, want ErrDalyNeedsMTBF", err)
 	}
 	// Periodic on a scripted trace is fine: the interval is explicit.
-	fc, err = faultConfig(0, 0, 1, script, "requeue", "full", 0, 0, "periodic", 600, 30)
+	fc, err = faultConfig(es.FaultConfig{Seed: 1, CheckpointInterval: 600, CheckpointCost: 30}, script, "requeue", "full", "periodic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +215,12 @@ func TestFaultSweepReportsFailureColumns(t *testing.T) {
 	if err := os.WriteFile(script, []byte("1000 fail 0,1,2,3,4,5,6,7,8,9\n1500 repair 0,1,2,3,4,5,6,7,8,9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fc, err := faultConfig(0, 0, 1, script, "requeue", "full", 0, 0, "none", 0, 0)
+	fc, err := faultConfig(es.FaultConfig{Seed: 1}, script, "requeue", "full", "none")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32, Faults: fc}, &out, sweepOpts{until: -1}); err != nil {
+	if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32, Faults: fc}}, &out, io.Discard, sweepOpts{until: -1}); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -244,7 +245,7 @@ func TestFaultCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := es.Options{M: 320, Unit: 32, Faults: &es.FaultConfig{Trace: tr}}
+	opt := es.Options{Config: es.Config{M: 320, Unit: 32, Faults: &es.FaultConfig{Trace: tr}}}
 	want, err := es.Simulate(w, "EASY", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +255,7 @@ func TestFaultCheckpointResume(t *testing.T) {
 	}
 
 	snap := filepath.Join(t.TempDir(), "mid.snap")
-	if _, err := runCapped(w, "EASY", opt, 2200, snap); err != nil {
+	if _, err := runCapped(w, "EASY", opt, 2200, snap, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(snap)
@@ -285,10 +286,10 @@ func TestFaultCheckpointResume(t *testing.T) {
 // deriving the same span-aware intervals as the uninterrupted run.
 func TestDalyCheckpointResume(t *testing.T) {
 	w := sweepWorkload(t)
-	opt := es.Options{M: 320, Unit: 32, Faults: &es.FaultConfig{
+	opt := es.Options{Config: es.Config{M: 320, Unit: 32, Faults: &es.FaultConfig{
 		MTBF: 40000, MTTR: 2000, Seed: 7,
 		Checkpoint: es.CheckpointDaly, CheckpointCost: 60,
-	}}
+	}}}
 	want, err := es.Simulate(w, "EASY", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestDalyCheckpointResume(t *testing.T) {
 	}
 
 	snap := filepath.Join(t.TempDir(), "daly.snap")
-	if _, err := runCapped(w, "EASY", opt, 2200, snap); err != nil {
+	if _, err := runCapped(w, "EASY", opt, 2200, snap, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(snap)
@@ -354,37 +355,38 @@ func TestGCD(t *testing.T) {
 // flags under -clusters > 1, and of sharding knobs under -clusters 1 with
 // or without single-cluster-only flags.
 func TestValidateSharded(t *testing.T) {
-	if err := validateSharded(1, sweepOpts{gantt: "-", until: 100, checkFile: "x"}, true); err != nil {
+	if err := validateSharded(sweepOpts{gantt: "-", until: 100, checkFile: "x", ShardedOptions: es.ShardedOptions{Clusters: 1}}, true); err != nil {
 		t.Errorf("clusters=1 rejected: %v", err)
 	}
-	if err := validateSharded(4, sweepOpts{until: -1}, false); err != nil {
+	if err := validateSharded(sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 4}}, false); err != nil {
 		t.Errorf("plain sharded run rejected: %v", err)
 	}
-	if err := validateSharded(1, sweepOpts{until: -1, route: "roundrobin"}, false); err != nil {
+	if err := validateSharded(sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 1, Route: "roundrobin"}}, false); err != nil {
 		t.Errorf("default route on clusters=1 rejected: %v", err)
 	}
 	for _, so := range []sweepOpts{{until: -1}, {gantt: "-", until: 100}} {
-		so.route = "least-work"
-		if err := validateSharded(1, so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
+		so.Clusters, so.Route = 1, "least-work"
+		if err := validateSharded(so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
 			t.Errorf("-route without clusters (%+v): got %v, want errors.Is(err, dispatch.ErrNeedsClusters)", so, err)
 		}
 	}
-	if err := validateSharded(4, sweepOpts{until: -1, route: "least-work"}, false); err != nil {
+	if err := validateSharded(sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 4, Route: "least-work"}}, false); err != nil {
 		t.Errorf("routed sharded run rejected: %v", err)
 	}
 	for name, so := range map[string]sweepOpts{
-		"epoch":          {until: -1, epoch: 500},
-		"steal":          {until: -1, steal: true},
-		"affinity":       {until: -1, affinity: 3},
-		"epoch+gantt":    {gantt: "-", until: -1, epoch: 500},
-		"steal+until":    {until: 100, steal: true},
-		"affinity+until": {gantt: "x.svg", until: 100, affinity: 3},
+		"epoch":          {until: -1, ShardedOptions: es.ShardedOptions{Epoch: 500}},
+		"steal":          {until: -1, ShardedOptions: es.ShardedOptions{Steal: true}},
+		"affinity":       {until: -1, ShardedOptions: es.ShardedOptions{Affinity: 3}},
+		"epoch+gantt":    {gantt: "-", until: -1, ShardedOptions: es.ShardedOptions{Epoch: 500}},
+		"steal+until":    {until: 100, ShardedOptions: es.ShardedOptions{Steal: true}},
+		"affinity+until": {gantt: "x.svg", until: 100, ShardedOptions: es.ShardedOptions{Affinity: 3}},
 	} {
-		if err := validateSharded(1, so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
+		so.Clusters = 1
+		if err := validateSharded(so, false); !errors.Is(err, dispatch.ErrNeedsClusters) {
 			t.Errorf("-%s without clusters: got %v, want errors.Is(err, dispatch.ErrNeedsClusters)", name, err)
 		}
 	}
-	if err := validateSharded(4, sweepOpts{until: -1, epoch: 500, steal: true, affinity: 3, route: "feedback"}, false); err != nil {
+	if err := validateSharded(sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 4, Epoch: 500, Steal: true, Affinity: 3, Route: "feedback"}}, false); err != nil {
 		t.Errorf("dynamic sharded run rejected: %v", err)
 	}
 	for name, tc := range map[string]struct {
@@ -398,7 +400,8 @@ func TestValidateSharded(t *testing.T) {
 		"checkpoint": {sweepOpts{until: -1, checkFile: "x"}, false, ErrShardedSession},
 		"resume":     {sweepOpts{until: -1}, true, ErrShardedSession},
 	} {
-		if err := validateSharded(2, tc.so, tc.resuming); !errors.Is(err, tc.want) {
+		tc.so.Clusters = 2
+		if err := validateSharded(tc.so, tc.resuming); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want errors.Is(err, %v)", name, err, tc.want)
 		}
 	}
@@ -409,11 +412,11 @@ func TestValidateSharded(t *testing.T) {
 func TestShardedSweep(t *testing.T) {
 	w := sweepWorkload(t)
 	var out1, out2 bytes.Buffer
-	so := sweepOpts{until: -1, clusters: 2}
-	if err := runSweep(w, []string{"EASY", "Delayed-LOS"}, es.Options{M: 320, Unit: 32}, &out1, so); err != nil {
+	so := sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 2}}
+	if err := runSweep(w, []string{"EASY", "Delayed-LOS"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out1, io.Discard, so); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSweep(w, []string{"EASY", "Delayed-LOS"}, es.Options{M: 320, Unit: 32}, &out2, so); err != nil {
+	if err := runSweep(w, []string{"EASY", "Delayed-LOS"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out2, io.Discard, so); err != nil {
 		t.Fatal(err)
 	}
 	if out1.String() != out2.String() {
@@ -430,8 +433,8 @@ func TestShardedSweepRoutes(t *testing.T) {
 	w := sweepWorkload(t)
 	for _, route := range []string{"roundrobin", "least-work", "best-fit"} {
 		var out bytes.Buffer
-		so := sweepOpts{until: -1, clusters: 2, route: route}
-		if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32}, &out, so); err != nil {
+		so := sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 2, Route: route}}
+		if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out, io.Discard, so); err != nil {
 			t.Fatalf("%s: %v", route, err)
 		}
 		if !strings.Contains(out.String(), "EASY") {
@@ -439,8 +442,8 @@ func TestShardedSweepRoutes(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	so := sweepOpts{until: -1, clusters: 2, route: "no-such-policy"}
-	if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32}, &out, so); err == nil {
+	so := sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 2, Route: "no-such-policy"}}
+	if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out, io.Discard, so); err == nil {
 		t.Error("unknown -route accepted")
 	}
 }
@@ -450,12 +453,12 @@ func TestShardedSweepRoutes(t *testing.T) {
 // while dynamic knobs without an epoch abort the sweep.
 func TestShardedSweepDynamic(t *testing.T) {
 	w := sweepWorkload(t)
-	so := sweepOpts{until: -1, clusters: 2, epoch: 500, steal: true, route: "feedback"}
+	so := sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 2, Epoch: 500, Steal: true, Route: "feedback"}}
 	var out1, out2 bytes.Buffer
-	if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32}, &out1, so); err != nil {
+	if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out1, io.Discard, so); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32}, &out2, so); err != nil {
+	if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out2, io.Discard, so); err != nil {
 		t.Fatal(err)
 	}
 	if out1.String() != out2.String() {
@@ -465,8 +468,8 @@ func TestShardedSweepDynamic(t *testing.T) {
 		t.Errorf("dynamic sharded sweep missing result row:\n%s", out1.String())
 	}
 	var out bytes.Buffer
-	noEpoch := sweepOpts{until: -1, clusters: 2, steal: true}
-	if err := runSweep(w, []string{"EASY"}, es.Options{M: 320, Unit: 32}, &out, noEpoch); err == nil {
+	noEpoch := sweepOpts{until: -1, ShardedOptions: es.ShardedOptions{Clusters: 2, Steal: true}}
+	if err := runSweep(w, []string{"EASY"}, es.Options{Config: es.Config{M: 320, Unit: 32}}, &out, io.Discard, noEpoch); err == nil {
 		t.Error("-steal without -epoch accepted")
 	}
 }

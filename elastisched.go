@@ -23,9 +23,15 @@
 //	w, _ := elastisched.GenerateWorkload(params)
 //	res, _ := elastisched.Simulate(w, "Delayed-LOS", elastisched.Options{})
 //	fmt.Println(res.Summary)
+//
+// Options holds Config, the engine's own run configuration, so a setting
+// has one name here, in sweep points and in the sharded dispatcher:
+//
+//	opt := elastisched.Options{Cs: 7, Config: elastisched.Config{Contiguous: true, Migrate: true}}
 package elastisched
 
 import (
+	"fmt"
 	"io"
 
 	"elastisched/internal/core"
@@ -53,6 +59,9 @@ type (
 	// Summary holds the measured metrics of one run: utilization, mean
 	// wait, slowdown, and diagnostics.
 	Summary = metrics.Summary
+	// Config configures one engine run: machine geometry, allocation
+	// policy, fault injection, malleability, observer. Options holds it.
+	Config = engine.Config
 	// Result is the outcome of one simulation run.
 	Result = engine.Result
 	// Scheduler is a scheduling policy usable with the engine.
@@ -72,7 +81,7 @@ type (
 	SessionSnapshot = engine.Snapshot
 	// FaultConfig enables node-group fault injection for a run: either a
 	// scripted FaultTrace or sampled MTBF/MTTR outages, plus the retry
-	// policy applied to killed jobs. Attach it via Options.Faults.
+	// policy applied to killed jobs. Attach it via Config.Faults.
 	FaultConfig = engine.FaultConfig
 	// FaultTrace is a replayable sequence of node-group failure and repair
 	// events; parse one with ParseFaultTrace or let the engine sample one.
@@ -130,7 +139,7 @@ func ParseFaultTrace(r io.Reader) (*FaultTrace, error) { return fault.Parse(r) }
 func WriteFaultTrace(w io.Writer, t *FaultTrace) error { return fault.Write(w, t) }
 
 // NewTrace returns a placement recorder for a machine of m processors in
-// groups of unit; attach it via Options.Trace.
+// groups of unit; attach it as Config.Observer.
 func NewTrace(m, unit int) *Trace { return trace.NewRecorder(m, unit) }
 
 // DefaultWorkloadParams returns the paper's experimental configuration:
@@ -176,7 +185,7 @@ type JobSpec struct {
 	// job with a rigid start time; use -1 (or any negative) for batch jobs.
 	RequestedStart int64
 	// MinProcs and MaxProcs, when MaxProcs > 0, declare the job malleable:
-	// with Options.Malleable the scheduler may resize it at runtime anywhere
+	// with Config.Malleable the scheduler may resize it at runtime anywhere
 	// inside [MinProcs, MaxProcs] (work-conserving), and a node-group
 	// failure shrinks it onto its survivors instead of killing it. Leave
 	// both zero for a rigid job.
@@ -223,38 +232,30 @@ func BuildWorkload(jobs []JobSpec, cmds []CommandSpec) (*Workload, error) {
 	return w, nil
 }
 
-// Options configures Simulate.
+// Options configures a run: the engine's Config plus the parameters of
+// the named algorithms.
 type Options struct {
-	// M and Unit give the machine geometry; zero values default to the
-	// paper's 320 processors in groups of 32.
-	M, Unit int
+	// Config is the run configuration: machine geometry (zero M and Unit
+	// default to the paper's 320 processors in groups of 32), allocation
+	// policy, fault injection, malleability, and an Observer such as a
+	// NewTrace recorder. Scheduler, ProcessECC and Prevalidated belong to
+	// the facade and stay unset (ErrTemplateScheduler, ErrTemplateOwned).
+	Config Config
 	// Cs is the maximum skip count for Delayed-LOS/Hybrid-LOS (0 = default).
 	Cs int
 	// Lookahead bounds the DP window (0 = the LOS paper's 50).
 	Lookahead int
-	// MaxECCPerJob caps elastic commands per job (0 = unlimited).
-	MaxECCPerJob int
-	// Paranoid validates machine invariants at every instant.
-	Paranoid bool
-	// Trace, when non-nil, records every placement for Gantt rendering.
-	Trace *Trace
-	// Contiguous requires contiguous node-group allocations (BlueGene-style
-	// partitioning): fragmentation can then delay capacity-feasible jobs.
-	Contiguous bool
-	// Migrate enables on-the-fly defragmentation (compaction) when a
-	// contiguous placement fails.
-	Migrate bool
-	// Faults enables node-group fault injection. See FaultConfig.
-	Faults *FaultConfig
-	// Malleable enables true runtime elasticity: resizes rescale the job's
-	// remaining work, -M algorithm variants propose shrink/expand each
-	// cycle, and failure victims with malleable bounds shrink onto their
-	// surviving node groups instead of dying.
-	Malleable bool
-	// ResizeOverhead charges each resize a reconfiguration penalty in
-	// seconds (with Malleable).
-	ResizeOverhead int64
 }
+
+// ErrTemplateScheduler rejects Options whose Config carries a scheduler:
+// the algorithm name (or SimulateWith's argument) supplies the policy.
+// ErrTemplateObserver rejects an Observer on a SimulateSharded run, and
+// ErrTemplateOwned a set Config.ProcessECC or Config.Prevalidated.
+var (
+	ErrTemplateScheduler = engine.ErrTemplateScheduler
+	ErrTemplateObserver  = engine.ErrTemplateObserver
+	ErrTemplateOwned     = engine.ErrTemplateOwned
+)
 
 // AlgorithmNames lists every algorithm accepted by Simulate: the paper's
 // Table III (EASY/LOS/Delayed-LOS/Hybrid-LOS and their -D/-E/-DE variants)
@@ -278,33 +279,25 @@ func (opt Options) point() experiment.Point {
 	return experiment.Point{Cs: opt.Cs, Lookahead: opt.Lookahead}
 }
 
-// engineConfig translates Options into one run's engine configuration:
-// the paper's 320-processor machine in groups of 32 unless set, and Trace
-// as the observer.
-func engineConfig(opt Options, s Scheduler, processECC bool) engine.Config {
-	if opt.M == 0 {
-		opt.M = 320
+// engineConfig completes Options into one run's engine configuration:
+// the paper's 320-processor machine in groups of 32 unless set, plus the
+// run's scheduler and ECC processing.
+func engineConfig(opt Options, s Scheduler, processECC bool) (engine.Config, error) {
+	cfg := opt.Config
+	switch {
+	case cfg.Scheduler != nil:
+		return cfg, ErrTemplateScheduler
+	case cfg.ProcessECC || cfg.Prevalidated:
+		return cfg, fmt.Errorf("%w: the algorithm sets ProcessECC and every workload is validated", ErrTemplateOwned)
 	}
-	if opt.Unit == 0 {
-		opt.Unit = 32
+	if cfg.M == 0 {
+		cfg.M = 320
 	}
-	cfg := engine.Config{
-		M:              opt.M,
-		Unit:           opt.Unit,
-		Scheduler:      s,
-		ProcessECC:     processECC,
-		MaxECCPerJob:   opt.MaxECCPerJob,
-		Paranoid:       opt.Paranoid,
-		Contiguous:     opt.Contiguous,
-		Migrate:        opt.Migrate,
-		Faults:         opt.Faults,
-		Malleable:      opt.Malleable,
-		ResizeOverhead: opt.ResizeOverhead,
+	if cfg.Unit == 0 {
+		cfg.Unit = 32
 	}
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
-	return cfg
+	cfg.Scheduler, cfg.ProcessECC = s, processECC
+	return cfg, nil
 }
 
 // ShardedOptions configures SimulateSharded beyond the per-cluster Options.
@@ -347,12 +340,16 @@ type ShardedResult = dispatch.Result
 // configuration. sh.Route picks the dispatch policy (round-robin by
 // default; least-work and best-fit are load- and size-aware). opt
 // configures each cluster exactly as Simulate would (M is the per-cluster
-// machine size; Trace is rejected: placement events from parallel clusters
-// have no deterministic interleaving). Clusters step on GOMAXPROCS
-// workers; results are deterministic for a given workload, cluster count
-// and policy, independent of the worker count.
+// machine size; an Observer is rejected with ErrTemplateObserver: placement
+// events from parallel clusters have no deterministic interleaving).
+// Clusters step on GOMAXPROCS workers; results are deterministic for a
+// given workload, cluster count and policy, independent of the worker count.
 func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptions) (*ShardedResult, error) {
 	algo, err := experiment.ByName(algorithm)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := engineConfig(opt, nil, algo.ECC)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +359,7 @@ func SimulateSharded(w *Workload, algorithm string, opt Options, sh ShardedOptio
 		Epoch:        sh.Epoch,
 		Steal:        sh.Steal,
 		Affinity:     sh.Affinity,
-		Engine:       engineConfig(opt, nil, algo.ECC),
+		Engine:       cfg,
 		NewScheduler: func() Scheduler { return algo.New(opt.point()) },
 	})
 }
@@ -377,15 +374,19 @@ func NewSession(algorithm string, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(engineConfig(opt, algo.New(opt.point()), algo.ECC))
+	cfg, err := engineConfig(opt, algo.New(opt.point()), algo.ECC)
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(cfg)
 }
 
 // ResumeSession reads a snapshot written by (*SessionSnapshot).Encode and
 // reconstructs the captured session: machine geometry and feature flags
 // come from the snapshot, the scheduling policy is rebuilt by the captured
-// algorithm name (opt.Cs and opt.Lookahead parameterize it; geometry
-// fields of opt are ignored). The returned session continues exactly where
-// the captured one stood.
+// algorithm name (opt.Cs and opt.Lookahead parameterize it). Of opt.Config
+// only Paranoid and Observer apply; the snapshot pins every other setting.
+// The returned session continues exactly where the captured one stood.
 func ResumeSession(r io.Reader, opt Options) (*Session, error) {
 	sn, err := DecodeSessionSnapshot(r)
 	if err != nil {
@@ -412,10 +413,7 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 		return nil, err
 	}
 	cfg.Scheduler = algo.New(opt.point())
-	cfg.Paranoid = opt.Paranoid
-	if opt.Trace != nil {
-		cfg.Observer = opt.Trace
-	}
+	cfg.Paranoid, cfg.Observer = opt.Config.Paranoid, opt.Config.Observer
 	s, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
@@ -432,7 +430,11 @@ func ResumeSnapshot(sn *SessionSnapshot, opt Options) (*Session, error) {
 // workloads and metrics as the built-in algorithms. processECC attaches
 // the Elastic Control Command processor (the policy's -E behaviour).
 func SimulateWith(w *Workload, s Scheduler, processECC bool, opt Options) (*Result, error) {
-	return engine.Run(w, engineConfig(opt, s, processECC))
+	cfg, err := engineConfig(opt, s, processECC)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(w, cfg)
 }
 
 // NewScheduler constructs a named policy directly (for use with custom

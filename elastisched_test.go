@@ -2,10 +2,15 @@ package elastisched_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	es "elastisched"
+	"elastisched/internal/engine"
+	"elastisched/internal/experiment"
+	"elastisched/internal/workload"
 )
 
 func smallWorkload(t *testing.T, mut func(*es.WorkloadParams)) *es.Workload {
@@ -45,7 +50,7 @@ func TestSimulateEveryAlgorithm(t *testing.T) {
 			} else if strings.HasSuffix(name, "-E") {
 				w = elastic
 			}
-			res, err := es.Simulate(w, name, es.Options{Cs: 7, Paranoid: true})
+			res, err := es.Simulate(w, name, es.Options{Config: es.Config{Paranoid: true}, Cs: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,11 +206,11 @@ func TestCalibrateCsFacade(t *testing.T) {
 
 func TestSimulateContiguousOptions(t *testing.T) {
 	w := smallWorkload(t, nil)
-	frag, err := es.Simulate(w, "EASY", es.Options{Contiguous: true})
+	frag, err := es.Simulate(w, "EASY", es.Options{Config: es.Config{Contiguous: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mig, err := es.Simulate(w, "EASY", es.Options{Contiguous: true, Migrate: true})
+	mig, err := es.Simulate(w, "EASY", es.Options{Config: es.Config{Contiguous: true, Migrate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestSimulateContiguousOptions(t *testing.T) {
 func TestSimulateWithTrace(t *testing.T) {
 	w := smallWorkload(t, nil)
 	rec := es.NewTrace(320, 32)
-	res, err := es.Simulate(w, "Delayed-LOS", es.Options{Trace: rec})
+	res, err := es.Simulate(w, "Delayed-LOS", es.Options{Config: es.Config{Observer: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +259,155 @@ func TestSimulateSharded(t *testing.T) {
 	if len(res.Clusters) != 4 {
 		t.Fatalf("got %d cluster results, want 4", len(res.Clusters))
 	}
-	if _, err := es.SimulateSharded(w, "Delayed-LOS", es.Options{Trace: es.NewTrace(320, 32)}, es.ShardedOptions{Clusters: 2}); err == nil {
+	if _, err := es.SimulateSharded(w, "Delayed-LOS", es.Options{Config: es.Config{Observer: es.NewTrace(320, 32)}}, es.ShardedOptions{Clusters: 2}); err == nil {
 		t.Error("sharded run with a trace accepted")
 	}
 	if _, err := es.SimulateSharded(w, "NOPE", es.Options{}, es.ShardedOptions{Clusters: 2}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestTemplateRule: every front end that copies a run configuration and
+// supplies the policy itself rejects a template carrying one, by the
+// engine's one rule (engine.Config.ValidateTemplate), and rejects a field
+// it fills in or forbids (engine.ErrTemplateOwned) instead of replacing
+// it; a template's other settings still reach every run, the fault model
+// with each run's seed.
+func TestTemplateRule(t *testing.T) {
+	w := smallWorkload(t, nil)
+	p := workload.DefaultParams()
+	p.N = 60
+	sweep := func(tmpl engine.Config, seeds ...int64) (*experiment.Result, error) {
+		return (&experiment.Sweep{
+			ID:         "template",
+			Algorithms: []experiment.Algorithm{experiment.MustByName("EASY")},
+			Points:     []experiment.Point{{Params: p, Cs: 5, Engine: tmpl}},
+			Seeds:      seeds,
+		}).Run(1)
+	}
+	withSched := es.Options{Config: es.Config{Scheduler: es.NewDelayedLOS(5)}}
+	rec := es.NewTrace(320, 32)
+	faults := &engine.FaultConfig{MTBF: 30000, MTTR: 2000}
+	cases := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"Simulate scheduler", func() error {
+			_, err := es.Simulate(w, "EASY", withSched)
+			return err
+		}, es.ErrTemplateScheduler},
+		{"NewSession scheduler", func() error {
+			_, err := es.NewSession("EASY", withSched)
+			return err
+		}, es.ErrTemplateScheduler},
+		{"SimulateSharded scheduler", func() error {
+			_, err := es.SimulateSharded(w, "EASY", withSched, es.ShardedOptions{Clusters: 2})
+			return err
+		}, es.ErrTemplateScheduler},
+		{"SimulateSharded observer", func() error {
+			_, err := es.SimulateSharded(w, "EASY", es.Options{Config: es.Config{Observer: rec}}, es.ShardedOptions{Clusters: 2})
+			return err
+		}, es.ErrTemplateObserver},
+		{"Simulate prevalidated invalid workload", func() error {
+			small := es.Config{M: 64, Unit: 32}
+			if _, err := es.Simulate(w, "EASY", es.Options{Config: small}); err == nil {
+				return fmt.Errorf("a %d-processor machine accepted the workload, so it checks nothing", small.M)
+			}
+			small.Prevalidated = true
+			_, err := es.Simulate(w, "EASY", es.Options{Config: small})
+			return err
+		}, es.ErrTemplateOwned},
+		{"NewSession prevalidated", func() error {
+			_, err := es.NewSession("EASY", es.Options{Config: es.Config{Prevalidated: true}})
+			return err
+		}, es.ErrTemplateOwned},
+		{"SimulateSharded prevalidated", func() error {
+			_, err := es.SimulateSharded(w, "EASY", es.Options{Config: es.Config{Prevalidated: true}}, es.ShardedOptions{Clusters: 2})
+			return err
+		}, es.ErrTemplateOwned},
+		{"Simulate ProcessECC", func() error {
+			_, err := es.Simulate(w, "EASY", es.Options{Config: es.Config{ProcessECC: true}})
+			return err
+		}, es.ErrTemplateOwned},
+		{"SimulateWith ProcessECC", func() error {
+			_, err := es.SimulateWith(w, es.NewDelayedLOS(5), false, es.Options{Config: es.Config{ProcessECC: true}})
+			return err
+		}, es.ErrTemplateOwned},
+		{"Sweep.Run machine size", func() error {
+			_, err := sweep(engine.Config{M: p.M / 2}, 1)
+			return err
+		}, engine.ErrTemplateOwned},
+		{"Sweep.Run allocation unit", func() error {
+			_, err := sweep(engine.Config{Unit: 1}, 1)
+			return err
+		}, engine.ErrTemplateOwned},
+		{"Sweep.Run geometry repeating Params", func() error {
+			_, err := sweep(engine.Config{M: p.M, Unit: p.Unit}, 1)
+			return err
+		}, nil},
+		{"Sweep.Run ProcessECC", func() error {
+			_, err := sweep(engine.Config{ProcessECC: true}, 1)
+			return err
+		}, engine.ErrTemplateOwned},
+		{"Sweep.Run prevalidated", func() error {
+			_, err := sweep(engine.Config{Prevalidated: true}, 1)
+			return err
+		}, engine.ErrTemplateOwned},
+		{"Sweep.Run paranoid", func() error {
+			_, err := sweep(engine.Config{Paranoid: true}, 1)
+			return err
+		}, engine.ErrTemplateOwned},
+		{"Sweep.Run scheduler", func() error {
+			_, err := sweep(engine.Config{Scheduler: es.NewDelayedLOS(5)}, 1)
+			return err
+		}, engine.ErrTemplateScheduler},
+		{"Sweep.Run observer", func() error {
+			_, err := sweep(engine.Config{Observer: rec}, 1)
+			return err
+		}, engine.ErrTemplateObserver},
+		{"Simulate migrate without contiguous", func() error {
+			_, err := es.Simulate(w, "EASY", es.Options{Config: es.Config{Migrate: true}})
+			return err
+		}, engine.ErrMigrateNeedsContiguous},
+		{"Sweep.Run migrate without contiguous", func() error {
+			_, err := sweep(engine.Config{Migrate: true}, 1)
+			return err
+		}, engine.ErrMigrateNeedsContiguous},
+		{"Sweep.Run seeds each run's faults", func() error {
+			res, err := sweep(engine.Config{Faults: faults}, 3, 4)
+			if err != nil {
+				return err
+			}
+			for si, seed := range []int64{3, 4} {
+				q := p
+				q.Seed = seed
+				wl, err := es.GenerateWorkload(q)
+				if err != nil {
+					return err
+				}
+				fc := *faults
+				fc.Seed = seed
+				want, err := es.Simulate(wl, "EASY", es.Options{Config: es.Config{Faults: &fc}, Cs: 5})
+				if err != nil {
+					return err
+				}
+				if want.Summary.DownProcSeconds == 0 {
+					return fmt.Errorf("seed %d: no downtime, so the seed goes unchecked", seed)
+				}
+				if got := res.Cells[0][0].PerSeed[si]; got != want.Summary {
+					return fmt.Errorf("seed %d: sweep cell %+v, standalone run %+v", seed, got, want.Summary)
+				}
+			}
+			if faults.Seed != 0 {
+				return fmt.Errorf("sweep wrote fault seed %d into the shared template", faults.Seed)
+			}
+			return nil
+		}, nil},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want errors.Is(err, %v)", tc.name, err, tc.want)
+		}
 	}
 }

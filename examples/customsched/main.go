@@ -65,7 +65,7 @@ func main() {
 		"policy", "utilization", "mean wait (s)", "max wait (s)", "slowdown")
 
 	// The custom policy through the same engine...
-	res, err := es.SimulateWith(w, WidestFit{}, false, es.Options{Paranoid: true})
+	res, err := es.SimulateWith(w, WidestFit{}, false, es.Options{Config: es.Config{Paranoid: true}})
 	if err != nil {
 		log.Fatal(err)
 	}

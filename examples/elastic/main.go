@@ -88,7 +88,7 @@ func main() {
 	fmt.Println("reacts to the changed residual times at the next scheduling event.")
 
 	// --- Part 3: true malleability — scheduler-initiated shrink/expand --
-	// ET/RT/EP/RP above are CLIENT-initiated. With Options.Malleable the
+	// ET/RT/EP/RP above are CLIENT-initiated. With Config.Malleable the
 	// SCHEDULER becomes an initiator too: jobs submitted with processor
 	// bounds may be shrunk at runtime to admit a blocked queue head and
 	// grown back when capacity idles, with the remaining work held
@@ -117,7 +117,7 @@ func main() {
 		// With Malleable off the bounds are inert annotations and the -M
 		// decorator proposes nothing: byte-identical to rigid EASY.
 		{"rigid (off)", es.Options{}},
-		{"malleable", es.Options{Malleable: true, ResizeOverhead: 120}},
+		{"malleable", es.Options{Config: es.Config{Malleable: true, ResizeOverhead: 120}}},
 	} {
 		res, err := es.Simulate(w3, "EASY-M", mode.opt)
 		if err != nil {

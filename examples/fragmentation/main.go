@@ -44,9 +44,9 @@ func main() {
 	fmt.Printf("%-26s %12s %15s %16s %12s\n",
 		"allocation mode", "utilization", "mean wait (s)", "peak waste (cpu)", "migrations")
 	for _, m := range modes {
-		res, err := es.Simulate(w, "EASY", es.Options{
+		res, err := es.Simulate(w, "EASY", es.Options{Config: es.Config{
 			Contiguous: m.contiguous, Migrate: m.migrate,
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

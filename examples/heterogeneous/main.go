@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("%-12s %12s %15s %18s %15s\n",
 		"algorithm", "utilization", "batch wait (s)", "rigid delay (s)", "slots on time")
 	for _, algo := range []string{"EASY-D", "LOS-D", "Hybrid-LOS"} {
-		res, err := es.Simulate(w, algo, es.Options{M: machine, Unit: 32, Cs: 7})
+		res, err := es.Simulate(w, algo, es.Options{Config: es.Config{M: machine, Unit: 32}, Cs: 7})
 		if err != nil {
 			log.Fatal(err)
 		}

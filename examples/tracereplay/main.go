@@ -57,7 +57,7 @@ func main() {
 
 		var row [4]float64
 		for i, algo := range []string{"EASY", "LOS"} {
-			res, err := es.Simulate(w, algo, es.Options{M: 128, Unit: 1})
+			res, err := es.Simulate(w, algo, es.Options{Config: es.Config{M: 128, Unit: 1}})
 			if err != nil {
 				log.Fatal(err)
 			}

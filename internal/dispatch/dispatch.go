@@ -34,13 +34,12 @@ var (
 	ErrClusterCount = errors.New("dispatch: cluster count must be at least 1")
 	// ErrNoScheduler rejects a config without a scheduler factory.
 	ErrNoScheduler = errors.New("dispatch: no scheduler factory configured")
-	// ErrTemplateScheduler rejects a template carrying a scheduler instance:
-	// policies hold scratch state, so each cluster needs its own, built by
-	// NewScheduler.
-	ErrTemplateScheduler = errors.New("dispatch: engine template must not carry a scheduler instance; set NewScheduler")
-	// ErrTemplateObserver rejects a template carrying an observer: placement
-	// events from parallel clusters would interleave nondeterministically.
-	ErrTemplateObserver = errors.New("dispatch: engine template must not carry an observer")
+	// ErrTemplateScheduler and ErrTemplateObserver are the engine's template
+	// rule (engine.Config.ValidateTemplate): each cluster gets its own
+	// policy from NewScheduler, and placement events from parallel clusters
+	// would interleave nondeterministically.
+	ErrTemplateScheduler = engine.ErrTemplateScheduler
+	ErrTemplateObserver  = engine.ErrTemplateObserver
 	// ErrEpochRequired rejects dynamic features — stealing, affinity pinning,
 	// feedback routing — on a multi-cluster run without a positive Epoch:
 	// they all live in the epoch protocol's barrier exchange.
@@ -65,8 +64,9 @@ type Config struct {
 	// determinism contract).
 	Workers int
 	// Engine is the per-cluster configuration template: machine geometry,
-	// ECC processing, allocation policy, fault model. Scheduler and Observer
-	// must be nil; Prevalidated is managed by the dispatcher.
+	// ECC processing, allocation policy, fault model. It must pass
+	// engine.Config.ValidateTemplate; Prevalidated is managed by the
+	// dispatcher.
 	Engine engine.Config
 	// NewScheduler builds one policy instance per cluster.
 	NewScheduler func() sched.Scheduler
@@ -96,7 +96,8 @@ type Config struct {
 
 // Validate checks the run's configuration without running it: the
 // dispatcher's own rules, the route name against the one registry
-// (NewRouter), and the engine template through engine.Config.Validate.
+// (NewRouter), and the engine template through engine.Config's
+// ValidateTemplate and Validate.
 // Every error wraps a typed sentinel where one exists, testable with
 // errors.Is.
 func (cfg Config) Validate() error {
@@ -106,11 +107,8 @@ func (cfg Config) Validate() error {
 	if cfg.NewScheduler == nil {
 		return ErrNoScheduler
 	}
-	if cfg.Engine.Scheduler != nil {
-		return ErrTemplateScheduler
-	}
-	if cfg.Engine.Observer != nil {
-		return ErrTemplateObserver
+	if err := cfg.Engine.ValidateTemplate(); err != nil {
+		return err
 	}
 	if err := cfg.ValidateSharding(); err != nil {
 		return err

@@ -58,7 +58,7 @@ type Config struct {
 	Contiguous bool
 	// Migrate enables on-the-fly defragmentation (Krevat et al.): when a
 	// contiguous placement fails, running jobs are compacted toward group
-	// zero and the placement retried.
+	// zero and the placement retried. Needs Contiguous.
 	Migrate bool
 	// Prevalidated promises the caller already ran w.Validate(M)
 	// successfully, skipping re-validation. Set by sweep drivers that replay
@@ -85,15 +85,42 @@ type Config struct {
 	ResizeOverhead int64
 }
 
-// ErrNegativeResizeOverhead rejects a negative per-resize penalty.
-var ErrNegativeResizeOverhead = errors.New("engine: resize overhead must not be negative")
+// Typed configuration errors, testable with errors.Is.
+var (
+	// ErrNegativeResizeOverhead rejects a negative per-resize penalty.
+	ErrNegativeResizeOverhead = errors.New("engine: resize overhead must not be negative")
+	// ErrMigrateNeedsContiguous rejects Migrate without Contiguous:
+	// defragmentation only runs when a contiguous placement fails.
+	ErrMigrateNeedsContiguous = errors.New("engine: Migrate needs Contiguous")
+	// ErrTemplateScheduler and ErrTemplateObserver are ValidateTemplate's.
+	ErrTemplateScheduler = errors.New("engine: configuration template must not carry a scheduler")
+	ErrTemplateObserver  = errors.New("engine: configuration template must not carry an observer")
+	// ErrTemplateOwned is a front end's own check on top of ValidateTemplate:
+	// the template sets a field it fills in (ProcessECC) or forbids.
+	ErrTemplateOwned = errors.New("engine: configuration template sets a field its front end owns")
+)
+
+// ValidateTemplate checks cfg as a template that a front end (a sweep
+// point, the sharded dispatcher) copies into many runs, each completed with
+// a fresh policy and checked by Validate. It must carry no Scheduler, and no
+// Observer: events of the copied runs would interleave nondeterministically.
+func (cfg Config) ValidateTemplate() error {
+	if cfg.Scheduler != nil {
+		return ErrTemplateScheduler
+	}
+	if cfg.Observer != nil {
+		return ErrTemplateObserver
+	}
+	return nil
+}
 
 // Validate checks everything New checks except the scheduler, with New's
-// Unit default applied first: machine geometry, the resize overhead, and
-// the fault model. Clear errors here beat panics from deep inside the
-// machine layer on the first allocation. Errors wrap the typed sentinels
-// (ErrNegativeResizeOverhead, ErrOnResizeNeedsMalleable, the fault
-// package's) so callers can test with errors.Is.
+// Unit default applied first: machine geometry, the allocation policy, the
+// resize overhead, and the fault model. Clear errors here beat panics from
+// deep inside the machine layer on the first allocation. Errors wrap the
+// typed sentinels (ErrMigrateNeedsContiguous, ErrNegativeResizeOverhead,
+// ErrOnResizeNeedsMalleable, the fault package's) so callers can test with
+// errors.Is.
 func (cfg Config) Validate() error {
 	if cfg.Unit <= 0 {
 		cfg.Unit = 1
@@ -106,6 +133,9 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.M%cfg.Unit != 0 {
 		return fmt.Errorf("engine: allocation unit %d does not divide machine size %d", cfg.Unit, cfg.M)
+	}
+	if cfg.Migrate && !cfg.Contiguous {
+		return ErrMigrateNeedsContiguous
 	}
 	if cfg.ResizeOverhead < 0 {
 		return fmt.Errorf("%w (got %d)", ErrNegativeResizeOverhead, cfg.ResizeOverhead)
@@ -379,7 +409,7 @@ func (s *Session) Reset(cfg Config, w *cwf.Workload) error {
 			newMachine = machine.NewContiguous
 		}
 		s.mach = newMachine(cfg.M, cfg.Unit)
-		if cfg.Contiguous && cfg.Migrate {
+		if cfg.Migrate {
 			s.mach.EnableMigration()
 		}
 	}

@@ -210,6 +210,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"on-resize without malleable", &FaultConfig{MTBF: 40000, Checkpoint: fault.CheckpointOnResize, CheckpointCost: 30},
 			nil, ErrOnResizeNeedsMalleable},
 		{"negative resize overhead", nil, func(c *Config) { c.Malleable, c.ResizeOverhead = true, -3 }, ErrNegativeResizeOverhead},
+		{"migrate without contiguous", nil, func(c *Config) { c.Migrate = true }, ErrMigrateNeedsContiguous},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,7 +86,6 @@ func resetMatrix(t *testing.T, rng *rand.Rand) []resetCell {
 			p.M, p.Unit, p.Seed = c.m, c.unit, c.seed
 			p.N, p.TargetLoad = 100, 1.0
 			p.PE, p.PR = 0.2, 0.1
-			p.MaxECCPerJob = 2
 			p.SizeECC = c.seed%2 == 1
 			if c.algo.New(experiment.Point{}).Heterogeneous() {
 				p.PD = 0.3

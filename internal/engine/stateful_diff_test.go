@@ -196,7 +196,6 @@ func chaosMatrixWorkload(t *testing.T, seed int64, hetero, malleable bool) *cwf.
 	p.N = 150
 	p.TargetLoad = 1.0
 	p.PE, p.PR = 0.2, 0.1
-	p.MaxECCPerJob = 2
 	p.SizeECC = seed%2 == 1
 	if hetero {
 		p.PD = 0.3

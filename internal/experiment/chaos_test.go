@@ -53,7 +53,6 @@ func chaosWorkload(t *testing.T, hetero, sizeECC bool, v chaosVariant, seed int6
 	p.Seed = seed
 	p.PE = 0.2
 	p.PR = 0.1
-	p.MaxECCPerJob = 2
 	p.SizeECC = sizeECC
 	if v.plain {
 		p.PE, p.PR, p.SizeECC = 0, 0, false
@@ -571,7 +570,7 @@ func TestSweepFaultKnobs(t *testing.T) {
 	base := Point{X: 0, Params: p, Cs: 5}
 	faulty := base
 	faulty.X = 1
-	faulty.Faults = &engine.FaultConfig{MTBF: 30000, MTTR: 2000,
+	faulty.Engine.Faults = &engine.FaultConfig{MTBF: 30000, MTTR: 2000,
 		Retry: fault.RetryPolicy{Restart: fault.RemainingRuntime}}
 
 	sw := &Sweep{
@@ -603,7 +602,6 @@ func TestSweepFaultKnobs(t *testing.T) {
 	a := MustByName("EASY")
 	r, err := engine.Run(w, engine.Config{
 		M: pp.M, Unit: pp.Unit, Scheduler: a.New(base), ProcessECC: a.ECC,
-		MaxECCPerJob: pp.MaxECCPerJob,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -615,11 +613,10 @@ func TestSweepFaultKnobs(t *testing.T) {
 	// The faulty point's seed-3 cell must be a standalone run whose fault
 	// model is seeded with the run seed: the sweep copies the point's
 	// FaultConfig per run and sets Seed, leaving the point untouched.
-	fc := *faulty.Faults
+	fc := *faulty.Engine.Faults
 	fc.Seed = 3
 	r, err = engine.Run(w, engine.Config{
-		M: pp.M, Unit: pp.Unit, Scheduler: a.New(faulty), ProcessECC: a.ECC,
-		MaxECCPerJob: pp.MaxECCPerJob, Faults: &fc,
+		M: pp.M, Unit: pp.Unit, Scheduler: a.New(faulty), ProcessECC: a.ECC, Faults: &fc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -627,7 +624,7 @@ func TestSweepFaultKnobs(t *testing.T) {
 	if got, want := fmt.Sprintf("%+v", res.Cells[0][1].PerSeed[0]), fmt.Sprintf("%+v", r.Summary); got != want {
 		t.Errorf("faulty sweep cell diverged from standalone run at fault seed 3\ngot:  %s\nwant: %s", got, want)
 	}
-	if faulty.Faults.Seed != 0 {
-		t.Errorf("sweep wrote fault seed %d into the shared point", faulty.Faults.Seed)
+	if faulty.Engine.Faults.Seed != 0 {
+		t.Errorf("sweep wrote fault seed %d into the shared point", faulty.Engine.Faults.Seed)
 	}
 }

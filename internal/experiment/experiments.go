@@ -434,8 +434,8 @@ func Fragmentation() *Experiment {
 	panel := func(id string, contig, migrate bool) *Sweep {
 		pts := loadPoints(func(l float64) workload.Params { return batchParams(0.5, l) }, CsFor(0.5))
 		for i := range pts {
-			pts[i].Contiguous = contig
-			pts[i].Migrate = migrate
+			pts[i].Engine.Contiguous = contig
+			pts[i].Engine.Migrate = migrate
 		}
 		return &Sweep{
 			ID: id, Title: id, XLabel: "Load",
@@ -563,16 +563,18 @@ func Robustness() *Experiment {
 			p.PM = 1.0
 			pt := Point{
 				X: mtbf, Params: p, Cs: CsFor(0.5),
-				Faults: &engine.FaultConfig{
-					MTBF: mtbf, MTTR: 2000,
-					Retry: fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+				Engine: engine.Config{
+					Faults: &engine.FaultConfig{
+						MTBF: mtbf, MTTR: 2000,
+						Retry: fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
+					},
+					Malleable: malleable,
 				},
-				Malleable: malleable,
 			}
 			if malleable {
 				// Each reshape pays a data-redistribution penalty, so the
 				// malleable advantage is measured net of reconfiguration cost.
-				pt.ResizeOverhead = 60
+				pt.Engine.ResizeOverhead = 60
 			}
 			pts = append(pts, pt)
 		}
@@ -618,13 +620,13 @@ func Checkpoint() *Experiment {
 		point := func(x int64, policy fault.CheckpointPolicy, interval int64) Point {
 			return Point{
 				X: float64(x), Params: batchParams(0.5, 0.9), Cs: CsFor(0.5),
-				Faults: &engine.FaultConfig{
+				Engine: engine.Config{Faults: &engine.FaultConfig{
 					MTBF: mtbf, MTTR: mttr,
 					Retry:              fault.RetryPolicy{Mode: fault.Requeue, Restart: fault.RemainingRuntime, Backoff: 30},
 					Checkpoint:         policy,
 					CheckpointInterval: interval,
 					CheckpointCost:     cost,
-				},
+				}},
 			}
 		}
 		daly := fault.DalyInterval(mtbf, cost)

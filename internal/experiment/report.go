@@ -252,9 +252,9 @@ var (
 func (r *Result) layout() layout {
 	l := standardLayout
 	for _, pt := range r.Sweep.Points {
-		switch {
-		case pt.Faults == nil:
-		case pt.Faults.Checkpoint != fault.CheckpointNone:
+		switch fc := pt.Engine.Faults; {
+		case fc == nil:
+		case fc.Checkpoint != fault.CheckpointNone:
 			return checkpointLayout
 		default:
 			l = faultLayout

@@ -16,7 +16,7 @@ import (
 func TestSweepRejectsBadRobustnessPoint(t *testing.T) {
 	p := workload.DefaultParams()
 	p.N = 10
-	bad := Point{X: 1, Params: p, Cs: 5, Faults: &engine.FaultConfig{MTBF: math.NaN()}}
+	bad := Point{X: 1, Params: p, Cs: 5, Engine: engine.Config{Faults: &engine.FaultConfig{MTBF: math.NaN()}}}
 	sw := &Sweep{
 		ID:         "bad-robustness",
 		Algorithms: []Algorithm{MustByName("EASY")},

@@ -21,7 +21,6 @@ func propertyWorkload(t *testing.T, hetero bool, seed int64) *cwf.Workload {
 	p.Seed = seed
 	p.PE = 0.3
 	p.PR = 0.15
-	p.MaxECCPerJob = 2
 	if hetero {
 		p.PD = 0.2
 	}

@@ -26,25 +26,15 @@ type Point struct {
 	Cs int
 	// Lookahead overrides the DP window (0 = algorithm default).
 	Lookahead int
-	// Contiguous/Migrate select the allocation policy (BlueGene-style
-	// partitioning with optional defragmentation).
-	Contiguous bool
-	Migrate    bool
-	// Faults, when non-nil, injects node-group failures at this point: the
-	// failure model, the retry policy for its victims, and the checkpoint
-	// policy, exactly as the engine takes them. Each run copies it and sets
-	// Seed to the run seed, so the same seed fails the same groups at the
-	// same instants under every algorithm.
-	Faults *engine.FaultConfig
-	// Malleable turns on scheduler-initiated resizing at this point: the
-	// engine rescales remaining work through every resize and fault victims
-	// with malleable bounds shrink onto their surviving groups instead of
-	// dying. Pair it with Params.PM > 0 (so the workload carries bounds)
-	// and an -M algorithm variant (so the scheduler proposes resizes).
-	Malleable bool
-	// ResizeOverhead is the per-resize reconfiguration penalty in sim
-	// seconds, charged to the resized job (Malleable only).
-	ResizeOverhead int64
+	// Engine is the run configuration template at this point: allocation
+	// policy, fault model, malleability. Every run copies it and fills in
+	// the scheduler, M and Unit from Params, ProcessECC from the algorithm
+	// and Prevalidated; Sweep.Run rejects a template that sets those (M and
+	// Unit may repeat Params), Paranoid or an Observer. A non-nil Faults is
+	// copied per run with Seed set to the run seed, so the same seed fails
+	// the same groups at the same instants under every algorithm. Malleable
+	// pairs with Params.PM > 0 and an -M algorithm variant.
+	Engine engine.Config
 }
 
 // EffectiveCs resolves the point's C_s.
@@ -153,19 +143,12 @@ func (c *workloadCache) get(pi, si int, params workload.Params) (*cwf.Workload, 
 // workers, so each run gets its own copy to seed.
 func (s *Sweep) runConfig(pi int, a Algorithm, seed int64) engine.Config {
 	pt := &s.Points[pi]
-	cfg := engine.Config{
-		M:              pt.Params.M,
-		Unit:           pt.Params.Unit,
-		ProcessECC:     a.ECC,
-		MaxECCPerJob:   pt.Params.MaxECCPerJob,
-		Contiguous:     pt.Contiguous,
-		Migrate:        pt.Migrate,
-		Malleable:      pt.Malleable,
-		ResizeOverhead: pt.ResizeOverhead,
-		Prevalidated:   true,
-	}
-	if pt.Faults != nil {
-		fc := *pt.Faults
+	cfg := pt.Engine
+	cfg.M, cfg.Unit = pt.Params.M, pt.Params.Unit
+	cfg.ProcessECC = a.ECC
+	cfg.Prevalidated = true
+	if cfg.Faults != nil {
+		fc := *cfg.Faults
 		fc.Seed = seed
 		cfg.Faults = &fc
 	}
@@ -197,7 +180,16 @@ func (s *Sweep) Run(workers int) (*Result, error) {
 	// Check every point before generating any workload. The algorithm
 	// picks only the scheduler and ECC processing, which no validator reads.
 	for pi, pt := range s.Points {
-		if err := s.runConfig(pi, Algorithm{}, 0).Validate(); err != nil {
+		e := pt.Engine
+		err := e.ValidateTemplate()
+		if err == nil && (e.ProcessECC || e.Prevalidated || e.Paranoid ||
+			e.M != 0 && e.M != pt.Params.M || e.Unit != 0 && e.Unit != pt.Params.Unit) {
+			err = fmt.Errorf("%w: a sweep sets M, Unit, ProcessECC and Prevalidated and runs without Paranoid", engine.ErrTemplateOwned)
+		}
+		if err == nil {
+			err = s.runConfig(pi, Algorithm{}, 0).Validate()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("experiment %s: point %g: %w", s.ID, pt.X, err)
 		}
 	}

@@ -37,7 +37,7 @@ func mixedSweep() *Sweep {
 	p := workload.DefaultParams()
 	p.N = 60
 	p.TargetLoad = 0.9
-	p.PE, p.PR, p.MaxECCPerJob = 0.2, 0.1, 2
+	p.PE, p.PR = 0.2, 0.1
 	small := p
 	small.M, small.Unit = 128, 16
 	malleable := p
@@ -52,10 +52,10 @@ func mixedSweep() *Sweep {
 		Algorithms: algos("EASY-E-M", "Delayed-LOS-M", "CONS"),
 		Points: []Point{
 			{X: 1, Params: p, Cs: 7},
-			{X: 2, Params: small, Cs: 7, Contiguous: true},
-			{X: 3, Params: p, Cs: 7, Contiguous: true, Migrate: true, Faults: faults},
-			{X: 4, Params: malleable, Cs: 7, Malleable: true, ResizeOverhead: 5, Faults: faults},
-			{X: 5, Params: small, Cs: 7, Faults: faults},
+			{X: 2, Params: small, Cs: 7, Engine: engine.Config{Contiguous: true}},
+			{X: 3, Params: p, Cs: 7, Engine: engine.Config{Contiguous: true, Migrate: true, Faults: faults}},
+			{X: 4, Params: malleable, Cs: 7, Engine: engine.Config{Malleable: true, ResizeOverhead: 5, Faults: faults}},
+			{X: 5, Params: small, Cs: 7, Engine: engine.Config{Faults: faults}},
 		},
 		Seeds: []int64{1, 2},
 	}

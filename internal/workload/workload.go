@@ -125,8 +125,6 @@ type Params struct {
 	// ECC amount = 1 + Exp(ECCAmountFrac * dur); issue time uniform over
 	// [arrival, arrival + dur].
 	ECCAmountFrac float64
-	// MaxECCPerJob caps commands per job (the paper allows imposing one).
-	MaxECCPerJob int
 	// SizeECC emits EP/RP (processor extension/reduction) commands instead
 	// of ET/RT — the paper's future-work resource-dimension elasticity.
 	// Amounts are in processors (mean ECCAmountFrac * size).
@@ -163,7 +161,6 @@ func DefaultParams() Params {
 		RushStart: 8, RushEnd: 18,
 		DedLeadMean:   3600,
 		ECCAmountFrac: 0.25,
-		MaxECCPerJob:  1,
 	}
 }
 

@@ -150,7 +150,7 @@ func lockWorkload(t *testing.T, hetero bool) *cwf.Workload {
 	gen := func(size bool) *cwf.Workload {
 		p := workload.DefaultParams()
 		p.N, p.Seed, p.TargetLoad = 100, 23, 0.9
-		p.PE, p.PR, p.MaxECCPerJob, p.SizeECC = 0.3, 0.2, 2, size
+		p.PE, p.PR, p.SizeECC = 0.3, 0.2, size
 		if hetero {
 			p.PD = 0.15
 		}
